@@ -9,8 +9,9 @@ package repro_test
 //
 // The per-op metric is one complete experiment trial (a bounded simulation
 // run, a model-check, or a concurrent execution), so relative numbers across
-// algorithms and topologies are directly comparable. EXPERIMENTS.md records
-// the qualitative results; these benchmarks track their cost.
+// algorithms and topologies are directly comparable. The experiment suite
+// (dining.Experiments, printed by dpbench -markdown) records the qualitative
+// results; these benchmarks track their cost.
 
 import (
 	"context"
@@ -20,7 +21,6 @@ import (
 
 	"repro/dining"
 	"repro/internal/algo"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/graphalg"
@@ -35,8 +35,32 @@ import (
 // simulateOnce runs one bounded simulation and reports meals/step metrics.
 func simulateOnce(b *testing.B, topo *graph.Topology, algorithm string, kind string, seed uint64, steps int64) *sim.Result {
 	b.Helper()
-	sys := core.System{Topology: topo, Algorithm: algorithm, Scheduler: kind, Seed: seed}
-	res, err := sys.Simulate(sim.RunOptions{MaxSteps: steps})
+	eng, err := dining.New(topo, algorithm, dining.WithScheduler(kind), dining.WithSeed(seed), dining.WithMaxSteps(steps))
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := eng.Run(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
+// simulateUntil runs one simulation under a stop rule the engine does not
+// expose (first meal, everyone fed), assembling the run as Engine.Run does:
+// the program, the run's random source, then the scheduler on a split of it.
+func simulateUntil(b *testing.B, topo *graph.Topology, algorithm string, opts algo.Options, kind string, seed uint64, ro sim.RunOptions) *sim.Result {
+	b.Helper()
+	prog, err := algo.New(algorithm, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := prng.New(seed)
+	s, err := sched.New(kind, sched.Config{RNG: rng.Split()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := sim.Run(topo, prog, s, rng, ro)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -113,20 +137,7 @@ func BenchmarkTheorem1(b *testing.B) {
 	}
 	for _, c := range cases {
 		b.Run(c.algorithm, func(b *testing.B) {
-			prog, err := algo.New(c.algorithm, algo.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rep, err := modelcheck.Check(graph.Theorem1Minimal(), prog, modelcheck.Options{Protected: c.protected})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.FairAdversaryWins() != c.wantTrap {
-					b.Fatalf("%s verdict %v, want %v", c.algorithm, rep.FairAdversaryWins(), c.wantTrap)
-				}
-			}
+			benchmarkTrap(b, graph.Theorem1Minimal(), c.algorithm, c.protected, c.wantTrap)
 		})
 	}
 }
@@ -136,22 +147,28 @@ func BenchmarkTheorem1(b *testing.B) {
 func BenchmarkTheorem2(b *testing.B) {
 	for _, algorithm := range []string{"LR2", "GDP2"} {
 		b.Run(algorithm, func(b *testing.B) {
-			prog, err := algo.New(algorithm, algo.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rep, err := modelcheck.Check(graph.Theorem2Minimal(), prog, modelcheck.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				want := algorithm == "LR2"
-				if rep.FairAdversaryWins() != want {
-					b.Fatalf("%s verdict %v, want %v", algorithm, rep.FairAdversaryWins(), want)
-				}
-			}
+			benchmarkTrap(b, graph.Theorem2Minimal(), algorithm, nil, algorithm == "LR2")
 		})
+	}
+}
+
+// benchmarkTrap times one cold starvation-trap check per op — exploration,
+// trap analysis and, when a trap exists, its counterexample — and fails on a
+// verdict other than wantTrap.
+func benchmarkTrap(b *testing.B, topo *graph.Topology, algorithm string, protected []graph.PhilID, wantTrap bool) {
+	eng, err := dining.New(topo, algorithm, dining.WithProtected(protected...))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := eng.CheckAll(context.Background(), dining.StarvationTrap)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if trap := !res[0].Passed; trap != wantTrap {
+			b.Fatalf("%s verdict %v, want %v", algorithm, trap, wantTrap)
+		}
 	}
 }
 
@@ -164,11 +181,7 @@ func BenchmarkTheorem3Progress(b *testing.B) {
 			b.ReportAllocs()
 			var firstMeal int64
 			for i := 0; i < b.N; i++ {
-				sys := core.System{Topology: topo, Algorithm: "GDP1", Scheduler: "adversary", Seed: uint64(i) + 1}
-				res, err := sys.Simulate(sim.RunOptions{MaxSteps: 60_000, StopAfterTotalEats: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := simulateUntil(b, topo, "GDP1", algo.Options{}, "adversary", uint64(i)+1, sim.RunOptions{MaxSteps: 60_000, StopAfterTotalEats: 1})
 				if !res.Progress() {
 					b.Fatal("GDP1 failed to progress under the adversary")
 				}
@@ -186,11 +199,7 @@ func BenchmarkTheorem4Lockout(b *testing.B) {
 	b.ReportAllocs()
 	var steps int64
 	for i := 0; i < b.N; i++ {
-		sys := core.System{Topology: topo, Algorithm: "GDP2", Scheduler: "round-robin", Seed: uint64(i) + 1}
-		res, err := sys.Simulate(sim.RunOptions{MaxSteps: 200_000, StopWhenAllHaveEaten: true})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := simulateUntil(b, topo, "GDP2", algo.Options{}, "round-robin", uint64(i)+1, sim.RunOptions{MaxSteps: 200_000, StopWhenAllHaveEaten: true})
 		if res.Reason != sim.StopAllAte {
 			b.Fatalf("not everyone ate: %v", res.EatsBy)
 		}
@@ -247,17 +256,7 @@ func BenchmarkNumberRangeSweep(b *testing.B) {
 			b.ReportAllocs()
 			var firstMeal int64
 			for i := 0; i < b.N; i++ {
-				sys := core.System{
-					Topology:    topo,
-					Algorithm:   "GDP1",
-					AlgoOptions: algo.Options{M: m},
-					Scheduler:   "adversary",
-					Seed:        uint64(i) + 1,
-				}
-				res, err := sys.Simulate(sim.RunOptions{MaxSteps: 60_000, StopAfterTotalEats: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := simulateUntil(b, topo, "GDP1", algo.Options{M: m}, "adversary", uint64(i)+1, sim.RunOptions{MaxSteps: 60_000, StopAfterTotalEats: 1})
 				firstMeal += res.FirstEatStep
 			}
 			b.ReportMetric(float64(firstMeal)/float64(b.N), "steps-to-first-meal")
@@ -362,13 +361,15 @@ func BenchmarkFaultInjection(b *testing.B) {
 	b.Run("simulate", func(b *testing.B) {
 		topo := graph.Ring(9)
 		for _, c := range specs {
-			m := faultModel(c.spec)
 			b.Run(c.name, func(b *testing.B) {
 				b.ReportAllocs()
 				var meals int64
 				for i := 0; i < b.N; i++ {
-					sys := core.System{Topology: topo, Algorithm: "GDP1", Scheduler: "random", Seed: uint64(i) + 1, Faults: m}
-					res, err := sys.Simulate(sim.RunOptions{MaxSteps: 20_000})
+					eng, err := dining.New(topo, dining.GDP1, dining.WithSeed(uint64(i)+1), dining.WithMaxSteps(20_000), dining.WithFaults(c.spec))
+					if err != nil {
+						b.Fatal(err)
+					}
+					res, err := eng.Run(context.Background())
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -414,13 +415,15 @@ func BenchmarkFaultInjection(b *testing.B) {
 			{"crash-rejoin", "crash-rejoin:0.05,0.5"},
 			{"freeze", "freeze:0.05"},
 		} {
-			m := faultModel(c.spec)
 			b.Run(c.name, func(b *testing.B) {
 				b.ReportAllocs()
 				var meals int64
 				for i := 0; i < b.N; i++ {
-					sys := core.System{Topology: topo, Algorithm: "GDP2", Seed: uint64(i) + 1, Faults: m}
-					metrics, err := sys.RunConcurrent(context.Background(), 20*time.Millisecond, 0)
+					eng, err := dining.New(topo, dining.GDP2, dining.WithSeed(uint64(i)+1), dining.WithFaults(c.spec))
+					if err != nil {
+						b.Fatal(err)
+					}
+					metrics, err := eng.RunConcurrent(context.Background(), 20*time.Millisecond, 0)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -1,13 +1,13 @@
-// Command dpbench runs the reproduction experiment suite (DESIGN.md,
-// experiments E-F1 … E-RT) and renders the results as a terminal report, as
-// the Markdown body of EXPERIMENTS.md, or as JSON.
+// Command dpbench runs the reproduction experiment suite (dining.Experiments,
+// experiments E-F1 … E-RT) and renders the results as a terminal report, as a
+// Markdown document, or as JSON.
 //
 // Usage:
 //
-//	dpbench -quick                  # fast pass (~1 minute)
-//	dpbench                         # full pass (several minutes)
+//	dpbench -quick                  # fast pass (a few seconds)
+//	dpbench                         # full pass (tens of seconds)
 //	dpbench -experiment E-T3        # a single experiment
-//	dpbench -markdown -o EXPERIMENTS.generated.md
+//	dpbench -markdown -o experiments.md
 //	dpbench -quick -json            # machine-readable tables
 //	dpbench -quick -symmetry        # orbit-quotient model checking (same
 //	                                # verdict tables, per-orbit state counts)
@@ -21,8 +21,8 @@ import (
 	"os"
 	"time"
 
+	"repro/dining"
 	"repro/internal/cli"
-	"repro/internal/core"
 )
 
 func main() {
@@ -51,18 +51,18 @@ func main() {
 		}
 	}()
 
-	ecfg := core.ExperimentConfig{Quick: *quick, Seed: cfg.Seed, Workers: cfg.Workers, Faults: cfg.Faults, Symmetry: cfg.Symmetry}
+	ecfg := dining.ExperimentConfig{Quick: *quick, Seed: cfg.Seed, Workers: cfg.Workers, Faults: cfg.Faults, Symmetry: cfg.Symmetry}
 
-	var tables []*core.Table
+	var tables []*dining.Table
 	start := time.Now()
 	if *experiment != "" {
-		table, err := core.RunByID(*experiment, ecfg)
+		table, err := dining.RunByID(*experiment, ecfg)
 		if err != nil {
 			cli.Fatal("dpbench", err)
 		}
 		tables = append(tables, table)
 	} else {
-		all, err := core.RunAll(ecfg)
+		all, err := dining.RunAll(ecfg)
 		if err != nil {
 			cli.Fatal("dpbench", err)
 		}
@@ -89,7 +89,7 @@ func main() {
 		}
 	case *markdown:
 		intro := fmt.Sprintf("# Experiment results\n\nGenerated by `dpbench` in %s (quick=%t, seed=%d).\n", elapsed.Round(time.Second), *quick, cfg.Seed)
-		fmt.Fprint(out, core.RenderMarkdown(intro, tables))
+		fmt.Fprint(out, dining.RenderMarkdown(intro, tables))
 	default:
 		for _, t := range tables {
 			fmt.Fprintln(out, t.Text())

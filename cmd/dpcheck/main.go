@@ -169,7 +169,7 @@ func checkTable(ctx context.Context, cfg *cli.Config, full bool, maxStates int) 
 		{"theta graph, philosopher 0 protected", theta, dining.GDP1, dining.AlgorithmOptions{}, single, "trap exists (GDP1 is not lockout-free)", true, false},
 		{"theta graph, philosopher 0 protected", theta, dining.GDP2, dining.AlgorithmOptions{}, single, "no trap (Theorem 4)", false, false},
 		{"classic ring, philosopher 0 protected", dining.Ring(3), dining.LR2, dining.AlgorithmOptions{}, single, "no trap (LR2 lockout-free on rings)", false, false},
-		{"classic ring, philosopher 0 protected", dining.Ring(3), dining.GDP2, dining.AlgorithmOptions{}, single, "TRAP — see EXPERIMENTS.md E-T4 (courtesy gap)", true, false},
+		{"classic ring, philosopher 0 protected", dining.Ring(3), dining.GDP2, dining.AlgorithmOptions{}, single, "TRAP — see dpbench E-T4 (courtesy gap)", true, false},
 		{"classic ring, philosopher 0 protected", dining.Ring(3), dining.GDP2, dining.AlgorithmOptions{CourtesyOnBothForks: true}, single, "no trap (strengthened courtesy)", false, false},
 	}
 

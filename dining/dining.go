@@ -2,7 +2,7 @@
 // experiment engine for the generalized dining-philosophers systems of
 // Herescu & Palamidessi (PODC 2001).
 //
-// The v3 API has five layers:
+// The v4 API has six parts:
 //
 // # Registries
 //
@@ -32,8 +32,11 @@
 // Every run path takes a [context.Context] and honours cancellation:
 // [Engine.Run] executes one simulation, [Engine.Repeat] runs n deterministic
 // Monte-Carlo trials in index order, [Engine.Check] verifies properties,
-// [Engine.ModelCheck] builds the legacy aggregate report, and
-// [Engine.RunConcurrent] executes the system on real goroutines.
+// [Engine.Explore] returns the explored state space, and
+// [Engine.RunConcurrent] executes the system on real goroutines. The engine
+// is the only code that turns a configuration into a program, a scheduler
+// and a run: the experiment suite ([Experiments], [RunAll]) builds one
+// engine per table row.
 //
 // # Properties
 //
@@ -118,9 +121,7 @@ import (
 	"time"
 
 	"repro/internal/algo"
-	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/modelcheck"
 	"repro/internal/prng"
 	"repro/internal/runtime"
 	"repro/internal/sched"
@@ -239,16 +240,6 @@ type SimResult = sim.Result
 // ConcurrentMetrics is the outcome of a goroutine-runtime run.
 type ConcurrentMetrics = runtime.Metrics
 
-// CheckReport is the outcome of an exhaustive model check — the legacy
-// aggregate of the analyses that Engine.Check now runs as selectable
-// properties with counterexample traces (see the v2→v3 migration table in
-// CHANGES.md).
-type CheckReport = modelcheck.Report
-
-// Table is a titled result table (the sweep matrix and experiment-suite
-// format), renderable as text, Markdown or JSON.
-type Table = core.Table
-
 // Simulate is a convenience wrapper: build an engine from the arguments and
 // run one simulation.
 func Simulate(ctx context.Context, topo *Topology, algorithm string, opts ...Option) (*SimResult, error) {
@@ -268,15 +259,4 @@ func RunConcurrent(ctx context.Context, topo *Topology, algorithm string, seed u
 		return nil, err
 	}
 	return eng.RunConcurrent(ctx, duration, targetMeals)
-}
-
-// ModelCheck exhaustively verifies a small instance: it reports whether a
-// fair adversary can forever starve the protected philosophers (all of them
-// when protected is empty).
-func ModelCheck(ctx context.Context, topo *Topology, algorithm string, protected ...PhilID) (*CheckReport, error) {
-	eng, err := New(topo, algorithm, WithProtected(protected...))
-	if err != nil {
-		return nil, err
-	}
-	return eng.ModelCheck(ctx)
 }

@@ -89,12 +89,16 @@ func TestEngineAdversarialRun(t *testing.T) {
 
 func TestFacadeModelCheck(t *testing.T) {
 	t.Parallel()
-	rep, err := dining.ModelCheck(context.Background(), dining.Theta(1, 1, 1), dining.LR2)
+	eng, err := dining.New(dining.Theta(1, 1, 1), dining.LR2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.FairAdversaryWins() {
-		t.Error("expected the Theorem 2 verdict for LR2 on the theta graph")
+	res, err := eng.CheckAll(context.Background(), dining.StarvationTrap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Passed || res[0].Counterexample == nil {
+		t.Errorf("expected the Theorem 2 trap for LR2 on the theta graph, got %+v", res[0])
 	}
 }
 
@@ -109,6 +113,38 @@ func TestFacadeRunConcurrent(t *testing.T) {
 	}
 }
 
+// TestEngineRunConcurrent runs an engine on the goroutine runtime and pins
+// that an algorithm the runtime does not implement is rejected with an error
+// that names it and lists the runtime's algorithms.
+func TestEngineRunConcurrent(t *testing.T) {
+	t.Parallel()
+	eng, err := dining.New(dining.Ring(5), dining.GDP2, dining.WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := eng.RunConcurrent(context.Background(), 5*time.Second, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(metrics.Starved) != 0 {
+		t.Errorf("starved philosophers: %v", metrics.Starved)
+	}
+
+	colored, err := dining.New(dining.Ring(3), dining.Colored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = colored.RunConcurrent(context.Background(), time.Second, 1)
+	if err == nil {
+		t.Fatal("RunConcurrent accepted an algorithm without a concurrent implementation")
+	}
+	for _, want := range []string{`"colored"`, "LR1", "GDP2", "ordered-forks"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("rejection error = %q, want it to mention %s", err, want)
+		}
+	}
+}
+
 func TestEngineContextCancellation(t *testing.T) {
 	t.Parallel()
 	eng, err := dining.New(dining.Ring(5), dining.GDP2, dining.WithMaxSteps(1_000_000_000))
@@ -120,8 +156,8 @@ func TestEngineContextCancellation(t *testing.T) {
 	if _, err := eng.Run(ctx); err == nil {
 		t.Error("Run ignored a cancelled context")
 	}
-	if _, err := eng.ModelCheck(ctx); err == nil {
-		t.Error("ModelCheck ignored a cancelled context")
+	if _, err := eng.Explore(ctx); err == nil {
+		t.Error("Explore ignored a cancelled context")
 	}
 	sawErr := false
 	for _, err := range eng.Trials(ctx, 8) {

@@ -7,18 +7,17 @@ import (
 	"time"
 
 	"repro/internal/algo"
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/graph"
-	"repro/internal/modelcheck"
 	"repro/internal/par"
 	"repro/internal/prng"
+	"repro/internal/runtime"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
-// seedStride separates derived per-trial seeds; it matches the stride of the
-// internal experiment engine so that Engine trials are bit-identical to
-// core.System.Repeat trials.
+// seedStride separates derived per-trial seeds: trial i of an engine with
+// base seed s runs with seed s + i*seedStride.
 const seedStride = 0x9e3779b97f4a7c15
 
 // config is the mutable bag the functional options write into; New freezes
@@ -59,7 +58,7 @@ func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 // value.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
-// WithShards splits the state-space store of Check and ModelCheck
+// WithShards splits the state-space store of Check and Explore
 // explorations into 2^k independently-owned shards, so exploration workers
 // intern and append states without a sequential per-level merge (rounded up
 // to a power of two; 0 = match the worker count). Results — state counts,
@@ -88,7 +87,7 @@ func WithFairnessWindow(window int64) Option {
 	return func(c *config) { c.fairnessWindow = window }
 }
 
-// WithMaxStates caps the state count of ModelCheck and Check explorations
+// WithMaxStates caps the state count of Check and Explore explorations
 // (0 = the model-checker default).
 func WithMaxStates(n int) Option { return func(c *config) { c.maxStates = n } }
 
@@ -120,7 +119,7 @@ func WithSymmetry() Option { return func(c *config) { c.symmetry = true } }
 // many rates and a target philosopher the topology does not have are all
 // construction-time errors. The Monte-Carlo simulator and the exhaustive
 // model checker both run the wrapped program, so Run, Trials, Repeat, Check
-// and ModelCheck all see the same perturbed MDP. RunConcurrent injects the
+// and Explore all see the same perturbed MDP. RunConcurrent injects the
 // crash-family models (crash-rejoin, freeze) as goroutine park/resume
 // decisions driven by per-seed streams, and rejects the message-level models
 // (lossy-grants, delayed-grants), which have no goroutine equivalent.
@@ -172,14 +171,10 @@ func New(topo *Topology, algorithm string, opts ...Option) (*Engine, error) {
 	if _, err := algo.New(algorithm, c.algoOpts); err != nil {
 		return nil, err
 	}
-	// Probe the scheduler with a throwaway configuration that honours the
-	// full Config contract (non-nil RNG), so custom constructors that draw
-	// randomness at construction time survive eager validation.
-	if _, err := NewScheduler(c.scheduler, SchedulerConfig{
-		RNG:            prng.New(c.seed),
-		Protected:      c.protected,
-		FairnessWindow: c.fairnessWindow,
-	}); err != nil {
+	// Probe the scheduler with a throwaway random source, so custom
+	// constructors that draw randomness at construction time survive eager
+	// validation.
+	if _, err := c.newScheduler(prng.New(c.seed)); err != nil {
 		return nil, err
 	}
 	if c.maxSteps < 0 {
@@ -271,20 +266,6 @@ func (e *Engine) Faults() string {
 	return e.cfg.faultModel.Spec()
 }
 
-// system assembles the internal system for one run with the given seed.
-func (e *Engine) system(seed uint64) core.System {
-	return core.System{
-		Topology:       e.topo,
-		Algorithm:      e.alg,
-		AlgoOptions:    e.cfg.algoOpts,
-		Scheduler:      e.cfg.scheduler,
-		Protected:      e.cfg.protected,
-		FairnessWindow: e.cfg.fairnessWindow,
-		Faults:         e.cfg.faultModel,
-		Seed:           seed,
-	}
-}
-
 // program constructs the engine's algorithm program, wrapped by the fault
 // model when one is configured — the single assembly point that keeps the
 // simulator, the model checker and trace replay on the same (possibly
@@ -297,6 +278,35 @@ func (e *Engine) program() (sim.Program, error) {
 	return e.cfg.faultModel.Wrap(e.topo, prog), nil
 }
 
+// newScheduler constructs the configured scheduler from the registry,
+// drawing any randomness from rng.
+func (c *config) newScheduler(rng *prng.Source) (sim.Scheduler, error) {
+	return sched.New(c.scheduler, sched.Config{
+		RNG:            rng,
+		Protected:      c.protected,
+		FairnessWindow: c.fairnessWindow,
+	})
+}
+
+// simulate executes one simulation with the given seed — the single run
+// path behind Run, Trials, Repeat and the experiment suite. The run's random
+// source is seeded first and the scheduler draws from a split of it, so a
+// trial is a pure function of the engine and the seed. Cancelling ctx ends
+// the run with reason sim.StopCancelled.
+func (e *Engine) simulate(ctx context.Context, seed uint64, opts sim.RunOptions) (*SimResult, error) {
+	prog, err := e.program()
+	if err != nil {
+		return nil, err
+	}
+	rng := prng.New(seed)
+	scheduler, err := e.cfg.newScheduler(rng.Split())
+	if err != nil {
+		return nil, err
+	}
+	opts.Stop = stopFunc(ctx)
+	return sim.Run(e.topo, prog, scheduler, rng, opts)
+}
+
 // orBackground substitutes context.Background for a nil ctx so that every
 // engine entry point tolerates nil uniformly.
 func orBackground(ctx context.Context) context.Context {
@@ -306,14 +316,9 @@ func orBackground(ctx context.Context) context.Context {
 	return ctx
 }
 
-// runOptions builds the simulator options for one run, wiring ctx
-// cancellation into the step loop.
-func (e *Engine) runOptions(ctx context.Context, recorder sim.Recorder) sim.RunOptions {
-	opts := sim.RunOptions{MaxSteps: e.cfg.maxSteps, Recorder: recorder}
-	if ctx.Done() != nil {
-		opts.Stop = func() bool { return ctx.Err() != nil }
-	}
-	return opts
+// runOptions is the simulator configuration of Run and of every trial.
+func (e *Engine) runOptions() sim.RunOptions {
+	return sim.RunOptions{MaxSteps: e.cfg.maxSteps, Recorder: e.cfg.recorder}
 }
 
 // trialSeed derives the seed of trial i from the base seed and i alone.
@@ -326,8 +331,7 @@ func (e *Engine) Run(ctx context.Context) (*SimResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sys := e.system(e.cfg.seed)
-	res, err := sys.Simulate(e.runOptions(ctx, e.cfg.recorder))
+	res, err := e.simulate(ctx, e.cfg.seed, e.runOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -383,8 +387,7 @@ func newTrialResult(trial int, seed uint64, res *SimResult) TrialResult {
 // execution, so the recorder observes a single ordered event stream.
 func (e *Engine) runTrial(ctx context.Context, i int) (TrialResult, error) {
 	seed := e.trialSeed(i)
-	sys := e.system(seed)
-	res, err := sys.Simulate(e.runOptions(ctx, e.cfg.recorder))
+	res, err := e.simulate(ctx, seed, e.runOptions())
 	if err != nil {
 		return TrialResult{Trial: i, Seed: seed}, fmt.Errorf("dining: trial %d: %w", i, err)
 	}
@@ -461,38 +464,19 @@ func (e *Engine) Repeat(ctx context.Context, n int) ([]*SimResult, error) {
 	return results, nil
 }
 
-// ModelCheck exhaustively explores the system's state space (small instances
-// only) and returns the legacy aggregate analysis report. The scheduler
-// configuration is irrelevant here: the model checker quantifies over all
-// schedulers. Cancelling ctx aborts the exploration. New code should prefer
-// Check, which runs the same analyses as selectable properties, streams
-// per-property verdicts and attaches replayable counterexample traces to
-// failures; see the v2→v3 migration table in CHANGES.md.
-func (e *Engine) ModelCheck(ctx context.Context) (*CheckReport, error) {
-	ctx = orBackground(ctx)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	prog, err := e.program()
-	if err != nil {
-		return nil, err
-	}
-	return checkWithContext(ctx, e.topo, prog, e.cfg.maxStates, e.cfg.protected, e.cfg.workers, e.cfg.shards)
-}
-
 // RunConcurrent executes the system on the goroutine runtime for the given
-// duration (or until every philosopher has eaten targetMeals times).
+// duration (or until every philosopher has eaten targetMeals times). The
+// runtime implements LR1, LR2, GDP1, GDP2 and ordered-forks; other
+// algorithms, and the message-level fault models, are rejected with an
+// error.
 func (e *Engine) RunConcurrent(ctx context.Context, duration time.Duration, targetMeals int64) (*ConcurrentMetrics, error) {
-	sys := e.system(e.cfg.seed)
-	return sys.RunConcurrent(orBackground(ctx), duration, targetMeals)
-}
-
-// checkWithContext runs the model checker with ctx cancellation wired into
-// the exploration loop.
-func checkWithContext(ctx context.Context, topo *graph.Topology, prog sim.Program, maxStates int, protected []graph.PhilID, workers, shards int) (*CheckReport, error) {
-	opts := modelcheck.Options{MaxStates: maxStates, Protected: protected, Workers: workers, Shards: shards}
-	if ctx.Done() != nil {
-		opts.Interrupt = ctx.Err
-	}
-	return modelcheck.Check(topo, prog, opts)
+	return runtime.Run(orBackground(ctx), runtime.Config{
+		Topology:                  e.topo,
+		Algorithm:                 runtime.Algorithm(e.alg),
+		M:                         e.cfg.algoOpts.M,
+		TargetMealsPerPhilosopher: targetMeals,
+		MaxDuration:               duration,
+		Seed:                      e.cfg.seed,
+		Faults:                    e.Faults(),
+	})
 }

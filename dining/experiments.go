@@ -1,32 +1,40 @@
-package core
+package dining
 
 import (
 	"context"
 	"fmt"
 	"time"
 
-	"repro/internal/algo"
 	"repro/internal/fault"
 	"repro/internal/graph"
-	"repro/internal/prng"
+	"repro/internal/modelcheck"
+	"repro/internal/par"
 	"repro/internal/runtime"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/verify"
 )
 
+// This file is the reproduction suite behind cmd/dpbench: one experiment per
+// reproduced artifact of the paper (E-F1 … E-RT), each producing a Table.
+// Every row of every experiment is an Engine built by ExperimentConfig.engine,
+// so the suite runs the same program assembly, scheduler construction,
+// simulation and exploration as Run, Trials and Check. Monte-Carlo rows keep
+// their own seed schedules and stop rules by calling Engine.simulate per
+// trial; exhaustive rows explore the engine's state space and run the
+// analysis of the starvation-trap property on it.
+
 // ExperimentConfig controls how much work each experiment does.
 type ExperimentConfig struct {
 	// Quick reduces trial counts and skips the largest model-checking
-	// instances so the whole suite finishes in roughly a minute; the full
-	// configuration is what EXPERIMENTS.md reports.
+	// instances so the whole suite finishes in seconds; the full
+	// configuration is what dpbench prints without -quick.
 	Quick bool
 	// Seed is the base seed for all Monte-Carlo experiments.
 	Seed uint64
 	// Workers bounds the number of goroutines used for Monte-Carlo trials.
 	// Zero means one per CPU; 1 forces sequential execution. Every table is
-	// bit-identical whatever the value (see ParallelTrials).
+	// bit-identical whatever the value (see par.Trials).
 	Workers int
 	// Faults is an optional fault-model spec in the internal/fault grammar
 	// (for example "crash-rejoin:0.05,0.5"); when non-empty every sequential
@@ -36,9 +44,9 @@ type ExperimentConfig struct {
 	// injects them as park/resume decisions) and is skipped for the
 	// message-level ones.
 	Faults string
-	// Symmetry quotients the model-checking experiments by each topology's
-	// automorphism group (System.Symmetry). Verdict tables are identical;
-	// the reported state counts become per-orbit counts.
+	// Symmetry quotients the model-checking experiments (E-T1, E-T2, E-T4)
+	// by each topology's automorphism group (WithSymmetry). Verdict tables
+	// are identical; the reported state counts become per-orbit counts.
 	Symmetry bool
 }
 
@@ -49,19 +57,41 @@ func (c ExperimentConfig) trials(full, quick int) int {
 	return full
 }
 
-// faultModel resolves the Faults spec once per experiment (nil when empty);
-// per-topology target validation happens inside System when it assembles the
-// program.
-func (c ExperimentConfig) faultModel() (fault.Model, error) {
-	if c.Faults == "" {
-		return nil, nil
+// engine builds the engine of one experiment row: the row's own options plus
+// the suite-wide fault model and, when set, the symmetry quotient.
+func (c ExperimentConfig) engine(topo *Topology, algorithm string, opts ...Option) (*Engine, error) {
+	opts = append(opts, WithFaults(c.Faults))
+	if c.Symmetry {
+		opts = append(opts, WithSymmetry())
 	}
-	return fault.NewFromSpec(c.Faults)
+	return New(topo, algorithm, opts...)
+}
+
+// runTrials runs n trials of the row engine, trial i with seed
+// seed + i*stride, across c.Workers goroutines and returns the results in
+// trial order. Each result depends only on its index, so every aggregate
+// folded over the slice in order is identical for any worker count.
+func (c ExperimentConfig) runTrials(e *Engine, n int, seed, stride uint64, opts sim.RunOptions) ([]*SimResult, error) {
+	return par.Trials(c.Workers, n, func(i int) (*SimResult, error) {
+		return e.simulate(context.TODO(), seed+uint64(i)*stride, opts)
+	})
+}
+
+// trapCheck explores the row engine's state space and runs the analysis of
+// the starvation-trap property on it. wins reports whether a fair adversary
+// can starve the protected set forever.
+func trapCheck(e *Engine) (states int, trap modelcheck.Trap, wins bool, err error) {
+	ss, err := e.explore(context.TODO())
+	if err != nil {
+		return 0, trap, false, err
+	}
+	trap = ss.FindStarvationTrap()
+	return ss.NumStates(), trap, trap.Exists && trap.Reachable, nil
 }
 
 // Experiment is one entry of the reproduction suite.
 type Experiment struct {
-	// ID is the identifier used in DESIGN.md and EXPERIMENTS.md.
+	// ID is the identifier dpbench -experiment selects (for example "E-T3").
 	ID string
 	// Title is a one-line description.
 	Title string
@@ -86,17 +116,24 @@ func Experiments() []Experiment {
 	}
 }
 
+// run executes the experiment and stamps its identity on the table.
+func (x Experiment) run(cfg ExperimentConfig) (*Table, error) {
+	table, err := x.Run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	table.ID, table.Title, table.Reproduces = x.ID, x.Title, x.Reproduces
+	return table, nil
+}
+
 // RunAll executes every experiment and returns the tables in order.
 func RunAll(cfg ExperimentConfig) ([]*Table, error) {
 	var out []*Table
 	for _, exp := range Experiments() {
-		table, err := exp.Run(cfg)
+		table, err := exp.run(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("core: experiment %s: %w", exp.ID, err)
+			return nil, fmt.Errorf("dining: experiment %s: %w", exp.ID, err)
 		}
-		table.ID = exp.ID
-		table.Title = exp.Title
-		table.Reproduces = exp.Reproduces
 		out = append(out, table)
 	}
 	return out, nil
@@ -106,17 +143,10 @@ func RunAll(cfg ExperimentConfig) ([]*Table, error) {
 func RunByID(id string, cfg ExperimentConfig) (*Table, error) {
 	for _, exp := range Experiments() {
 		if exp.ID == id {
-			table, err := exp.Run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			table.ID = exp.ID
-			table.Title = exp.Title
-			table.Reproduces = exp.Reproduces
-			return table, nil
+			return exp.run(cfg)
 		}
 	}
-	return nil, fmt.Errorf("core: unknown experiment %q", id)
+	return nil, fmt.Errorf("dining: unknown experiment %q", id)
 }
 
 // --- E-F1 ---
@@ -133,42 +163,36 @@ func runFigure1(ExperimentConfig) (*Table, error) {
 }
 
 // adversaryStarvationRate measures how often the bounded-fair greedy
-// adversary prevents every protected philosopher from eating. Trials fan out
-// over workers goroutines (see ParallelTrials); each trial's seed is derived
-// from its index, so the proportion is identical for every worker count.
-func adversaryStarvationRate(topo *graph.Topology, algorithm string, opts algo.Options, faults fault.Model, protected []graph.PhilID, trials, workers int, steps int64, seed uint64) (stats.Proportion, error) {
+// adversary prevents every protected philosopher of algorithm on topo from
+// eating within steps atomic steps.
+func (c ExperimentConfig) adversaryStarvationRate(topo *Topology, algorithm string, protected []PhilID, trials int, steps int64, seed uint64) (stats.Proportion, error) {
 	var prop stats.Proportion
-	starvedByTrial, err := ParallelTrials(workers, trials, func(i int) (bool, error) {
-		sys := System{
-			Topology:    topo,
-			Algorithm:   algorithm,
-			AlgoOptions: opts,
-			Scheduler:   "adversary",
-			Protected:   protected,
-			Seed:        seed + uint64(i)*7919,
-			Faults:      faults,
-		}
-		res, err := sys.Simulate(sim.RunOptions{MaxSteps: steps})
-		if err != nil {
-			return false, err
-		}
-		if len(protected) == 0 {
-			return res.TotalEats == 0, nil
-		}
-		for _, p := range protected {
-			if res.EatsBy[p] > 0 {
-				return false, nil
-			}
-		}
-		return true, nil
-	})
+	e, err := c.engine(topo, algorithm, WithScheduler(Adversary), WithProtected(protected...))
 	if err != nil {
 		return prop, err
 	}
-	for _, starved := range starvedByTrial {
-		prop.Add(starved)
+	results, err := c.runTrials(e, trials, seed, 7919, sim.RunOptions{MaxSteps: steps})
+	if err != nil {
+		return prop, err
+	}
+	for _, res := range results {
+		prop.Add(starved(res, protected))
 	}
 	return prop, nil
+}
+
+// starved reports whether no protected philosopher (no philosopher at all
+// when protected is empty) ate during the run.
+func starved(res *SimResult, protected []PhilID) bool {
+	if len(protected) == 0 {
+		return res.TotalEats == 0
+	}
+	for _, p := range protected {
+		if res.EatsBy[p] > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // --- E-S3 ---
@@ -177,19 +201,15 @@ func runSection3(cfg ExperimentConfig) (*Table, error) {
 	trials := cfg.trials(200, 25)
 	steps := int64(30_000)
 	topo := graph.Figure1A()
-	flt, err := cfg.faultModel()
-	if err != nil {
-		return nil, err
-	}
 	t := &Table{Header: []string{"algorithm", "no-progress runs", "rate (Wilson 95%)", "paper bound"}}
 	bound := verify.Section3Bound(0.5)
-	for _, name := range []string{"LR1", "LR2", "GDP1", "GDP2"} {
-		prop, err := adversaryStarvationRate(topo, name, algo.Options{}, flt, nil, trials, cfg.Workers, steps, cfg.Seed+11)
+	for _, name := range []string{LR1, LR2, GDP1, GDP2} {
+		prop, err := cfg.adversaryStarvationRate(topo, name, nil, trials, steps, cfg.Seed+11)
 		if err != nil {
 			return nil, err
 		}
 		paperBound := "progress w.p. 1 (Theorems 3/4)"
-		if name == "LR1" || name == "LR2" {
+		if name == LR1 || name == LR2 {
 			paperBound = fmt.Sprintf(">= %.4f (Section 3)", bound)
 		}
 		t.AddRow(name, fmt.Sprintf("%d/%d", prop.Successes(), prop.Trials()), prop.String(), paperBound)
@@ -204,49 +224,46 @@ func runSection3(cfg ExperimentConfig) (*Table, error) {
 
 func runTheorem1(cfg ExperimentConfig) (*Table, error) {
 	t := &Table{Header: []string{"instance", "algorithm", "protected", "method", "fair adversary wins?", "detail"}}
-	flt, err := cfg.faultModel()
-	if err != nil {
-		return nil, err
-	}
-
-	type mcCase struct {
-		topo      *graph.Topology
+	ring3 := []PhilID{0, 1, 2}
+	cases := []struct {
+		topo      *Topology
 		algorithm string
-		protected []graph.PhilID
+		protected []PhilID
 		skipQuick bool
-	}
-	ring3 := []graph.PhilID{0, 1, 2}
-	cases := []mcCase{
-		{graph.Theorem1Minimal(), "LR1", ring3, false},
-		{graph.RingWithPendant(3), "LR1", ring3, false},
-		{graph.Ring(3), "LR1", nil, false},
-		{graph.RingWithPendant(3), "LR2", ring3, true}, // ~0.5M states
-		{graph.Theorem1Minimal(), "GDP1", nil, false},
+	}{
+		{graph.Theorem1Minimal(), LR1, ring3, false},
+		{graph.RingWithPendant(3), LR1, ring3, false},
+		{graph.Ring(3), LR1, nil, false},
+		{graph.RingWithPendant(3), LR2, ring3, true}, // ~0.5M states
+		{graph.Theorem1Minimal(), GDP1, nil, false},
 	}
 	for _, c := range cases {
 		if cfg.Quick && c.skipQuick {
 			continue
 		}
-		sys := System{Topology: c.topo, Algorithm: c.algorithm, Protected: c.protected, Faults: flt}
-		rep, err := sys.ModelCheck(0)
+		e, err := cfg.engine(c.topo, c.algorithm, WithProtected(c.protected...))
 		if err != nil {
 			return nil, err
 		}
-		detail := fmt.Sprintf("%d states, safe region %d, trap %d", rep.States, rep.Trap.SafeRegionStates, rep.Trap.States)
-		t.AddRow(c.topo.Name(), c.algorithm, protectedLabel(c.protected), "exhaustive model check", rep.FairAdversaryWins(), detail)
+		states, trap, wins, err := trapCheck(e)
+		if err != nil {
+			return nil, err
+		}
+		detail := fmt.Sprintf("%d states, safe region %d, trap %d", states, trap.SafeRegionStates, trap.States)
+		t.AddRow(c.topo.Name(), c.algorithm, protectedLabel(c.protected), "exhaustive model check", wins, detail)
 	}
 
 	// Empirical rate of the heuristic adversary on a larger Theorem 1 instance.
 	trials := cfg.trials(100, 15)
-	ringIDs := make([]graph.PhilID, 9)
+	ringIDs := make([]PhilID, 9)
 	for i := range ringIDs {
-		ringIDs[i] = graph.PhilID(i)
+		ringIDs[i] = PhilID(i)
 	}
-	prop, err := adversaryStarvationRate(graph.Figure1D(), "LR1", algo.Options{}, flt, ringIDs, trials, cfg.Workers, 30_000, cfg.Seed+23)
+	prop, err := cfg.adversaryStarvationRate(graph.Figure1D(), LR1, ringIDs, trials, 30_000, cfg.Seed+23)
 	if err != nil {
 		return nil, err
 	}
-	t.AddRow(graph.Figure1D().Name(), "LR1", "ring only", "heuristic adversary simulation", prop.Successes() > 0, prop.String())
+	t.AddRow(graph.Figure1D().Name(), LR1, "ring only", "heuristic adversary simulation", prop.Successes() > 0, prop.String())
 
 	t.AddNote("the model checker computes the exact answer to \"does a fair scheduler have a strategy that forever prevents every protected philosopher from eating (with positive probability)?\" — a starvation trap is an end component of the no-protected-meal sub-MDP covering every philosopher.")
 	t.AddNote("LR1 admits a trap exactly on the topologies Theorem 1 describes, and not on the classic ring (Lehmann & Rabin's original guarantee); GDP1 admits none even there.")
@@ -258,28 +275,40 @@ func runTheorem1(cfg ExperimentConfig) (*Table, error) {
 
 func runTheorem2(cfg ExperimentConfig) (*Table, error) {
 	t := &Table{Header: []string{"instance", "algorithm", "method", "fair adversary wins?", "detail"}}
-	flt, err := cfg.faultModel()
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range []string{"LR1", "LR2", "GDP1", "GDP2"} {
-		sys := System{Topology: graph.Theorem2Minimal(), Algorithm: name, Faults: flt}
-		rep, err := sys.ModelCheck(0)
+	theta := graph.Theorem2Minimal()
+	for _, name := range []string{LR1, LR2, GDP1, GDP2} {
+		e, err := cfg.engine(theta, name)
 		if err != nil {
 			return nil, err
 		}
-		detail := fmt.Sprintf("%d states, trap %d", rep.States, rep.Trap.States)
-		t.AddRow(graph.Theorem2Minimal().Name(), name, "exhaustive model check", rep.FairAdversaryWins(), detail)
+		states, trap, wins, err := trapCheck(e)
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(theta.Name(), name, "exhaustive model check", wins, fmt.Sprintf("%d states, trap %d", states, trap.States))
 	}
 	trials := cfg.trials(200, 25)
-	prop, err := adversaryStarvationRate(graph.Theorem2Minimal(), "LR2", algo.Options{}, flt, nil, trials, cfg.Workers, 30_000, cfg.Seed+31)
+	prop, err := cfg.adversaryStarvationRate(theta, LR2, nil, trials, 30_000, cfg.Seed+31)
 	if err != nil {
 		return nil, err
 	}
-	t.AddRow(graph.Theorem2Minimal().Name(), "LR2", "heuristic adversary simulation", prop.Successes() > 0, prop.String())
+	t.AddRow(theta.Name(), LR2, "heuristic adversary simulation", prop.Successes() > 0, prop.String())
 	t.AddNote("the minimal Theorem 2 instance is the theta graph: two forks shared by three philosophers (a ring plus a third path).")
 	t.AddNote("LR2's guest books never help: no protected philosopher ever eats inside the trap, so they remain empty forever — exactly the observation in the proof of Theorem 2.")
 	return t, nil
+}
+
+// firstMeals counts the trials that made progress and averages their step
+// of first meal.
+func firstMeals(results []*SimResult) (progressed int, mean float64) {
+	var firstMeal stats.Running
+	for _, res := range results {
+		if res.Progress() {
+			progressed++
+			firstMeal.Add(float64(res.FirstEatStep))
+		}
+	}
+	return progressed, firstMeal.Mean()
 }
 
 // --- E-T3 ---
@@ -287,37 +316,19 @@ func runTheorem2(cfg ExperimentConfig) (*Table, error) {
 func runTheorem3(cfg ExperimentConfig) (*Table, error) {
 	t := &Table{Header: []string{"topology", "scheduler", "trials with progress", "mean steps to first meal"}}
 	trials := cfg.trials(100, 15)
-	flt, err := cfg.faultModel()
-	if err != nil {
-		return nil, err
-	}
-	topos := []*graph.Topology{graph.Figure1A(), graph.Figure1B(), graph.Figure1C(), graph.Figure1D(), graph.Ring(7), graph.RandomMultigraph(18, 7, 4242)}
+	topos := []*Topology{graph.Figure1A(), graph.Figure1B(), graph.Figure1C(), graph.Figure1D(), graph.Ring(7), graph.RandomMultigraph(18, 7, 4242)}
 	for _, topo := range topos {
-		for _, kind := range []string{"random", "round-robin", "adversary"} {
-			type trialResult struct {
-				progressed bool
-				firstEat   float64
-			}
-			perTrial, err := ParallelTrials(cfg.Workers, trials, func(i int) (trialResult, error) {
-				sys := System{Topology: topo, Algorithm: "GDP1", Scheduler: kind, Seed: cfg.Seed + uint64(i)*131, Faults: flt}
-				res, err := sys.Simulate(sim.RunOptions{MaxSteps: 60_000, StopAfterTotalEats: 1})
-				if err != nil {
-					return trialResult{}, err
-				}
-				return trialResult{progressed: res.Progress(), firstEat: float64(res.FirstEatStep)}, nil
-			})
+		for _, kind := range []string{Random, RoundRobin, Adversary} {
+			e, err := cfg.engine(topo, GDP1, WithScheduler(kind))
 			if err != nil {
 				return nil, err
 			}
-			var progressed int
-			var firstMeal stats.Running
-			for _, tr := range perTrial {
-				if tr.progressed {
-					progressed++
-					firstMeal.Add(tr.firstEat)
-				}
+			results, err := cfg.runTrials(e, trials, cfg.Seed, 131, sim.RunOptions{MaxSteps: 60_000, StopAfterTotalEats: 1})
+			if err != nil {
+				return nil, err
 			}
-			t.AddRow(topo.Name(), kind, fmt.Sprintf("%d/%d", progressed, trials), fmt.Sprintf("%.1f", firstMeal.Mean()))
+			progressed, mean := firstMeals(results)
+			t.AddRow(topo.Name(), kind, fmt.Sprintf("%d/%d", progressed, trials), fmt.Sprintf("%.1f", mean))
 		}
 	}
 	t.AddNote("Theorem 3 asserts progress with probability 1 under every fair scheduler; every trial of every configuration above made progress, including under the adversary that defeats LR1.")
@@ -328,66 +339,53 @@ func runTheorem3(cfg ExperimentConfig) (*Table, error) {
 
 func runTheorem4(cfg ExperimentConfig) (*Table, error) {
 	t := &Table{Header: []string{"instance", "variant", "method", "individual starvation possible?", "detail"}}
-	flt, err := cfg.faultModel()
-	if err != nil {
-		return nil, err
+	type variant struct {
+		topo      *Topology
+		label     string
+		algorithm string
+		opts      AlgorithmOptions
 	}
-
-	// Exhaustive check on the minimal generalized instance.
-	theta := graph.Theorem2Minimal()
-	for _, variant := range []struct {
-		label string
-		opts  algo.Options
-	}{
-		{"GDP2 as printed (courtesy on first fork)", algo.Options{}},
-		{"GDP2 with courtesy on both forks", algo.Options{CourtesyOnBothForks: true}},
-	} {
-		sys := System{Topology: theta, Algorithm: "GDP2", AlgoOptions: variant.opts, Protected: []graph.PhilID{0}, Faults: flt, Symmetry: cfg.Symmetry}
-		rep, err := sys.ModelCheck(0)
+	const asPrinted, bothForks = "GDP2 as printed (courtesy on first fork)", "GDP2 with courtesy on both forks"
+	// Exhaustive checks on the minimal generalized instance and, in the full
+	// configuration, the classic ring.
+	theta, ring := graph.Theorem2Minimal(), graph.Ring(3)
+	variants := []variant{
+		{theta, asPrinted, GDP2, AlgorithmOptions{}},
+		{theta, bothForks, GDP2, AlgorithmOptions{CourtesyOnBothForks: true}},
+	}
+	if !cfg.Quick {
+		variants = append(variants,
+			variant{ring, asPrinted, GDP2, AlgorithmOptions{}},
+			variant{ring, bothForks, GDP2, AlgorithmOptions{CourtesyOnBothForks: true}},
+			variant{ring, "GDP1 (no courtesy)", GDP1, AlgorithmOptions{}})
+	}
+	for _, v := range variants {
+		e, err := cfg.engine(v.topo, v.algorithm, WithAlgorithmOptions(v.opts), WithProtected(0))
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(theta.Name(), variant.label, "exhaustive model check", rep.FairAdversaryWins(), fmt.Sprintf("%d states", rep.States))
-	}
-	if !cfg.Quick {
-		for _, variant := range []struct {
-			label string
-			opts  algo.Options
-		}{
-			{"GDP2 as printed (courtesy on first fork)", algo.Options{}},
-			{"GDP2 with courtesy on both forks", algo.Options{CourtesyOnBothForks: true}},
-			{"GDP1 (no courtesy)", algo.Options{}},
-		} {
-			name := "GDP2"
-			if variant.label == "GDP1 (no courtesy)" {
-				name = "GDP1"
-			}
-			sys := System{Topology: graph.Ring(3), Algorithm: name, AlgoOptions: variant.opts, Protected: []graph.PhilID{0}, Faults: flt, Symmetry: cfg.Symmetry}
-			rep, err := sys.ModelCheck(0)
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow("ring-3", variant.label, "exhaustive model check", rep.FairAdversaryWins(), fmt.Sprintf("%d states", rep.States))
+		states, _, wins, err := trapCheck(e)
+		if err != nil {
+			return nil, err
 		}
+		t.AddRow(v.topo.Name(), v.label, "exhaustive model check", wins, fmt.Sprintf("%d states", states))
 	}
 
 	// Monte-Carlo lockout check under fair (non-adversarial) schedulers.
 	trials := cfg.trials(50, 8)
-	for _, topo := range []*graph.Topology{graph.Figure1A(), graph.RingWithChord(6, 3)} {
-		prog, err := algo.New("GDP2", algo.Options{})
+	for _, topo := range []*Topology{graph.Figure1A(), graph.RingWithChord(6, 3)} {
+		e, err := cfg.engine(topo, GDP2)
 		if err != nil {
 			return nil, err
 		}
-		if flt != nil {
-			if err := flt.Validate(topo); err != nil {
-				return nil, err
-			}
-			prog = flt.Wrap(topo, prog)
+		prog, err := e.program()
+		if err != nil {
+			return nil, err
 		}
 		check := verify.LockoutCheck{
 			Topology:  topo,
 			Algorithm: prog,
-			Scheduler: randomSchedulerFactory,
+			Scheduler: e.schedulerFactory(),
 			Trials:    trials,
 			MaxSteps:  150_000,
 			MealsEach: 1,
@@ -412,47 +410,27 @@ func runTheorem4(cfg ExperimentConfig) (*Table, error) {
 func runEfficiency(cfg ExperimentConfig) (*Table, error) {
 	t := &Table{Header: []string{"ring size", "algorithm", "steps per meal", "mean wait (steps)", "Jain fairness"}}
 	trials := cfg.trials(10, 3)
-	flt, err := cfg.faultModel()
-	if err != nil {
-		return nil, err
-	}
 	sizes := []int{5, 11, 25}
 	if cfg.Quick {
 		sizes = []int{5, 11}
 	}
-	algorithms := []string{"LR1", "LR2", "GDP1", "GDP2", "ordered-forks", "ticket-box"}
 	for _, size := range sizes {
 		topo := graph.Ring(size)
-		for _, name := range algorithms {
-			type trialResult struct {
-				ate                      bool
-				stepsPerMeal, wait, jain float64
+		for _, name := range []string{LR1, LR2, GDP1, GDP2, OrderedForks, TicketBox} {
+			e, err := cfg.engine(topo, name, WithScheduler(Random))
+			if err != nil {
+				return nil, err
 			}
-			perTrial, err := ParallelTrials(cfg.Workers, trials, func(i int) (trialResult, error) {
-				sys := System{Topology: topo, Algorithm: name, Scheduler: "random", Seed: cfg.Seed + uint64(i)*997, Faults: flt}
-				res, err := sys.Simulate(sim.RunOptions{MaxSteps: 50_000})
-				if err != nil {
-					return trialResult{}, err
-				}
-				if res.TotalEats == 0 {
-					return trialResult{}, nil
-				}
-				return trialResult{
-					ate:          true,
-					stepsPerMeal: float64(res.Steps) / float64(res.TotalEats),
-					wait:         res.MeanWaitSteps,
-					jain:         stats.JainIndex(res.EatsBy),
-				}, nil
-			})
+			results, err := cfg.runTrials(e, trials, cfg.Seed, 997, sim.RunOptions{MaxSteps: 50_000})
 			if err != nil {
 				return nil, err
 			}
 			var stepsPerMeal, wait, jain stats.Running
-			for _, tr := range perTrial {
-				if tr.ate {
-					stepsPerMeal.Add(tr.stepsPerMeal)
-					wait.Add(tr.wait)
-					jain.Add(tr.jain)
+			for _, res := range results {
+				if res.TotalEats > 0 {
+					stepsPerMeal.Add(float64(res.Steps) / float64(res.TotalEats))
+					wait.Add(res.MeanWaitSteps)
+					jain.Add(stats.JainIndex(res.EatsBy))
 				}
 			}
 			t.AddRow(size, name, fmt.Sprintf("%.1f", stepsPerMeal.Mean()), fmt.Sprintf("%.1f", wait.Mean()), fmt.Sprintf("%.3f", jain.Mean()))
@@ -468,46 +446,21 @@ func runEfficiency(cfg ExperimentConfig) (*Table, error) {
 func runNumberRangeSweep(cfg ExperimentConfig) (*Table, error) {
 	t := &Table{Header: []string{"topology", "m", "analytic distinct-draw bound", "measured progress trials", "mean steps to first meal"}}
 	trials := cfg.trials(60, 10)
-	flt, err := cfg.faultModel()
-	if err != nil {
-		return nil, err
-	}
 	topo := graph.Figure1A()
 	k := topo.NumForks()
 	for _, mult := range []int{1, 2, 4, 8} {
 		m := k * mult
-		bound := verify.DistinctNumberBound(m, k)
-		type trialResult struct {
-			progressed bool
-			firstEat   float64
-		}
-		perTrial, err := ParallelTrials(cfg.Workers, trials, func(i int) (trialResult, error) {
-			sys := System{
-				Topology:    topo,
-				Algorithm:   "GDP1",
-				AlgoOptions: algo.Options{M: m},
-				Scheduler:   "adversary",
-				Seed:        cfg.Seed + uint64(i)*313,
-				Faults:      flt,
-			}
-			res, err := sys.Simulate(sim.RunOptions{MaxSteps: 60_000, StopAfterTotalEats: 1})
-			if err != nil {
-				return trialResult{}, err
-			}
-			return trialResult{progressed: res.Progress(), firstEat: float64(res.FirstEatStep)}, nil
-		})
+		e, err := cfg.engine(topo, GDP1, WithAlgorithmOptions(AlgorithmOptions{M: m}), WithScheduler(Adversary))
 		if err != nil {
 			return nil, err
 		}
-		var progressed int
-		var firstMeal stats.Running
-		for _, tr := range perTrial {
-			if tr.progressed {
-				progressed++
-				firstMeal.Add(tr.firstEat)
-			}
+		results, err := cfg.runTrials(e, trials, cfg.Seed, 313, sim.RunOptions{MaxSteps: 60_000, StopAfterTotalEats: 1})
+		if err != nil {
+			return nil, err
 		}
-		t.AddRow(topo.Name(), m, fmt.Sprintf("%.3f", bound), fmt.Sprintf("%d/%d", progressed, trials), fmt.Sprintf("%.1f", firstMeal.Mean()))
+		progressed, mean := firstMeals(results)
+		bound := verify.DistinctNumberBound(m, k)
+		t.AddRow(topo.Name(), m, fmt.Sprintf("%.3f", bound), fmt.Sprintf("%d/%d", progressed, trials), fmt.Sprintf("%.1f", mean))
 	}
 	t.AddNote("the Theorem 3 progress bound improves with m (the probability that k random numbers are pairwise distinct, m!/(mᵏ(m−k)!)); progress itself holds for every m ≥ k, as predicted.")
 	return t, nil
@@ -536,11 +489,13 @@ func runRuntimeThroughput(cfg ExperimentConfig) (*Table, error) {
 	if cfg.Quick {
 		duration = 150 * time.Millisecond
 	}
-	topos := []*graph.Topology{graph.Ring(8), graph.Figure1A()}
-	for _, topo := range topos {
-		for _, name := range []string{"LR1", "LR2", "GDP1", "GDP2", "ordered-forks"} {
-			sys := System{Topology: topo, Algorithm: name, Seed: cfg.Seed + 5, Faults: model}
-			metrics, err := sys.RunConcurrent(context.Background(), duration, 0)
+	for _, topo := range []*Topology{graph.Ring(8), graph.Figure1A()} {
+		for _, name := range []string{LR1, LR2, GDP1, GDP2, OrderedForks} {
+			e, err := cfg.engine(topo, name, WithSeed(cfg.Seed+5))
+			if err != nil {
+				return nil, err
+			}
+			metrics, err := e.RunConcurrent(context.TODO(), duration, 0)
 			if err != nil {
 				return nil, err
 			}
@@ -563,15 +518,9 @@ func runRuntimeThroughput(cfg ExperimentConfig) (*Table, error) {
 	return t, nil
 }
 
-func protectedLabel(protected []graph.PhilID) string {
+func protectedLabel(protected []PhilID) string {
 	if len(protected) == 0 {
 		return "all"
 	}
 	return fmt.Sprintf("%v", protected)
-}
-
-// randomSchedulerFactory adapts the sched package's uniform scheduler to the
-// verify.SchedulerFactory signature.
-func randomSchedulerFactory(rng *prng.Source) sim.Scheduler {
-	return sched.NewUniformRandom(rng)
 }

@@ -28,7 +28,7 @@ const fingerprintVersion = "dining-fingerprint-v2"
 // fixed-width and versioned, so the same configuration produces the same
 // key in every process, on every platform, across runs. Two engines with
 // equal fingerprints are behaviourally identical: every Run, Trials, Check
-// and ModelCheck result is bit-identical between them. This is what makes
+// and Explore result is bit-identical between them. This is what makes
 // the fingerprint safe to use as a cache key for explored state spaces
 // (cmd/dpserve does exactly that); deriving keys any other way risks
 // drifting from engine semantics when options are added.

@@ -10,7 +10,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/prng"
 	"repro/internal/registry"
-	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/verify"
@@ -571,11 +570,7 @@ func checkLockoutFreedomAs(ctx context.Context, name string, in PropertyInput) (
 // per-trial constructor the verify checks expect.
 func (e *Engine) schedulerFactory() verify.SchedulerFactory {
 	return func(rng *prng.Source) sim.Scheduler {
-		s, err := sched.New(e.cfg.scheduler, sched.Config{
-			RNG:            rng,
-			Protected:      e.cfg.protected,
-			FairnessWindow: e.cfg.fairnessWindow,
-		})
+		s, err := e.cfg.newScheduler(rng)
 		if err != nil {
 			// New validated the scheduler name eagerly; reaching this means
 			// the registry entry was removed at runtime, a programming error.

@@ -1,15 +1,16 @@
-package core
+package dining
 
 import (
 	"fmt"
 	"strings"
 )
 
-// Table is one reproduced artifact: a titled table of results plus free-form
-// notes, rendered to Markdown for EXPERIMENTS.md, to plain text for the CLI,
-// or to JSON (the field names below are a stable output format).
+// Table is a titled result table — one experiment of the suite, or a sweep
+// matrix — plus free-form notes, rendered to Markdown (dpbench -markdown), to
+// plain text for the CLI, or to JSON (the field names below are a stable
+// output format).
 type Table struct {
-	// ID is the experiment identifier from DESIGN.md (for example "E-T3").
+	// ID is the experiment identifier (for example "E-T3"; see Experiments).
 	ID string `json:"id"`
 	// Title is a one-line description.
 	Title string `json:"title"`
@@ -114,8 +115,8 @@ func (t *Table) Text() string {
 	return b.String()
 }
 
-// RenderMarkdown concatenates a set of tables into a full EXPERIMENTS.md
-// document body.
+// RenderMarkdown concatenates a set of tables into one Markdown document
+// under the given introduction (the body of dpbench -markdown).
 func RenderMarkdown(intro string, tables []*Table) string {
 	var b strings.Builder
 	b.WriteString(intro)

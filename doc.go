@@ -16,6 +16,10 @@
 // topologies, properties and fault models plug in with
 // dining.RegisterAlgorithm / RegisterScheduler / RegisterTopology /
 // RegisterProperty / RegisterFault without touching the core packages.
+// dining.Engine is the only code that turns a configuration into a program,
+// a scheduler and a run: Run, Trials, Check, Explore, RunConcurrent and
+// every row of the experiment suite (dining.Experiments, E-F1 … E-RT) go
+// through it.
 //
 // The property layer is the v3 centerpiece: the paper's claims — deadlock-
 // freedom, progress, lockout-freedom, starvation traps (Theorems 1–4) — are
@@ -68,7 +72,7 @@
 //
 // The verification stack is layered; each layer only sees the one below:
 //
-//	sharded store  →  exploration  →  graphalg analyses  →  properties  →  faults  →  serve / CLI
+//	sharded store  →  exploration  →  graphalg analyses  →  properties  →  faults  →  engine  →  serve / CLI
 //
 // At the bottom, internal/modelcheck stores the explored MDP in 2^k
 // independently-owned shards (dining.WithShards, -shards; 0 = match the
@@ -109,7 +113,10 @@
 // byte-identical across every topology × algorithm cell, truncated runs
 // included. internal/trace turns analysis witnesses into replayable
 // counterexample traces, the dining property layer packages the analyses as
-// registered properties, and the CLI tools plumb -workers/-shards (and
+// registered properties, dining.Engine assembles the (possibly fault-wrapped)
+// program, the scheduler and the exploration or run for every caller above
+// it — properties, trials, the goroutine runtime and the experiment suite
+// alike — and the CLI tools plumb -workers/-shards (and
 // -cpuprofile/-memprofile on dpcheck and dpbench) down the stack.
 //
 // At the top of the stack sits the serve layer (internal/serve, served by
@@ -133,9 +140,12 @@
 // select properties with -props, and the engine tools inject fault models
 // with -faults) and share the internal/cli config layer, so registered
 // extensions appear in every tool's flags and error messages. The
-// reproduction experiments are described in DESIGN.md and their results in
-// EXPERIMENTS.md. The benchmark suite in bench_test.go has one benchmark per
-// reproduced table or figure of the paper.
+// reproduction experiments are the suite in package dining: dpbench runs
+// them by ID (-experiment E-T3) and prints their tables as text, JSON or,
+// with -markdown, one Markdown document, and a golden file pins every
+// deterministic table of the quick suite. The benchmark suite in
+// bench_test.go has one benchmark per reproduced table or figure of the
+// paper.
 //
 // # Enforced invariants
 //

@@ -114,7 +114,7 @@ type Options struct {
 	// first-fork-only reading a fair adversary can still lock an individual
 	// philosopher out of GDP2 on the classic ring by always acquiring the
 	// shared fork second; checking the condition on both forks removes that
-	// trap. See EXPERIMENTS.md, experiment E-T4.
+	// trap. See experiment E-T4 of the suite (dpbench -experiment E-T4).
 	CourtesyOnBothForks bool
 }
 

@@ -85,12 +85,13 @@ func TestExplorationGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := Check(in.topo, prog, Options{Protected: in.protected})
+		ss, err := Explore(in.topo, prog, Options{Protected: in.protected})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := want{rep.States, rep.Transitions, rep.BadStates, rep.DeadlockStates,
-			rep.DeadRegionStates, rep.Trap.SafeRegionStates, rep.Trap.States, rep.Trap.Exists}
+		trap := ss.FindStarvationTrap()
+		got := want{ss.NumStates(), ss.NumTransitions(), ss.NumBadStates(), len(ss.DeadlockStates()),
+			len(ss.DeadRegionStates()), trap.SafeRegionStates, trap.States, trap.Exists}
 		if got != in.want {
 			t.Errorf("%s on %s (protected %v, opts %+v):\n got  %+v\n want %+v",
 				in.algorithm, in.topo.Name(), in.protected, in.opts, got, in.want)

@@ -2,7 +2,6 @@ package modelcheck
 
 import (
 	"encoding/hex"
-	"strings"
 	"testing"
 
 	"repro/internal/algo"
@@ -20,16 +19,25 @@ func mustProg(t *testing.T, name string, opts algo.Options) sim.Program {
 	return prog
 }
 
-func runCheck(t *testing.T, topo *graph.Topology, algoName string, opts algo.Options, protected []graph.PhilID) *Report {
+// runCheck explores algoName on topo against the protected set; the instance
+// must fit without truncation.
+func runCheck(t *testing.T, topo *graph.Topology, algoName string, opts algo.Options, protected []graph.PhilID) *StateSpace {
 	t.Helper()
-	rep, err := Check(topo, mustProg(t, algoName, opts), Options{Protected: protected})
+	ss, err := Explore(topo, mustProg(t, algoName, opts), Options{Protected: protected})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Truncated {
+	if ss.Truncated {
 		t.Fatalf("%s on %s: exploration truncated; the instance is supposed to fit", algoName, topo.Name())
 	}
-	return rep
+	return ss
+}
+
+// fairAdversaryWins is the headline verdict: a fair adversary can, with
+// positive probability, starve the protected set forever.
+func fairAdversaryWins(ss *StateSpace) bool {
+	trap := ss.FindStarvationTrap()
+	return trap.Exists && trap.Reachable
 }
 
 func TestExploreBasicProperties(t *testing.T) {
@@ -112,12 +120,12 @@ func TestExploreTruncation(t *testing.T) {
 func TestNoDeadlocksForPaperAlgorithms(t *testing.T) {
 	t.Parallel()
 	for _, name := range []string{"LR1", "LR2", "GDP1", "GDP2"} {
-		rep := runCheck(t, graph.Theorem2Minimal(), name, algo.Options{}, nil)
-		if rep.DeadlockStates != 0 {
-			t.Errorf("%s: %d deadlock states on the theta graph; the paper's algorithms never wedge", name, rep.DeadlockStates)
+		ss := runCheck(t, graph.Theorem2Minimal(), name, algo.Options{}, nil)
+		if dead := len(ss.DeadlockStates()); dead != 0 {
+			t.Errorf("%s: %d deadlock states on the theta graph; the paper's algorithms never wedge", name, dead)
 		}
-		if rep.DeadRegionStates != 0 {
-			t.Errorf("%s: %d states with no reachable meal", name, rep.DeadRegionStates)
+		if dead := len(ss.DeadRegionStates()); dead != 0 {
+			t.Errorf("%s: %d states with no reachable meal", name, dead)
 		}
 	}
 }
@@ -127,9 +135,9 @@ func TestLR1NoTrapOnClassicRing(t *testing.T) {
 	// Lehmann & Rabin's original theorem: LR1 guarantees progress with
 	// probability 1 on the simple ring, so no fair adversary has a starvation
 	// trap against global progress.
-	rep := runCheck(t, graph.Ring(3), "LR1", algo.Options{}, nil)
-	if rep.FairAdversaryWins() {
-		t.Errorf("found a global-progress trap for LR1 on the classic ring:\n%s", rep)
+	ss := runCheck(t, graph.Ring(3), "LR1", algo.Options{}, nil)
+	if fairAdversaryWins(ss) {
+		t.Errorf("found a global-progress trap for LR1 on the classic ring")
 	}
 }
 
@@ -139,20 +147,20 @@ func TestTheorem1LR1TrapOnRingWithExtraArc(t *testing.T) {
 	// philosopher, a fair adversary can prevent the ring philosophers from
 	// ever eating. The minimal instance is a triangle plus one parallel arc.
 	ring := []graph.PhilID{0, 1, 2}
-	rep := runCheck(t, graph.Theorem1Minimal(), "LR1", algo.Options{}, ring)
-	if !rep.FairAdversaryWins() {
-		t.Errorf("Theorem 1: expected a starvation trap for LR1 on %s:\n%s", graph.Theorem1Minimal().Name(), rep)
+	ss := runCheck(t, graph.Theorem1Minimal(), "LR1", algo.Options{}, ring)
+	if !fairAdversaryWins(ss) {
+		t.Errorf("Theorem 1: expected a starvation trap for LR1 on %s", graph.Theorem1Minimal().Name())
 	}
 	// The same holds on the ring-with-pendant form, where the extra arc leads
 	// to a private fork.
-	rep2 := runCheck(t, graph.RingWithPendant(3), "LR1", algo.Options{}, ring)
-	if !rep2.FairAdversaryWins() {
-		t.Errorf("Theorem 1: expected a starvation trap for LR1 on %s:\n%s", graph.RingWithPendant(3).Name(), rep2)
+	ss2 := runCheck(t, graph.RingWithPendant(3), "LR1", algo.Options{}, ring)
+	if !fairAdversaryWins(ss2) {
+		t.Errorf("Theorem 1: expected a starvation trap for LR1 on %s", graph.RingWithPendant(3).Name())
 	}
 	// And LR1 even fails for global progress there (protect everyone).
-	rep3 := runCheck(t, graph.Theorem1Minimal(), "LR1", algo.Options{}, nil)
-	if !rep3.FairAdversaryWins() {
-		t.Errorf("expected a global-progress trap for LR1 on theorem1-minimal:\n%s", rep3)
+	ss3 := runCheck(t, graph.Theorem1Minimal(), "LR1", algo.Options{}, nil)
+	if !fairAdversaryWins(ss3) {
+		t.Errorf("expected a global-progress trap for LR1 on theorem1-minimal")
 	}
 }
 
@@ -161,9 +169,9 @@ func TestTheorem2LR2TrapOnThetaGraph(t *testing.T) {
 	// Theorem 2: with two forks joined by three internally disjoint paths a
 	// fair adversary defeats LR2 (and LR1) — here even for global progress.
 	for _, name := range []string{"LR1", "LR2"} {
-		rep := runCheck(t, graph.Theorem2Minimal(), name, algo.Options{}, nil)
-		if !rep.FairAdversaryWins() {
-			t.Errorf("Theorem 2: expected a starvation trap for %s on the theta graph:\n%s", name, rep)
+		ss := runCheck(t, graph.Theorem2Minimal(), name, algo.Options{}, nil)
+		if !fairAdversaryWins(ss) {
+			t.Errorf("Theorem 2: expected a starvation trap for %s on the theta graph", name)
 		}
 	}
 }
@@ -179,9 +187,9 @@ func TestLR2SurvivesWhereOnlyTheorem1Applies(t *testing.T) {
 	// ring-with-pendant topology (which has the Theorem 1 structure but not
 	// the Theorem 2 structure) LR2 has no starvation trap against the ring.
 	ring := []graph.PhilID{0, 1, 2}
-	rep := runCheck(t, graph.RingWithPendant(3), "LR2", algo.Options{}, ring)
-	if rep.FairAdversaryWins() {
-		t.Errorf("LR2 should not be defeatable on ring-with-pendant (no Theorem 2 structure):\n%s", rep)
+	ss := runCheck(t, graph.RingWithPendant(3), "LR2", algo.Options{}, ring)
+	if fairAdversaryWins(ss) {
+		t.Errorf("LR2 should not be defeatable on ring-with-pendant (no Theorem 2 structure)")
 	}
 }
 
@@ -191,9 +199,9 @@ func TestTheorem3GDP1NoProgressTrap(t *testing.T) {
 	// under every fair adversary, on every topology. Verified exhaustively on
 	// the minimal counterexample topologies that defeat LR1/LR2.
 	for _, topo := range []*graph.Topology{graph.Theorem2Minimal(), graph.Theorem1Minimal(), graph.Ring(3)} {
-		rep := runCheck(t, topo, "GDP1", algo.Options{}, nil)
-		if rep.FairAdversaryWins() {
-			t.Errorf("Theorem 3: found a global-progress trap for GDP1 on %s:\n%s", topo.Name(), rep)
+		ss := runCheck(t, topo, "GDP1", algo.Options{}, nil)
+		if fairAdversaryWins(ss) {
+			t.Errorf("Theorem 3: found a global-progress trap for GDP1 on %s", topo.Name())
 		}
 	}
 }
@@ -202,9 +210,9 @@ func TestGDP1IsNotLockoutFree(t *testing.T) {
 	t.Parallel()
 	// The paper's Section 5 motivation: GDP1 ensures progress but not
 	// lockout-freedom — a fair adversary can starve an individual philosopher.
-	rep := runCheck(t, graph.Theorem2Minimal(), "GDP1", algo.Options{}, []graph.PhilID{0})
-	if !rep.FairAdversaryWins() {
-		t.Errorf("expected an individual-starvation trap for GDP1 (it is not lockout-free):\n%s", rep)
+	ss := runCheck(t, graph.Theorem2Minimal(), "GDP1", algo.Options{}, []graph.PhilID{0})
+	if !fairAdversaryWins(ss) {
+		t.Errorf("expected an individual-starvation trap for GDP1 (it is not lockout-free)")
 	}
 }
 
@@ -212,9 +220,9 @@ func TestTheorem4GDP2LockoutFreedomOnTheta(t *testing.T) {
 	t.Parallel()
 	// Theorem 4 on the minimal generalized instance: no fair adversary can
 	// starve an individual GDP2 philosopher on the theta graph.
-	rep := runCheck(t, graph.Theorem2Minimal(), "GDP2", algo.Options{}, []graph.PhilID{0})
-	if rep.FairAdversaryWins() {
-		t.Errorf("Theorem 4: found an individual-starvation trap for GDP2 on the theta graph:\n%s", rep)
+	ss := runCheck(t, graph.Theorem2Minimal(), "GDP2", algo.Options{}, []graph.PhilID{0})
+	if fairAdversaryWins(ss) {
+		t.Errorf("Theorem 4: found an individual-starvation trap for GDP2 on the theta graph")
 	}
 }
 
@@ -229,18 +237,18 @@ func TestGDP2FirstForkCourtesyGapOnClassicRing(t *testing.T) {
 	// steering the fork numbers so that both neighbours always acquire their
 	// shared fork with the victim as their *second* fork, which is never
 	// courtesy-checked. Extending the courtesy test to both acquisitions
-	// removes the trap. EXPERIMENTS.md (E-T4) discusses the discrepancy with
-	// the paper's Theorem 4.
+	// removes the trap. Experiment E-T4 of the suite (dpbench -experiment
+	// E-T4) discusses the discrepancy with the paper's Theorem 4.
 	victim := []graph.PhilID{0}
 
 	asPrinted := runCheck(t, graph.Ring(3), "GDP2", algo.Options{}, victim)
-	if !asPrinted.FairAdversaryWins() {
-		t.Errorf("expected the first-fork-only courtesy reading of GDP2 to admit an individual-starvation trap on Ring(3):\n%s", asPrinted)
+	if !fairAdversaryWins(asPrinted) {
+		t.Errorf("expected the first-fork-only courtesy reading of GDP2 to admit an individual-starvation trap on Ring(3)")
 	}
 
 	strengthened := runCheck(t, graph.Ring(3), "GDP2", algo.Options{CourtesyOnBothForks: true}, victim)
-	if strengthened.FairAdversaryWins() {
-		t.Errorf("GDP2 with courtesy on both forks should have no individual-starvation trap on Ring(3):\n%s", strengthened)
+	if fairAdversaryWins(strengthened) {
+		t.Errorf("GDP2 with courtesy on both forks should have no individual-starvation trap on Ring(3)")
 	}
 }
 
@@ -249,12 +257,12 @@ func TestLR2LockoutFreeOnClassicRing(t *testing.T) {
 	// Lehmann & Rabin's second algorithm is lockout-free on the classic ring;
 	// LR1 is not (it only guarantees progress).
 	lr2 := runCheck(t, graph.Ring(3), "LR2", algo.Options{}, []graph.PhilID{0})
-	if lr2.FairAdversaryWins() {
-		t.Errorf("LR2 should be lockout-free on the classic ring:\n%s", lr2)
+	if fairAdversaryWins(lr2) {
+		t.Errorf("LR2 should be lockout-free on the classic ring")
 	}
 	lr1 := runCheck(t, graph.Ring(3), "LR1", algo.Options{}, []graph.PhilID{0})
-	if !lr1.FairAdversaryWins() {
-		t.Errorf("LR1 is not lockout-free even on the classic ring; expected an individual trap:\n%s", lr1)
+	if !fairAdversaryWins(lr1) {
+		t.Errorf("LR1 is not lockout-free even on the classic ring; expected an individual trap")
 	}
 }
 
@@ -359,17 +367,6 @@ func TestFindStarvationTrapAgainstMatchesConfiguredSet(t *testing.T) {
 	}
 }
 
-func TestReportString(t *testing.T) {
-	t.Parallel()
-	rep := runCheck(t, graph.Ring(3), "LR1", algo.Options{}, nil)
-	s := rep.String()
-	for _, want := range []string{"LR1", "ring-3", "states:", "VERDICT"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("report missing %q:\n%s", want, s)
-		}
-	}
-}
-
 func TestNaiveBaselineDeadlocksAndOthersDoNot(t *testing.T) {
 	t.Parallel()
 	// The naive symmetric deterministic baseline (everyone left-first,
@@ -377,14 +374,14 @@ func TestNaiveBaselineDeadlocksAndOthersDoNot(t *testing.T) {
 	// impossibility result in action. The model checker finds both true
 	// deadlock states and a non-empty dead region.
 	naive := runCheck(t, graph.Ring(3), "naive-left-first", algo.Options{}, nil)
-	if naive.DeadlockStates == 0 || naive.DeadRegionStates == 0 {
-		t.Errorf("expected the naive left-first baseline to deadlock on a ring:\n%s", naive)
+	if len(naive.DeadlockStates()) == 0 || len(naive.DeadRegionStates()) == 0 {
+		t.Error("expected the naive left-first baseline to deadlock on a ring")
 	}
 	// The colored and ordered-fork baselines are deadlock-free on the ring.
 	for _, name := range []string{"colored", "ordered-forks"} {
-		rep := runCheck(t, graph.Ring(3), name, algo.Options{}, nil)
-		if rep.DeadRegionStates != 0 || rep.DeadlockStates != 0 {
-			t.Errorf("%s should be deadlock-free on Ring(3): %+v", name, rep)
+		ss := runCheck(t, graph.Ring(3), name, algo.Options{}, nil)
+		if dead, region := len(ss.DeadlockStates()), len(ss.DeadRegionStates()); dead != 0 || region != 0 {
+			t.Errorf("%s should be deadlock-free on Ring(3): %d deadlock states, %d dead-region states", name, dead, region)
 		}
 	}
 }

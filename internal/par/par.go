@@ -1,6 +1,6 @@
 // Package par provides the generic worker-pool trial runner shared by the
-// experiment layer (core) and the Monte-Carlo checks (verify). It is a leaf
-// package so both can import it without a cycle.
+// dining engine and experiment suite and the Monte-Carlo checks (verify). It
+// is a leaf package so both can import it without a cycle.
 //
 // The contract that makes parallel trials deterministic lives here: trial
 // functions derive all randomness from their index, results land at their

@@ -99,3 +99,45 @@ func TestStreamZeroTrials(t *testing.T) {
 		t.Fatal("zero-trial stream yielded")
 	}
 }
+
+func TestTrialsOrderAndCoverage(t *testing.T) {
+	t.Parallel()
+	got, err := Trials(8, 100, func(i int) (int, error) { return i * i, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 100 {
+		t.Fatalf("got %d results, want 100", len(got))
+	}
+	for i, v := range got {
+		if v != i*i {
+			t.Fatalf("result %d = %d, want %d (results must land at their trial index)", i, v, i*i)
+		}
+	}
+}
+
+func TestTrialsEdgeCases(t *testing.T) {
+	t.Parallel()
+	if got, err := Trials(4, 0, func(int) (int, error) { return 0, nil }); err != nil || got != nil {
+		t.Errorf("zero trials: got %v, %v", got, err)
+	}
+	// More workers than trials must still cover every index exactly once.
+	got, err := Trials(64, 3, func(i int) (int, error) { return i, nil })
+	if err != nil || len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
+		t.Errorf("workers > trials: got %v, %v", got, err)
+	}
+}
+
+func TestTrialsPropagatesError(t *testing.T) {
+	t.Parallel()
+	boom := errors.New("boom")
+	_, err := Trials(8, 50, func(i int) (int, error) {
+		if i%7 == 3 {
+			return 0, boom
+		}
+		return i, nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("error not propagated: %v", err)
+	}
+}

@@ -25,7 +25,7 @@ import (
 // Algorithm selects the philosopher protocol run by the goroutines.
 type Algorithm string
 
-// The available concurrent algorithms.
+// The available concurrent algorithms, named as in the algorithm registry.
 const (
 	// LR1 is Lehmann & Rabin's free-choice algorithm (Table 1).
 	LR1 Algorithm = "LR1"
@@ -36,12 +36,13 @@ const (
 	GDP1 Algorithm = "GDP1"
 	// GDP2 is the lockout-free variant (Table 4).
 	GDP2 Algorithm = "GDP2"
-	// Ordered is the hierarchical (lower fork first, hold and wait) baseline.
-	Ordered Algorithm = "ordered"
+	// OrderedForks is the hierarchical (lower fork first, hold and wait)
+	// baseline.
+	OrderedForks Algorithm = "ordered-forks"
 )
 
 // Algorithms lists every concurrent algorithm.
-func Algorithms() []Algorithm { return []Algorithm{LR1, LR2, GDP1, GDP2, Ordered} }
+func Algorithms() []Algorithm { return []Algorithm{LR1, LR2, GDP1, GDP2, OrderedForks} }
 
 // fork is a shared fork protected by a mutex. All fields are accessed under
 // mu, mirroring the paper's assumption that test-and-set operations on forks
@@ -137,9 +138,9 @@ func Run(ctx context.Context, cfg Config) (*Metrics, error) {
 		return nil, errors.New("runtime: Config.Topology is required")
 	}
 	switch cfg.Algorithm {
-	case LR1, LR2, GDP1, GDP2, Ordered:
+	case LR1, LR2, GDP1, GDP2, OrderedForks:
 	default:
-		return nil, fmt.Errorf("runtime: unknown algorithm %q", cfg.Algorithm)
+		return nil, fmt.Errorf("runtime: algorithm %q has no concurrent runtime implementation (available: %v)", cfg.Algorithm, Algorithms())
 	}
 	maxDuration := cfg.MaxDuration
 	if maxDuration <= 0 {
@@ -360,7 +361,7 @@ func (ph *philosopher) run(alg Algorithm) {
 			ph.gdp(false)
 		case GDP2:
 			ph.gdp(true)
-		case Ordered:
+		case OrderedForks:
 			ph.ordered()
 		}
 	}

@@ -48,9 +48,9 @@ func livelockRate(t *testing.T, topo *graph.Topology, algoName string, protected
 }
 
 // These tests reproduce the paper's headline qualitative results with the
-// greedy livelock adversary (experiments E-S3, E-T2, E-T3, E-T4 of DESIGN.md).
-// The thresholds are intentionally loose; EXPERIMENTS.md records the measured
-// rates.
+// greedy livelock adversary (experiments E-S3, E-T2, E-T3, E-T4 of the suite
+// in package dining). The thresholds are intentionally loose; dpbench prints
+// the measured rates.
 
 func TestAdversaryDefeatsLR1OnSection3Topology(t *testing.T) {
 	if testing.Short() {

@@ -13,7 +13,7 @@ import (
 // instances.
 type Config struct {
 	// RNG drives randomized schedulers. Always non-nil when the registry is
-	// used through core.System or the public engine.
+	// used through the public engine.
 	RNG *prng.Source
 	// Protected restricts an adversary's target set (nil = starve everyone).
 	Protected []graph.PhilID
