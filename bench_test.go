@@ -280,7 +280,8 @@ func BenchmarkGuardedChoice(b *testing.B) {
 }
 
 // BenchmarkRuntimeGoroutines measures the concurrent goroutine runtime
-// (experiment E-RT): one op is a full 50ms concurrent execution.
+// (experiment E-RT): one op is a full 50ms concurrent execution of the
+// algorithm's sim.Program, the one the simulator and the checker run.
 func BenchmarkRuntimeGoroutines(b *testing.B) {
 	for _, algorithm := range []string{dining.LR1, dining.GDP1, dining.GDP2} {
 		b.Run(algorithm, func(b *testing.B) {
@@ -404,16 +405,17 @@ func BenchmarkFaultInjection(b *testing.B) {
 			})
 		}
 	})
-	// The runtime cases measure goroutine-level injection: RunConcurrent
-	// wraps each philosopher with the crash-family fault driver (per-seed
-	// decision streams at cycle boundaries). Message-level models are
-	// rejected there, so this axis only crosses the crash family.
+	// The runtime cases measure the same fault-wrapped programs on
+	// goroutines: RunConcurrent runs the engine's program, so every model
+	// perturbs each step exactly as in the explore cases above.
 	b.Run("runtime", func(b *testing.B) {
 		topo := graph.Ring(5)
 		for _, c := range []struct{ name, spec string }{
 			{"none", ""},
 			{"crash-rejoin", "crash-rejoin:0.05,0.5"},
 			{"freeze", "freeze:0.05"},
+			{"lossy-grants", "lossy-grants:0.1"},
+			{"delayed-grants", "delayed-grants:0.1,2"},
 		} {
 			b.Run(c.name, func(b *testing.B) {
 				b.ReportAllocs()

@@ -33,7 +33,7 @@
 // [Engine.Run] executes one simulation, [Engine.Repeat] runs n deterministic
 // Monte-Carlo trials in index order, [Engine.Check] verifies properties,
 // [Engine.Explore] returns the explored state space, and
-// [Engine.RunConcurrent] executes the system on real goroutines. The engine
+// [Engine.RunConcurrent] executes the same program on real goroutines. The engine
 // is the only code that turns a configuration into a program, a scheduler
 // and a run: the experiment suite ([Experiments], [RunAll]) builds one
 // engine per table row.

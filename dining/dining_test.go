@@ -69,6 +69,23 @@ func TestEngineValidation(t *testing.T) {
 	}
 }
 
+// TestNewRejectsOutOfRangeProtected pins that a protected philosopher the
+// topology does not have is a construction error, as a fault target is.
+func TestNewRejectsOutOfRangeProtected(t *testing.T) {
+	t.Parallel()
+	for _, p := range []dining.PhilID{3, 99, -1} {
+		_, err := dining.New(dining.Ring(3), dining.LR1, dining.WithProtected(0, p))
+		if err == nil {
+			t.Errorf("New accepted protected philosopher %d on a 3-philosopher ring", p)
+		} else if !strings.Contains(err.Error(), "protected philosopher") {
+			t.Errorf("protected %d: error = %q, want it to name the protected philosopher", p, err)
+		}
+	}
+	if _, err := dining.New(dining.Ring(3), dining.LR1, dining.WithProtected(0, 2)); err != nil {
+		t.Errorf("New rejected in-range protected philosophers: %v", err)
+	}
+}
+
 func TestEngineAdversarialRun(t *testing.T) {
 	t.Parallel()
 	eng, err := dining.New(dining.DoubledPolygon(3), dining.GDP1,
@@ -113,9 +130,9 @@ func TestFacadeRunConcurrent(t *testing.T) {
 	}
 }
 
-// TestEngineRunConcurrent runs an engine on the goroutine runtime and pins
-// that an algorithm the runtime does not implement is rejected with an error
-// that names it and lists the runtime's algorithms.
+// TestEngineRunConcurrent runs engines on the goroutine runtime: GDP2 on
+// ring-5, and the colored baseline on ring-4, whose even coloring serves
+// everyone.
 func TestEngineRunConcurrent(t *testing.T) {
 	t.Parallel()
 	eng, err := dining.New(dining.Ring(5), dining.GDP2, dining.WithSeed(3))
@@ -130,17 +147,17 @@ func TestEngineRunConcurrent(t *testing.T) {
 		t.Errorf("starved philosophers: %v", metrics.Starved)
 	}
 
-	colored, err := dining.New(dining.Ring(3), dining.Colored)
+	colored, err := dining.New(dining.Ring(4), dining.Colored, dining.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = colored.RunConcurrent(context.Background(), time.Second, 1)
-	if err == nil {
-		t.Fatal("RunConcurrent accepted an algorithm without a concurrent implementation")
+	metrics, err = colored.RunConcurrent(context.Background(), 5*time.Second, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []string{`"colored"`, "LR1", "GDP2", "ordered-forks"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("rejection error = %q, want it to mention %s", err, want)
+	for p, meals := range metrics.Meals {
+		if meals < 2 {
+			t.Errorf("colored: philosopher %d ate %d meals, want >= 2", p, meals)
 		}
 	}
 }

@@ -119,10 +119,8 @@ func WithSymmetry() Option { return func(c *config) { c.symmetry = true } }
 // many rates and a target philosopher the topology does not have are all
 // construction-time errors. The Monte-Carlo simulator and the exhaustive
 // model checker both run the wrapped program, so Run, Trials, Repeat, Check
-// and Explore all see the same perturbed MDP. RunConcurrent injects the
-// crash-family models (crash-rejoin, freeze) as goroutine park/resume
-// decisions driven by per-seed streams, and rejects the message-level models
-// (lossy-grants, delayed-grants), which have no goroutine equivalent.
+// and Explore all see the same perturbed MDP, and RunConcurrent runs it on
+// goroutines: every model, and every rate per step, as in the checker.
 func WithFaults(name string, rates ...float64) Option {
 	return func(c *config) {
 		c.faultName = name
@@ -156,7 +154,9 @@ type Engine struct {
 // New builds an Engine for the algorithm (by registered name) on the
 // topology, applying the options. It validates everything eagerly: a nil or
 // invalid topology, an unknown algorithm name and an unknown scheduler name
-// are construction-time errors listing the registered options.
+// are construction-time errors listing the registered options, and a
+// protected philosopher or fault target the topology does not have is an
+// error too.
 func New(topo *Topology, algorithm string, opts ...Option) (*Engine, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("dining: New requires a topology")
@@ -176,6 +176,11 @@ func New(topo *Topology, algorithm string, opts ...Option) (*Engine, error) {
 	// validation.
 	if _, err := c.newScheduler(prng.New(c.seed)); err != nil {
 		return nil, err
+	}
+	for _, p := range c.protected {
+		if p < 0 || int(p) >= topo.NumPhilosophers() {
+			return nil, fmt.Errorf("dining: protected philosopher %d out of range [0, %d) on topology %s", p, topo.NumPhilosophers(), topo.Name())
+		}
 	}
 	if c.maxSteps < 0 {
 		return nil, fmt.Errorf("dining: WithMaxSteps(%d) is negative", c.maxSteps)
@@ -466,17 +471,20 @@ func (e *Engine) Repeat(ctx context.Context, n int) ([]*SimResult, error) {
 
 // RunConcurrent executes the system on the goroutine runtime for the given
 // duration (or until every philosopher has eaten targetMeals times). The
-// runtime implements LR1, LR2, GDP1, GDP2 and ordered-forks; other
-// algorithms, and the message-level fault models, are rejected with an
-// error.
+// goroutines run the engine's program — the one Run, Check and Explore run,
+// with its algorithm options and fault model — so every registered
+// algorithm and fault model runs concurrently, and the run is a path of the
+// MDP that Explore builds.
 func (e *Engine) RunConcurrent(ctx context.Context, duration time.Duration, targetMeals int64) (*ConcurrentMetrics, error) {
+	prog, err := e.program()
+	if err != nil {
+		return nil, err
+	}
 	return runtime.Run(orBackground(ctx), runtime.Config{
 		Topology:                  e.topo,
-		Algorithm:                 runtime.Algorithm(e.alg),
-		M:                         e.cfg.algoOpts.M,
+		Program:                   prog,
 		TargetMealsPerPhilosopher: targetMeals,
 		MaxDuration:               duration,
 		Seed:                      e.cfg.seed,
-		Faults:                    e.Faults(),
 	})
 }

@@ -189,7 +189,7 @@ func TestEngineSchedulers(t *testing.T) {
 
 // TestEngineRunConcurrentFaults pins that RunConcurrent hands the engine's
 // fault model to the goroutine runtime: a crash-family model is injected and
-// counted, and a message-level model is rejected.
+// counted, and a message-level model runs too.
 func TestEngineRunConcurrentFaults(t *testing.T) {
 	t.Parallel()
 	eng, err := dining.New(dining.Ring(5), dining.LR1, dining.WithSeed(7), dining.WithFaults("crash-rejoin", 0.2, 0.5))
@@ -211,9 +211,11 @@ func TestEngineRunConcurrentFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := delayed.RunConcurrent(context.Background(), time.Second, 1); err == nil {
-		t.Error("RunConcurrent accepted a message-level fault model")
-	} else if !strings.Contains(err.Error(), "crash-family") {
-		t.Errorf("rejection error = %q, want the crash-family wording", err)
+	metrics, err = delayed.RunConcurrent(context.Background(), 5*time.Second, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(metrics.Starved) != 0 {
+		t.Errorf("starved philosophers under delayed-grants: %v", metrics.Starved)
 	}
 }

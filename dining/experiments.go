@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/modelcheck"
 	"repro/internal/par"
-	"repro/internal/runtime"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/verify"
@@ -40,9 +38,7 @@ type ExperimentConfig struct {
 	// (for example "crash-rejoin:0.05,0.5"); when non-empty every sequential
 	// experiment runs on the perturbed transition system, so the tables show
 	// how far the paper's guarantees survive crashes and delayed or lost
-	// grants. E-RT runs under the crash-family models (the goroutine runtime
-	// injects them as park/resume decisions) and is skipped for the
-	// message-level ones.
+	// grants. E-RT's goroutines run the same perturbed program.
 	Faults string
 	// Symmetry quotients the model-checking experiments (E-T1, E-T2, E-T4)
 	// by each topology's automorphism group (WithSymmetry). Verdict tables
@@ -470,21 +466,11 @@ func runNumberRangeSweep(cfg ExperimentConfig) (*Table, error) {
 
 func runRuntimeThroughput(cfg ExperimentConfig) (*Table, error) {
 	header := []string{"topology", "algorithm", "meals/second", "Jain fairness", "starved"}
-	var model fault.Model
 	if cfg.Faults != "" {
-		m, err := fault.NewFromSpec(cfg.Faults)
-		if err != nil {
-			return nil, err
-		}
-		if !runtime.SupportsFault(m.Name()) {
-			t := &Table{Header: header}
-			t.AddNote("skipped: the concurrent goroutine runtime injects only crash-family fault models (crash-rejoin, freeze), not %s; rerun with one of those (or without -faults) to measure E-RT.", m.Spec())
-			return t, nil
-		}
-		model = m
 		header = append(header, "crashes", "rejoins")
 	}
 	t := &Table{Header: header}
+	var faults string // the canonical spec of cfg.Faults
 	duration := 400 * time.Millisecond
 	if cfg.Quick {
 		duration = 150 * time.Millisecond
@@ -495,12 +481,13 @@ func runRuntimeThroughput(cfg ExperimentConfig) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
+			faults = e.Faults()
 			metrics, err := e.RunConcurrent(context.TODO(), duration, 0)
 			if err != nil {
 				return nil, err
 			}
 			row := []any{topo.Name(), name, fmt.Sprintf("%.0f", metrics.MealsPerSecond), fmt.Sprintf("%.3f", metrics.JainIndex), len(metrics.Starved)}
-			if model != nil {
+			if cfg.Faults != "" {
 				var crashes, rejoins int64
 				for p := range metrics.Crashes {
 					crashes += metrics.Crashes[p]
@@ -511,10 +498,10 @@ func runRuntimeThroughput(cfg ExperimentConfig) (*Table, error) {
 			t.AddRow(row...)
 		}
 	}
-	if model != nil {
-		t.AddNote("fault injection active (%s): philosopher goroutines crash at think→try cycle boundaries and rejoin from dedicated per-seed decision streams.", model.Spec())
+	if faults != "" {
+		t.AddNote("fault injection active (%s): the goroutines run the fault-wrapped program of the other experiments, so every rate applies per step, drawn from each philosopher's own seeded stream.", faults)
 	}
-	t.AddNote("philosophers are goroutines and forks are mutex-protected shared objects; the Go scheduler provides the (benign) adversary. Absolute throughput depends on the host; the relevant shape is that all four paper algorithms sustain comparable throughput and starve nobody.")
+	t.AddNote("philosophers are goroutines running the same sim.Program as the simulator and the model checker, forks are mutexes, and the Go scheduler provides the (benign) adversary. Absolute throughput depends on the host; the relevant shape is that all four paper algorithms sustain comparable throughput and starve nobody.")
 	return t, nil
 }
 

@@ -57,16 +57,16 @@
 // fault layer, while delayed-grants honestly grows the state space with the
 // in-flight message state.
 //
-// The concurrent goroutine runtime (internal/runtime) injects the
-// crash-family models too: under dining.WithFaults("crash-rejoin:...") or
-// ("freeze:..."), RunConcurrent wraps each philosopher goroutine with a
-// fault driver that decides crash and rejoin at think→try cycle boundaries,
-// drawing every decision from dedicated per-seed internal/prng streams —
-// the i-th fault decision of philosopher p is a pure function of (seed, p,
-// i), and the algorithm's own random streams are untouched, so fault-free
-// runs are bit-identical with and without the fault layer compiled in. The
-// message-level models (lossy-grants, delayed-grants) have no goroutine
-// equivalent and are rejected with a descriptive error.
+// The concurrent goroutine runtime (internal/runtime) runs that same
+// program, fault wrapper included: each philosopher goroutine applies
+// sampled outcomes to a view of one shared world under its two fork locks
+// (one global lock for the baselines with shared globals), drawing every
+// outcome — fault branches too — from its own seeded internal/prng stream.
+// So Engine.RunConcurrent runs every registered algorithm under every fault
+// model with every algorithm option, crash, rejoin and loss rates apply per
+// step exactly as in the checker, and a concurrent run's holds, ordered by
+// their clock stamps, replay as a path of the explored MDP (the runtime's
+// conformance grid checks this under the race detector).
 //
 // # Architecture
 //
@@ -170,8 +170,8 @@
 //     applies file-by-file where a deterministic core shares a package with
 //     clock-reading code: internal/serve's cache and fingerprint files are
 //     held to the rules while its handlers may stamp response timing, and
-//     internal/runtime's fault driver is gated while the runtime itself
-//     keeps its think/eat timers.
+//     internal/graph's automorphism file joins the core its construction
+//     code stays outside of.
 //   - hotalloc: no function literals bound to sim.Outcome.Apply (outcome
 //     sets are rebuilt every step; closures would allocate per step —
 //     programs use static funcs with the Arg field) and no fmt.* formatting

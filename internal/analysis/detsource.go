@@ -42,16 +42,12 @@ func IsDeterministicPkg(path string) bool {
 // checked under the same filename filter. internal/graph is construction-time
 // code and free to format, but its automorphism seam is replayed on the model
 // checker's hot path — orbit canonicalization must be a pure function of the
-// topology — so that one file joins the deterministic core. internal/runtime
-// is wall-clock territory by design (think/eat pauses), but its fault driver
-// must draw crash and rejoin decisions purely from per-seed prng streams, so
-// faults.go is gated while runtime.go keeps its timers.
+// topology — so that one file joins the deterministic core.
 var deterministicFileTrees = []struct {
 	prefix string
 	files  map[string]bool
 }{
 	{"repro/internal/graph", map[string]bool{"automorphism.go": true}},
-	{"repro/internal/runtime", map[string]bool{"faults.go": true}},
 	{"repro/internal/serve", map[string]bool{"cache.go": true, "fingerprint.go": true}},
 }
 

@@ -101,8 +101,8 @@ func applyDeliverGrant(w *sim.World, p graph.PhilID, arg int64) {
 }
 
 // delayedProbe is the pooled scratch of the acquisition probe: one recycled
-// protocol clone and one outcome buffer, so probing steps allocates nothing
-// in steady state.
+// world holding copies of probed neighbourhoods and one outcome buffer, so
+// probing steps allocates nothing in steady state.
 type delayedProbe struct {
 	w   *sim.World
 	buf []sim.Outcome
@@ -157,10 +157,13 @@ func (dp *delayedProgram) SideSymmetric() bool {
 // philosopher gets the base outcome set with every fork-acquiring outcome
 // scaled by (1 - rate) plus an appended flight branch of the complementary
 // probability; acquiring outcomes are identified by a probe that applies each
-// base outcome to a pooled protocol clone and checks that its whole effect on
-// the fork holders is exactly one free adjacent fork becoming held by the
-// philosopher. Everything goes through the caller's reused buffer and the
-// pooled probe, so the steady-state step loop stays allocation-free.
+// base outcome to a pooled copy of the philosopher's neighbourhood
+// (sim.World.CloneLocalInto) and checks that exactly one of its two forks
+// went from free to held by it. Steps are local (see sim.Program), so the
+// probe reads nothing else, which keeps it race-free under the goroutine
+// runtime's per-fork locks. Everything goes through the caller's reused
+// buffer and the pooled probe, so the steady-state step loop stays
+// allocation-free.
 func (dp *delayedProgram) Outcomes(w *sim.World, p graph.PhilID, buf []sim.Outcome) []sim.Outcome {
 	if f, delay, ok := w.PendingGrant(p); ok {
 		if delay == 0 {
@@ -179,7 +182,7 @@ func (dp *delayedProgram) Outcomes(w *sim.World, p graph.PhilID, buf []sim.Outco
 	pr := delayedProbePool.Get().(*delayedProbe)
 	scratch, obuf := pr.w, pr.buf
 	for i := start; i < end; i++ {
-		scratch = w.CloneProtocolInto(scratch)
+		scratch = w.CloneLocalInto(scratch, p)
 		obuf = dp.base.Outcomes(scratch, p, obuf[:0])
 		obuf[i-start].Do(scratch, p)
 		f, ok := acquiredFork(w, scratch, p)
@@ -212,13 +215,13 @@ func (dp *delayedProgram) Outcomes(w *sim.World, p graph.PhilID, buf []sim.Outco
 }
 
 // acquiredFork reports whether applying an outcome turned world w into s by —
-// as far as the fork holders are concerned — exactly one free fork becoming
-// held by philosopher p, returning that fork. Outcomes releasing forks or
-// acquiring more than one are not plain takes and are never put in flight.
+// as far as philosopher p's two forks are concerned — exactly one free fork
+// becoming held by p, returning that fork. Outcomes releasing forks or
+// acquiring both are not plain takes and are never put in flight.
 func acquiredFork(w, s *sim.World, p graph.PhilID) (graph.ForkID, bool) {
 	acquired := graph.NoFork
 	count := 0
-	for f := range w.Forks {
+	for _, f := range w.Topo.Forks(p) {
 		before, after := w.Forks[f].Holder, s.Forks[f].Holder
 		if before == after {
 			continue
@@ -226,7 +229,7 @@ func acquiredFork(w, s *sim.World, p graph.PhilID) (graph.ForkID, bool) {
 		if before != graph.NoPhil || after != p {
 			return graph.NoFork, false
 		}
-		acquired = graph.ForkID(f)
+		acquired = f
 		count++
 	}
 	return acquired, count == 1

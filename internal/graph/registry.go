@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/registry"
 )
 
@@ -23,11 +26,20 @@ func RegisterTopology(name string, ctor TopologyCtor) { topoReg.Register(name, c
 
 // NewTopology builds the named registered topology with size parameter n
 // (n <= 0 selects the constructor's default size; fixed topologies ignore n).
-func NewTopology(name string, n int) (*Topology, error) {
+// A size the constructor cannot build (Ring(1) panics) is an error naming
+// the topology and the size, so bad input at the CLI and HTTP boundaries
+// fails with a message instead of a crash.
+func NewTopology(name string, n int) (topo *Topology, err error) {
 	ctor, err := topoReg.Lookup(name)
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			msg := strings.TrimPrefix(fmt.Sprint(r), "graph: ")
+			topo, err = nil, fmt.Errorf("graph: topology %q cannot be built with n=%d: %s", name, n, msg)
+		}
+	}()
 	return ctor(n), nil
 }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
@@ -27,6 +28,33 @@ func TestTopologyRegistryNamesSortedAndBuildable(t *testing.T) {
 		if err := topo.Validate(); err != nil {
 			t.Errorf("default %q topology invalid: %v", name, err)
 		}
+	}
+}
+
+// TestNewTopologySmallSizes pins that NewTopology never panics on a small
+// size: every registered topology at n = 1, 2 and 3 is either built and
+// valid or an error naming the topology and the size.
+func TestNewTopologySmallSizes(t *testing.T) {
+	t.Parallel()
+	for _, name := range TopologyNames() {
+		if strings.HasPrefix(name, "test-") {
+			continue // registered by other tests
+		}
+		for n := 1; n <= 3; n++ {
+			topo, err := NewTopology(name, n)
+			if err != nil {
+				if want := fmt.Sprintf("%q cannot be built with n=%d", name, n); !strings.Contains(err.Error(), want) {
+					t.Errorf("NewTopology(%q, %d) error = %q, want it to contain %s", name, n, err, want)
+				}
+				continue
+			}
+			if err := topo.Validate(); err != nil {
+				t.Errorf("NewTopology(%q, %d) built an invalid topology: %v", name, n, err)
+			}
+		}
+	}
+	if _, err := NewTopology("ring", 1); err == nil {
+		t.Error("NewTopology built a ring of one philosopher")
 	}
 }
 

@@ -171,6 +171,9 @@ func (s *Server) handleTrials(w http.ResponseWriter, r *http.Request) {
 	if n <= 0 {
 		n = eng.TrialCount()
 	}
+	if n <= 0 {
+		n = 1 // Engine.Trials runs at least one trial
+	}
 	cfg := EngineConfig(eng)
 	st := s.begin(w, id)
 	st.event(Event{Event: "progress", Config: &cfg,

@@ -256,6 +256,31 @@ func TestTrialsEndpoint(t *testing.T) {
 	}
 }
 
+// TestTrialsReportsTheCountThatRuns pins the progress line of a /v1/trials
+// request without a trial count: it announces the one trial that streams.
+func TestTrialsReportsTheCountThatRuns(t *testing.T) {
+	t.Parallel()
+	_, ts := newTestServer(t, Options{})
+	req := Request{ID: "t-0", Topology: "ring", N: 3, Algorithm: dining.GDP1, MaxSteps: 2000}
+	code, events := post(t, ts, "/v1/trials", req)
+	if code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	checkAccountable(t, events, "t-0")
+	trials := 0
+	for _, ev := range events {
+		if ev.Event == "trial" {
+			trials++
+		}
+	}
+	if trials != 1 {
+		t.Errorf("got %d trial lines, want 1", trials)
+	}
+	if want := fmt.Sprintf("running %d trials", trials); events[0].Detail != want {
+		t.Errorf("progress line = %q, want %q", events[0].Detail, want)
+	}
+}
+
 // TestSweepEndpoint checks /v1/sweep: one scenario line per grid cell, the
 // expanded grid echoed on every line.
 func TestSweepEndpoint(t *testing.T) {
@@ -311,6 +336,11 @@ func TestBadRequests(t *testing.T) {
 		{"unknown field", "/v1/check", map[string]any{"topology": "ring", "n": 3, "algorithm": dining.LR1, "shardz": 4}},
 		{"empty sweep", "/v1/sweep", SweepRequest{}},
 		{"unknown sweep topology", "/v1/sweep", SweepRequest{Topologies: []TopologySpec{{Name: "moebius"}}, Algorithms: []string{dining.LR1}}},
+		{"ring at n=1", "/v1/check", Request{Topology: "ring", N: 1, Algorithm: dining.GDP2}},
+		{"ring-chord at n=2", "/v1/trials", Request{Topology: "ring-chord", N: 2, Algorithm: dining.GDP2}},
+		{"grid at n=1 in a sweep", "/v1/sweep", SweepRequest{Topologies: []TopologySpec{{Name: "grid", N: 1}}, Algorithms: []string{dining.LR1}}},
+		{"protected philosopher out of range", "/v1/check", Request{Topology: "ring", N: 3, Algorithm: dining.LR1, Protected: []dining.PhilID{99}}},
+		{"protected philosopher out of range in trials", "/v1/trials", Request{Topology: "ring", N: 3, Algorithm: dining.LR1, Scheduler: dining.Adversary, Protected: []dining.PhilID{99}}},
 	}
 	for _, tc := range cases {
 		code, events := post(t, ts, tc.path, tc.body)

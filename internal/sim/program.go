@@ -45,6 +45,14 @@ func (o *Outcome) Do(w *World, p graph.PhilID) { o.Apply(w, p, o.Arg) }
 // Program is a philosopher algorithm: the paper's Tables 1–4 and the baseline
 // solutions of the introduction. The same program is run by every philosopher
 // (the symmetry condition); all per-philosopher state lives in the World.
+//
+// Steps are local. Computing and applying an outcome of philosopher p may
+// read and write only p's own PhilState, p's two forks, those forks'
+// request-list, guest-book and pending-grant slots (of every adjacent
+// philosopher), and World.Globals. Two steps of philosophers that share no
+// fork therefore commute unless both touch the globals, which is what lets
+// the goroutine runtime (internal/runtime) execute a program under per-fork
+// locks, with one global lock for programs that size Globals in Init.
 type Program interface {
 	// Name returns the algorithm name ("LR1", "GDP2", ...).
 	Name() string

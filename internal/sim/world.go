@@ -388,6 +388,67 @@ func (w *World) CloneProtocolInto(dst *World) *World {
 	return dst
 }
 
+// View returns a world that shares w's protocol state — the philosopher and
+// fork slices, request lists, guest books, pending grants and globals — but
+// owns its Step (which guest-book signatures record) and its TotalEats, and
+// carries no other metrics and no recorder. Several goroutines can so step
+// one shared world, each through its own view, serializing conflicting
+// steps themselves (see Program on step locality). Program.Init must have
+// sized Globals and the pending-grant array first: a view that grew either
+// would stop sharing it.
+func (w *World) View() *World {
+	return &World{
+		Topo:         w.Topo,
+		Phils:        w.Phils,
+		Forks:        w.Forks,
+		req:          w.req,
+		used:         w.used,
+		Globals:      w.Globals,
+		pending:      w.pending,
+		Step:         w.Step,
+		Hunger:       w.Hunger,
+		FirstEatStep: -1,
+	}
+}
+
+// CloneLocalInto copies into dst the part of w that a step of philosopher p
+// may read or write (see Program on step locality): p's PhilState, its two
+// forks with every adjacency slot of their request lists, guest books and
+// pending grants, and the globals. It reuses dst's arrays when dst has w's
+// topology and allocates otherwise; entries outside p's neighbourhood are
+// unspecified. Reading nothing else, it is safe while other goroutines step
+// philosophers that share no fork with p.
+func (w *World) CloneLocalInto(dst *World, p graph.PhilID) *World {
+	if dst == nil || dst.Topo != w.Topo {
+		dst = &World{
+			Topo:  w.Topo,
+			Phils: make([]PhilState, len(w.Phils)),
+			Forks: make([]ForkState, len(w.Forks)),
+			req:   make([]bool, len(w.req)),
+			used:  make([]int64, len(w.used)),
+		}
+	}
+	if w.pending == nil {
+		dst.pending = nil
+	} else {
+		dst.EnsurePending()
+	}
+	dst.Phils[p] = w.Phils[p]
+	for _, f := range w.Topo.Forks(p) {
+		dst.Forks[f] = w.Forks[f]
+		lo, hi := w.Topo.SlotBase(f), w.Topo.SlotBase(f)+w.Topo.Degree(f)
+		copy(dst.req[lo:hi], w.req[lo:hi])
+		copy(dst.used[lo:hi], w.used[lo:hi])
+		if w.pending != nil {
+			copy(dst.pending.slots[lo:hi], w.pending.slots[lo:hi])
+		}
+	}
+	dst.Globals = append(dst.Globals[:0], w.Globals...)
+	dst.Step = w.Step
+	dst.Hunger = w.Hunger
+	return dst
+}
+
 // Key returns the canonical encoding of the protocol-relevant state as a
 // string. Two worlds with equal keys are indistinguishable to every
 // philosopher program. Key allocates; hot paths should use AppendKey with a

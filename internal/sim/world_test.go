@@ -258,6 +258,87 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestViewSharesProtocolState pins View's contract: protocol writes through
+// a view land in the shared world, while the step counter and the meal
+// count stay the view's own.
+func TestViewSharesProtocolState(t *testing.T) {
+	t.Parallel()
+	topo := graph.Ring(3)
+	w := NewWorld(topo)
+	a, b := w.View(), w.View()
+	a.Step, b.Step = 5, 9
+	for _, v := range []*World{a, b} {
+		p := graph.PhilID(0)
+		if v == b {
+			p = 1
+		}
+		v.BecomeHungry(p)
+		v.Commit(p, topo.Left(p))
+		v.Request(p, topo.Left(p))
+		v.SignGuestBook(p, topo.Left(p))
+	}
+	b.TryTake(1, topo.Left(1))
+	b.MarkHoldingFirst(1)
+	b.TryTake(1, topo.Right(1))
+	b.MarkHoldingSecond(1)
+	b.StartEating(1)
+	b.FinishEating(1)
+	if w.HolderOf(topo.Left(1)) != 1 || !w.HasRequest(0, topo.Left(0)) || w.Phils[0].Phase != Hungry {
+		t.Errorf("views' writes missing from the shared world: %s", w)
+	}
+	if got := w.ForkUsed(topo.Left(0))[topo.Slot(topo.Left(0), 0)]; got != 5 {
+		t.Errorf("guest book of view a = %d, want its own step 5", got)
+	}
+	if b.TotalEats != 1 || a.TotalEats != 0 || w.TotalEats != 0 || w.Step != 0 {
+		t.Errorf("meals a/b/world = %d/%d/%d, world step %d: want 0/1/0 and 0", a.TotalEats, b.TotalEats, w.TotalEats, w.Step)
+	}
+	if b.EatsBy != nil || b.Recorder() != nil {
+		t.Error("a view carries metrics or a recorder")
+	}
+}
+
+// TestCloneLocalIntoCopiesNeighbourhood pins that a local clone, fresh or
+// recycled, agrees with the world on everything a step of the philosopher
+// may read: its own state, its two forks with every adjacency slot
+// (in-flight grants included) and the globals.
+func TestCloneLocalIntoCopiesNeighbourhood(t *testing.T) {
+	t.Parallel()
+	topo := graph.Figure1A()
+	w := NewWorld(topo)
+	w.EnsurePending()
+	w.BecomeHungry(2)
+	w.Commit(2, topo.Left(2))
+	w.Request(2, topo.Left(2))
+	right := topo.Right(2)
+	q := topo.PhilosophersAt(right)[0]
+	if q == 2 {
+		q = topo.PhilosophersAt(right)[1]
+	}
+	w.SignGuestBook(q, right)
+	w.SetNR(2, right, 4)
+	w.GrantInFlight(q, right, 2)
+	w.EnsureGlobals(1)
+	w.SetGlobal(0, 7)
+	var dst *World
+	for range 2 { // fresh, then recycled
+		dst = w.CloneLocalInto(dst, 2)
+		if dst.Phils[2] != w.Phils[2] || dst.Step != w.Step || dst.Global(0) != 7 {
+			t.Fatalf("local clone differs in the philosopher's state: %+v vs %+v", dst.Phils[2], w.Phils[2])
+		}
+		for _, f := range topo.Forks(2) {
+			if dst.Forks[f] != w.Forks[f] || dst.IsFree(f) != w.IsFree(f) || dst.Cond(2, f) != w.Cond(2, f) {
+				t.Errorf("local clone differs on fork %d", f)
+			}
+			for _, q := range topo.PhilosophersAt(f) {
+				if dst.HasRequest(q, f) != w.HasRequest(q, f) || dst.ForkUsed(f)[topo.Slot(f, q)] != w.ForkUsed(f)[topo.Slot(f, q)] {
+					t.Errorf("local clone differs on fork %d slot of philosopher %d", f, q)
+				}
+			}
+		}
+		dst.Phils[q].PC = 9 // outside the neighbourhood: unspecified
+	}
+}
+
 func TestKeyIgnoresStepAndMetrics(t *testing.T) {
 	t.Parallel()
 	topo := graph.Ring(4)

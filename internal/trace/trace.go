@@ -14,8 +14,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Log is an in-memory event recorder. It is safe for concurrent use so the
-// goroutine runtime can share one.
+// Log is an in-memory event recorder. It is safe for concurrent use.
 type Log struct {
 	mu     sync.Mutex
 	events []sim.Event
