@@ -77,9 +77,12 @@
 // At the bottom, internal/modelcheck stores the explored MDP in 2^k
 // independently-owned shards (dining.WithShards, -shards; 0 = match the
 // worker count). Each shard holds its own intern table, key arena and flat
-// transition arrays; a state lives in the shard selected by a deterministic
-// FNV-1a hash of its canonical key, addressed by the packed id
-// shard<<25 | local. The level-synchronous parallel BFS writes every shard
+// transition arrays; a state lives in the shard selected by the low bits of
+// a seedless 64-bit hash of its canonical key, addressed by the packed id
+// shard<<25 | local. The intern table is flat and pointer-free — an
+// open-addressing array of hash tags and local ids over a chunked byte arena
+// of keys — and each successor key is hashed once, for the shard choice and
+// every probe. The level-synchronous parallel BFS writes every shard
 // from exactly one goroutine per phase — expansion and frontier assembly are
 // parallel over chunks, interning and row-writing are parallel over shards —
 // so there are no locks and no sequential per-level merge. On top of the

@@ -3,11 +3,12 @@ package analysis
 import "strings"
 
 // unsafeAllowlist are the module-relative files permitted to import unsafe.
-// Today that is exactly the model checker's intern-key arena, whose
-// unsafe.String views over a stable byte arena are what make interning
-// allocation-free — plus the analyzer's own testdata exemplar of an allowed
-// file. Anything else importing unsafe is flagged; extending the allowlist
-// is a reviewed edit to this file, not an annotation.
+// Today that is exactly the model checker's explorer, whose StateSpace.KeyOf
+// returns unsafe.String views of keys in the intern store's byte arena
+// (which never moves or rewrites a stored key) instead of copying them —
+// plus the analyzer's own testdata exemplar of an allowed file. Anything
+// else importing unsafe is flagged; extending the allowlist is a reviewed
+// edit to this file, not an annotation.
 var unsafeAllowlist = []string{
 	"internal/modelcheck/explore.go",
 	"internal/analysis/testdata/unsafeaudit/allowed.go",

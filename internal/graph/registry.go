@@ -24,15 +24,37 @@ var topoReg = registry.New[TopologyCtor]("graph", "topology")
 // that must not be silently resolved by load order.
 func RegisterTopology(name string, ctor TopologyCtor) { topoReg.Register(name, ctor) }
 
+// MaxTopologySize bounds the philosophers and the forks of a sized builtin
+// topology built by NewTopology. The largest instance anywhere in the
+// repository is ring-64; the bound keeps a tiny CLI flag or HTTP request
+// from allocating without limit before any admission check runs (complete
+// and grid grow quadratically in n).
+const MaxTopologySize = 1 << 16
+
+// builtinSizes gives, for each sized builtin topology, its philosopher and
+// fork counts at size n > 0, so NewTopology refuses an oversized size
+// before building anything.
+var builtinSizes = map[string]func(n int) (phils, forks int){}
+
 // NewTopology builds the named registered topology with size parameter n
 // (n <= 0 selects the constructor's default size; fixed topologies ignore n).
-// A size the constructor cannot build (Ring(1) panics) is an error naming
-// the topology and the size, so bad input at the CLI and HTTP boundaries
-// fails with a message instead of a crash.
+// A size the constructor cannot build (Ring(1) panics) or, for a sized
+// builtin, a size whose topology would exceed MaxTopologySize philosophers
+// or forks is an error naming the topology and the size, so bad input at the
+// CLI and HTTP boundaries fails with a message instead of a crash or an
+// unbounded allocation.
 func NewTopology(name string, n int) (topo *Topology, err error) {
 	ctor, err := topoReg.Lookup(name)
 	if err != nil {
 		return nil, err
+	}
+	if size := builtinSizes[name]; size != nil && n > 0 {
+		// Every sized builtin has at least n philosophers or n forks and
+		// grows with n, so clamping n keeps the count exact up to the bound
+		// and free of overflow beyond it.
+		if phils, forks := size(min(n, MaxTopologySize+1)); phils > MaxTopologySize || forks > MaxTopologySize {
+			return nil, fmt.Errorf("graph: topology %q with n=%d would exceed %d philosophers or forks", name, n, MaxTopologySize)
+		}
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -54,16 +76,32 @@ func sized(n, fallback int) int {
 	return n
 }
 
+// registerSized registers a builtin sized topology together with its
+// philosopher and fork counts at size n.
+func registerSized(name string, ctor TopologyCtor, size func(n int) (phils, forks int)) {
+	RegisterTopology(name, ctor)
+	builtinSizes[name] = size
+}
+
 func init() {
-	RegisterTopology("ring", func(n int) *Topology { return Ring(sized(n, 5)) })
-	RegisterTopology("doubled-polygon", func(n int) *Topology { return DoubledPolygon(sized(n, 3)) })
-	RegisterTopology("ring-chord", func(n int) *Topology { k := sized(n, 6); return RingWithChord(k, k/2) })
-	RegisterTopology("ring-pendant", func(n int) *Topology { return RingWithPendant(sized(n, 5)) })
-	RegisterTopology("theta", func(n int) *Topology { return Theta(1, 1, sized(n, 1)) })
-	RegisterTopology("star", func(n int) *Topology { return Star(sized(n, 5)) })
-	RegisterTopology("path", func(n int) *Topology { return Path(sized(n, 5)) })
-	RegisterTopology("grid", func(n int) *Topology { g := sized(n, 3); return Grid(g, g) })
-	RegisterTopology("complete", func(n int) *Topology { return CompleteForkGraph(sized(n, 4)) })
+	registerSized("ring", func(n int) *Topology { return Ring(sized(n, 5)) },
+		func(n int) (int, int) { return n, n })
+	registerSized("doubled-polygon", func(n int) *Topology { return DoubledPolygon(sized(n, 3)) },
+		func(k int) (int, int) { return 2 * k, k })
+	registerSized("ring-chord", func(n int) *Topology { k := sized(n, 6); return RingWithChord(k, k/2) },
+		func(k int) (int, int) { return k + 1, k })
+	registerSized("ring-pendant", func(n int) *Topology { return RingWithPendant(sized(n, 5)) },
+		func(k int) (int, int) { return k + 1, k + 1 })
+	registerSized("theta", func(n int) *Topology { return Theta(1, 1, sized(n, 1)) },
+		func(n int) (int, int) { return n + 2, n + 1 })
+	registerSized("star", func(n int) *Topology { return Star(sized(n, 5)) },
+		func(n int) (int, int) { return n, n + 1 })
+	registerSized("path", func(n int) *Topology { return Path(sized(n, 5)) },
+		func(n int) (int, int) { return n, n + 1 })
+	registerSized("grid", func(n int) *Topology { g := sized(n, 3); return Grid(g, g) },
+		func(g int) (int, int) { return 2 * g * (g - 1), g * g })
+	registerSized("complete", func(n int) *Topology { return CompleteForkGraph(sized(n, 4)) },
+		func(k int) (int, int) { return k * (k - 1) / 2, k })
 	RegisterTopology("theorem1-minimal", func(int) *Topology { return Theorem1Minimal() })
 	RegisterTopology("theorem2-minimal", func(int) *Topology { return Theorem2Minimal() })
 	RegisterTopology("figure1a", func(int) *Topology { return Figure1A() })

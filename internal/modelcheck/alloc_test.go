@@ -1,6 +1,7 @@
 package modelcheck
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/algo"
@@ -65,45 +66,84 @@ func TestAnalysesAllocBudget(t *testing.T) {
 	}
 }
 
-// TestExploreAllocsPerState is the allocation-regression guard for the
-// sequential (workers=1, shards=1) exploration path. The intern-key
-// byte-arena (one amortized chunk instead of one string copy per state) and
-// the frontier world free-list (revisit clones and expanded frontier worlds
+// TestExploreAllocsPerState is the allocation-regression guard for
+// exploration. On the sequential (workers=1, shards=1) path, the intern
+// store (key bytes in a chunked arena, no per-state key copy) and the
+// frontier world free-list (revisit clones and expanded frontier worlds
 // recycle their backing slices) brought Explore from ~6 allocations per
-// state down to under 2; this test pins that budget so a refactor that
-// reintroduces per-state copies shows up immediately.
+// state down to under 2; the sharded rows pin the parallel path, whose
+// pending keys share one reused buffer per chunk instead of a string each.
+// A refactor that reintroduces per-state copies shows up immediately.
 func TestExploreAllocsPerState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting skipped in -short mode")
 	}
-	const maxAllocsPerState = 2.5
 	for _, tc := range []struct {
-		topo *graph.Topology
-		alg  string
+		topo              *graph.Topology
+		alg               string
+		workers, shards   int
+		maxAllocsPerState float64
 	}{
-		{graph.Ring(3), "LR1"},
-		{graph.Theorem2Minimal(), "LR1"},
-		{graph.Theorem2Minimal(), "GDP1"},
+		{graph.Ring(3), "LR1", 1, 1, 2.5},
+		{graph.Theorem2Minimal(), "LR1", 1, 1, 2.5},
+		{graph.Theorem2Minimal(), "GDP1", 1, 1, 2.5},
+		{graph.Theorem2Minimal(), "LR2", 2, 2, 1.0},
+		{graph.Theorem1Minimal(), "GDP1", 2, 2, 1.0},
 	} {
 		prog, err := algo.New(tc.alg, algo.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss, err := Explore(tc.topo, prog, Options{Workers: 1, Shards: 1})
+		opts := Options{Workers: tc.workers, Shards: tc.shards}
+		ss, err := Explore(tc.topo, prog, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		states := float64(ss.NumStates())
 		allocs := testing.AllocsPerRun(3, func() {
-			if _, err := Explore(tc.topo, prog, Options{Workers: 1, Shards: 1}); err != nil {
+			if _, err := Explore(tc.topo, prog, opts); err != nil {
 				t.Fatal(err)
 			}
 		})
 		perState := allocs / states
-		t.Logf("%s on %s: %.0f states, %.0f allocs, %.2f allocs/state", tc.alg, tc.topo.Name(), states, allocs, perState)
-		if perState > maxAllocsPerState {
-			t.Errorf("%s on %s: %.2f allocs/state exceeds the %.1f budget",
-				tc.alg, tc.topo.Name(), perState, maxAllocsPerState)
+		t.Logf("%s on %s (workers %d, shards %d): %.0f states, %.0f allocs, %.2f allocs/state",
+			tc.alg, tc.topo.Name(), tc.workers, tc.shards, states, allocs, perState)
+		if perState > tc.maxAllocsPerState {
+			t.Errorf("%s on %s (workers %d, shards %d): %.2f allocs/state exceeds the %.1f budget",
+				tc.alg, tc.topo.Name(), tc.workers, tc.shards, perState, tc.maxAllocsPerState)
 		}
+	}
+}
+
+// TestExploreMemoryFollowsTheWork pins that exploration sizes its
+// per-worker memory by the chunks a level actually runs —
+// min(workers, level size) — not by the requested worker count: a worker
+// count far beyond any level (as an HTTP request may carry) explores the
+// same space as two workers at a small multiple of their bytes. Both runs
+// use two shards, so only the worker count differs.
+func TestExploreMemoryFollowsTheWork(t *testing.T) {
+	prog, err := algo.New("LR1", algo.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	explore := func(workers int) (*StateSpace, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ss, err := Explore(graph.Ring(3), prog, Options{Workers: workers, Shards: 2, KeepKeys: true})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ss, after.TotalAlloc - before.TotalAlloc
+	}
+	few, fewBytes := explore(2)
+	many, manyBytes := explore(1_000_000)
+	assertEquivalentSpace(t, "workers 1e6 vs 2", few, many)
+	t.Logf("ring-3/LR1: %d bytes at 2 workers, %d at 1e6 (%.2fx)", fewBytes, manyBytes, float64(manyBytes)/float64(fewBytes))
+	// One-state chunks each hold a record, a goroutine and their own
+	// successor worlds, which measures 2.2-2.4x on this instance; the old
+	// per-requested-worker scratch measured over 1000x.
+	if manyBytes > 3*fewBytes {
+		t.Errorf("1e6 workers allocated %d bytes, over three times the %d of 2 workers", manyBytes, fewBytes)
 	}
 }

@@ -25,12 +25,16 @@
 // # Sharded storage
 //
 // The explored MDP is stored in 2^k independently-owned shards (Options.
-// Shards). Each shard holds its own intern table (canonical key → id), key
-// arena and flat trans/succs/probs arrays; a state belongs to the shard
-// selected by a deterministic FNV-1a hash of its canonical key, and its
-// shard-internal address is the packed id shard<<localBits | local. During
-// parallel exploration every shard is written by exactly one goroutine, so
-// interning and appending need no locks and no single sequential merge.
+// Shards). Each shard holds its own intern table (canonical key → local id),
+// key arena and flat trans/succs/probs arrays; a state belongs to the shard
+// selected by the low bits of a seedless 64-bit hash of its canonical key,
+// and its shard-internal address is the packed id shard<<localBits | local.
+// The intern table is flat and pointer-free: an open-addressing []uint64 of
+// hash tags and local ids over a chunked byte arena of keys (intern.go).
+// Each successor key is hashed exactly once; the hash picks the shard and
+// feeds every probe. During parallel exploration every shard is written by
+// exactly one goroutine, so interning and appending need no locks and no
+// single sequential merge.
 //
 // On top of the shards sits the dense view: states are also numbered
 // 0..NumStates-1 in exploration (breadth-first discovery) order, which is
@@ -71,7 +75,6 @@ package modelcheck
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"unsafe"
 
@@ -95,10 +98,12 @@ type Options struct {
 	// (sim.NeverHungryAgainAfter) keep working; the default workload uses
 	// the faster protocol-only clones.
 	Hunger sim.HungerModel
-	// KeepKeys retains the canonical key of every state for debugging and
-	// witness extraction (StateSpace.KeyOf, Trap.WitnessKey). Off by default:
-	// on large instances the per-state key copies dominate the exploration's
-	// memory footprint, and the analyses never need them.
+	// KeepKeys exposes the canonical key of every state for debugging and
+	// witness extraction (StateSpace.KeyOf, Trap.WitnessKey). The store holds
+	// every key's bytes regardless — its intern table needs them — so this
+	// only decides whether KeyOf reports them; under a symmetry quotient it
+	// also retains each orbit representative's plain key
+	// (RepresentativeKeyOf), which costs one string per state.
 	KeepKeys bool
 	// Interrupt is polled periodically during exploration when non-nil; a
 	// non-nil return aborts Explore with that error. It is how context
@@ -165,11 +170,12 @@ type transition struct {
 // succs holds dense state ids, so reading a transition row never needs a
 // cross-shard translation.
 type shardStore struct {
-	// index dedupes states by canonical key; the value is the packed id.
-	// During a parallel expansion phase the map is strictly read-only
-	// (workers probe it concurrently with the no-copy string(buf) idiom);
-	// all writes happen in the per-shard intern phase between levels.
-	index map[string]int32
+	// table dedupes states by canonical key; a key's value is its
+	// shard-local index, and the table holds the key bytes. During a
+	// parallel expansion phase it is strictly read-only (workers probe it
+	// concurrently); all writes happen in the per-shard intern phase between
+	// levels.
+	table internTable
 	// dense maps the shard-local index to the state's dense id.
 	dense []int32
 	// trans holds NumPhils consecutive transitions per state: the transition
@@ -180,9 +186,6 @@ type shardStore struct {
 	// outcome i and probs[t.off+i] its probability.
 	succs []int32
 	probs []float64
-	// keys holds the canonical key of every state (local-index-aligned).
-	// Retained only when Options.KeepKeys is set; nil otherwise.
-	keys []string
 }
 
 // StateSpace is the explored MDP: 2^k shard stores plus the dense
@@ -215,7 +218,8 @@ type StateSpace struct {
 	// Truncated) are excluded from the safety analyses so that truncation can
 	// never fabricate a trap.
 	expanded []bool
-	// hasKeys records whether the exploration retained canonical keys.
+	// hasKeys records whether KeyOf reports canonical keys
+	// (Options.KeepKeys).
 	hasKeys bool
 	// Truncated reports whether MaxStates was hit; analyses on a truncated
 	// space are only valid for the explored fragment. It shares the padding
@@ -298,14 +302,17 @@ func (ss *StateSpace) Bad(s int) bool { return ss.bad[s] }
 func (ss *StateSpace) Expanded(s int) bool { return ss.expanded[s] }
 
 // KeyOf returns the intern key of state s — under a symmetry quotient the
-// orbit-canonical key, otherwise the plain world key — or "" when the
-// exploration did not retain keys (Options.KeepKeys).
+// orbit-canonical key, otherwise the plain world key — or "" unless the
+// exploration set Options.KeepKeys.
 func (ss *StateSpace) KeyOf(s int) string {
 	if !ss.hasKeys {
 		return ""
 	}
 	st, l := ss.locate(s)
-	return st.keys[l]
+	// The arena never moves or rewrites a stored key, so the string can
+	// view its bytes instead of copying them.
+	key := st.table.key(l)
+	return unsafe.String(unsafe.SliceData(key), len(key))
 }
 
 // symSpace is the symmetry-quotient surface of a StateSpace, allocated only
@@ -351,12 +358,13 @@ func (ss *StateSpace) RepresentativeKeyOf(s int) string {
 // denseOf returns the dense id of the state interned under key, or -1 when
 // the key was never interned.
 func (ss *StateSpace) denseOf(key []byte) int32 {
-	st := &ss.shards[ss.shardOf(key)]
-	packed, ok := st.index[string(key)]
+	h := hashKey(key)
+	st := &ss.shards[ss.shardOfHash(h)]
+	l, ok := st.table.find(h, key)
 	if !ok {
 		return -1
 	}
-	return st.dense[packed&localMask]
+	return st.dense[l]
 }
 
 // NumTransitions returns the total number of (state, philosopher) actions.
@@ -374,58 +382,12 @@ func (ss *StateSpace) NumBadStates() int {
 	return n
 }
 
-// fnvShard hashes a canonical key with FNV-1a — a fixed, seedless hash, so
-// the shard layout is deterministic across runs and processes (unlike Go's
-// randomized map hash). One generic body serves both key representations;
-// exploration hashes the scratch []byte, tests and tools the interned
-// string.
-func fnvShard[T ~string | ~[]byte](key T, mask uint32) uint32 {
-	if mask == 0 {
-		return 0
-	}
-	const prime = 16777619
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * prime
-	}
-	return h & mask
-}
+// shardOfHash returns the owning shard of a key with hashKey h: its low
+// bits. The hash is seedless, so the layout is the same in every process.
+func (ss *StateSpace) shardOfHash(h uint64) uint32 { return uint32(h) & ss.shardMask }
 
 // shardOf returns the owning shard of a canonical key.
-func (ss *StateSpace) shardOf(key []byte) uint32 { return fnvShard(key, ss.shardMask) }
-
-// shardOfString is shardOf for an already-materialized key string.
-func (ss *StateSpace) shardOfString(key string) uint32 { return fnvShard(key, ss.shardMask) }
-
-// byteArena interns byte strings into large shared chunks: the returned
-// string views the arena's backing array directly, so interning a key costs
-// an amortized chunk allocation instead of one string copy per state. A
-// chunk is never reallocated once strings point into it (growth switches to
-// a fresh chunk), so the returned strings stay valid for the lifetime of
-// whatever retains them.
-type byteArena struct {
-	buf []byte
-}
-
-// arenaChunkSize is the allocation unit of byteArena.
-const arenaChunkSize = 1 << 16
-
-// intern copies b into the arena and returns a stable string view of it.
-func (a *byteArena) intern(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	if cap(a.buf)-len(a.buf) < len(b) {
-		size := arenaChunkSize
-		if len(b) > size {
-			size = len(b)
-		}
-		a.buf = make([]byte, 0, size)
-	}
-	off := len(a.buf)
-	a.buf = append(a.buf, b...)
-	return unsafe.String(&a.buf[off], len(b))
-}
+func (ss *StateSpace) shardOf(key []byte) uint32 { return ss.shardOfHash(hashKey(key)) }
 
 // frontEntry is one state of the current BFS level: its world and its packed
 // id. The dense id is implicit — the level's states are dense-contiguous, so
@@ -452,21 +414,23 @@ type scratch struct {
 	counts []int32   // per (state, action): number of outcomes
 	probs  []float64 // per outcome: probability
 	refs   []int32   // per outcome: >= 0 dense state id, else ^pendingIdx
-	// Pending (locally new) states, in first-encounter order.
-	pkeys   []string     // canonical keys
+	// Pending (locally new) states, in first-encounter order. local interns
+	// their canonical keys (key -> pending index, this level only) in one
+	// reused arena; phash keeps each key's hash, so the intern phase never
+	// hashes again and local resets in time proportional to the level.
+	local   internTable
+	phash   []uint64
 	pworlds []*sim.World // successor worlds
-	pshard  []uint8      // owning shard (hash computed once, at expansion)
 	created []bool       // set by the intern phase: this entry created its state
 	// resolve is the pending-index resolution scratch: the intern phase
 	// stores packed ids here; the sequential truncation endgame stores dense
 	// ids instead (only one of the two runs per level).
 	resolve []int32
-	local   map[string]int32 // canonical key -> pending index, this level only
 	err     error
 }
 
 func newScratch(noRecycle bool) *scratch {
-	return &scratch{noRecycle: noRecycle, local: make(map[string]int32)}
+	return &scratch{noRecycle: noRecycle}
 }
 
 func (s *scratch) takeFree() *sim.World {
@@ -503,13 +467,6 @@ type explorer struct {
 	// resolved fields and keeps its pre-symmetry allocation size class.
 	opts      Options
 	protected map[graph.PhilID]bool
-
-	// arena interns the sequential path's map keys in large chunks, so the
-	// per-state key string of the old explorer disappears. The parallel path
-	// uses the pending keys the workers already materialised.
-	arena byteArena
-	// zeroTrans is the reusable blank transition row appended per new state.
-	zeroTrans []transition
 
 	// front holds the current BFS level in discovery order (sequentially: the
 	// whole queue, consumed in place); nextFront collects the next level
@@ -567,39 +524,44 @@ func (e *explorer) stateFlags(w *sim.World) (bad, eat bool, mask uint64) {
 	return bad, eat, mask
 }
 
-// addState interns a newly discovered state into shard g and appends its
-// dense-view entries. key must be a stable string (arena-interned or
-// heap-allocated); w is the state's world. It returns the packed and dense
-// ids. It is used by the sequential path and the truncation endgame; the
-// parallel phases split the same work between internShard and gatherChunk.
-func (e *explorer) addState(g uint32, key string, w *sim.World) (packed, dense int32, err error) {
+// internState interns key, whose hashKey is h, into its shard. A new state
+// gets its dense-view entries, with labels from its world w, and added
+// reports it; either way the state's packed and dense ids are returned. It
+// is used by the sequential path and the truncation endgame; the parallel
+// phases split the same work between internShard and gatherChunk.
+func (e *explorer) internState(h uint64, key []byte, w *sim.World) (packed, dense int32, added bool, err error) {
 	ss := e.ss
+	g := ss.shardOfHash(h)
 	st := &ss.shards[g]
-	local := int32(len(st.dense))
+	local, added := st.table.intern(h, key)
+	if !added {
+		return int32(g)<<localBits | local, st.dense[local], false, nil
+	}
 	if local > localMask {
-		return 0, 0, fmt.Errorf("modelcheck: shard %d overflowed %d states; raise Options.Shards", g, localMask+1)
+		return 0, 0, false, errShardOverflow(g)
 	}
 	packed = int32(g)<<localBits | local
 	dense = int32(len(ss.bad))
-	st.index[key] = packed
-	st.dense = append(st.dense, dense)
-	st.trans = append(st.trans, e.zeroTrans...)
-	if e.opts.KeepKeys {
-		st.keys = append(st.keys, key)
-	}
+	st.dense = push(st.dense, dense)
+	st.trans = grown(st.trans, ss.NumPhils)
 	if e.keepRepKeys() {
 		ss.sym.repBuf = w.AppendKey(ss.sym.repBuf[:0])
 		ss.sym.repKeys = append(ss.sym.repKeys, string(ss.sym.repBuf))
 	}
-	ss.order = append(ss.order, packed)
-	ss.expanded = append(ss.expanded, false)
+	ss.order = push(ss.order, packed)
+	ss.expanded = push(ss.expanded, false)
 	bad, eat, mask := e.stateFlags(w)
-	ss.bad = append(ss.bad, bad)
-	ss.anyEating = append(ss.anyEating, eat)
+	ss.bad = push(ss.bad, bad)
+	ss.anyEating = push(ss.anyEating, eat)
 	if ss.NumPhils <= maskablePhils {
-		ss.eating = append(ss.eating, mask)
+		ss.eating = push(ss.eating, mask)
 	}
-	return packed, dense, nil
+	return packed, dense, true, nil
+}
+
+// errShardOverflow reports a shard that ran out of local ids.
+func errShardOverflow(g uint32) error {
+	return fmt.Errorf("modelcheck: shard %d overflowed %d states; raise Options.Shards", g, localMask+1)
 }
 
 // resolveShards normalizes an Options.Shards value against the resolved
@@ -661,14 +623,7 @@ func Explore(topo *graph.Topology, prog sim.Program, opts Options) (*StateSpace,
 	if canon != nil {
 		ss.sym = &symSpace{canon: canon}
 	}
-	for i := range ss.shards {
-		ss.shards[i].index = make(map[string]int32)
-	}
-	e := &explorer{
-		ss:        ss,
-		opts:      opts,
-		zeroTrans: make([]transition, ss.NumPhils),
-	}
+	e := &explorer{ss: ss, opts: opts}
 	if len(opts.Protected) > 0 {
 		e.protected = make(map[graph.PhilID]bool, len(opts.Protected))
 		for _, p := range opts.Protected {
@@ -683,8 +638,8 @@ func Explore(topo *graph.Topology, prog sim.Program, opts Options) (*StateSpace,
 	prog.Init(initial)
 
 	w0 := e.clone(initial, nil)
-	keyBytes := e.appendKey(w0, nil)
-	packed0, _, err := e.addState(ss.shardOf(keyBytes), e.arena.intern(keyBytes), w0)
+	key0 := e.appendKey(w0, nil)
+	packed0, _, _, err := e.internState(hashKey(key0), key0, w0)
 	if err != nil {
 		return nil, err
 	}
@@ -710,8 +665,8 @@ func Explore(topo *graph.Topology, prog sim.Program, opts Options) (*StateSpace,
 		base := int(l) * ss.NumPhils
 		for a := 0; a < ss.NumPhils; a++ {
 			st.trans[base+a] = transition{off: int32(len(st.succs)), n: 1}
-			st.succs = append(st.succs, int32(s))
-			st.probs = append(st.probs, 1)
+			st.succs = push(st.succs, int32(s))
+			st.probs = push(st.probs, 1)
 		}
 	}
 	return ss, nil
@@ -759,22 +714,19 @@ func (e *explorer) exploreSequential() error {
 				succOut[i].Do(succ, pid)
 				succ.Step++
 				s.keyBuf = e.appendKey(succ, s.keyBuf[:0])
-				var sid int32
-				// The string(keyBuf) map probe is the no-copy idiom: probing
-				// a seen state allocates nothing; genuinely new states intern
-				// their key into the shared arena.
-				if gid, ok := st.index[string(s.keyBuf)]; ok {
-					sid = gid
-					s.putFree(succ)
-				} else {
-					var err error
-					if _, sid, err = e.addState(0, e.arena.intern(s.keyBuf), succ); err != nil {
-						return err
-					}
-					e.front = append(e.front, frontEntry{w: succ, packed: sid})
+				// Probing a seen state allocates nothing; a new state's key
+				// is copied into the shard's arena.
+				packed, sid, added, err := e.internState(hashKey(s.keyBuf), s.keyBuf, succ)
+				if err != nil {
+					return err
 				}
-				st.succs = append(st.succs, sid)
-				st.probs = append(st.probs, outcomes[i].Prob)
+				if added {
+					e.front = push(e.front, frontEntry{w: succ, packed: packed})
+				} else {
+					s.putFree(succ)
+				}
+				st.succs = push(st.succs, sid)
+				st.probs = push(st.probs, outcomes[i].Prob)
 			}
 			st.trans[base+a] = transition{off: off, n: int32(len(outcomes))}
 		}
@@ -788,14 +740,6 @@ func (e *explorer) exploreSequential() error {
 	return nil
 }
 
-// grown extends s by n zeroed elements, amortizing reallocation.
-func grown[T any](s []T, n int) []T {
-	s = slices.Grow(s, n)
-	s = s[:len(s)+n]
-	clear(s[len(s)-n:])
-	return s
-}
-
 // exploreSharded runs the BFS level by level through the four phases
 // described in the package comment. Every phase is parallel — over chunks
 // (expand, gather) or over shards (intern, rows) — and every write target is
@@ -804,16 +748,15 @@ func grown[T any](s []T, n int) []T {
 // mergeLevelSequential, preserving the sequential truncation point exactly.
 func (e *explorer) exploreSharded(workers int) error {
 	ss := e.ss
-	scratches := make([]*scratch, workers)
-	for i := range scratches {
-		scratches[i] = newScratch(e.opts.Hunger != nil)
-	}
+	// A level runs min(workers, level size) chunks; scratches are created
+	// as levels first need them, so the per-worker memory follows the work,
+	// not the requested worker count.
+	var scratches []*scratch
 	shardScr := make([]*shardScratch, len(ss.shards))
 	for g := range shardScr {
 		shardScr[g] = &shardScratch{}
 	}
-	chunkLo := make([]int, 0, workers)
-	chunkBase := make([]int, 0, workers)
+	var chunkLo, chunkBase []int
 	var wg sync.WaitGroup
 
 	for len(e.front) > 0 {
@@ -830,6 +773,9 @@ func (e *explorer) exploreSharded(workers int) error {
 		chunkLo = chunkLo[:0]
 		for lo := 0; lo < n; lo += chunk {
 			hi := min(lo+chunk, n)
+			if active == len(scratches) {
+				scratches = append(scratches, newScratch(e.opts.Hunger != nil))
+			}
 			s := scratches[active]
 			chunkLo = append(chunkLo, lo)
 			active++
@@ -856,7 +802,7 @@ func (e *explorer) exploreSharded(workers int) error {
 		// level of a capped run — never on the steady-state path.
 		totalPending := 0
 		for _, s := range scratches[:active] {
-			totalPending += len(s.pkeys)
+			totalPending += len(s.pworlds)
 		}
 		d0 := ss.NumStates()
 		if d0+totalPending > e.opts.MaxStates {
@@ -945,12 +891,11 @@ func (e *explorer) expandChunk(s *scratch, entries []frontEntry) {
 	s.counts = s.counts[:0]
 	s.probs = s.probs[:0]
 	s.refs = s.refs[:0]
-	s.pkeys = s.pkeys[:0]
+	s.local.reset(s.phash)
+	s.phash = s.phash[:0]
 	s.pworlds = s.pworlds[:0]
-	s.pshard = s.pshard[:0]
 	s.created = s.created[:0]
 	s.resolve = s.resolve[:0]
-	clear(s.local)
 	s.err = nil
 	for k := range entries {
 		if e.opts.Interrupt != nil && k%interruptCheckInterval == 0 {
@@ -977,21 +922,17 @@ func (e *explorer) expandChunk(s *scratch, entries []frontEntry) {
 				succ.Step++
 				s.keyBuf = e.appendKey(succ, s.keyBuf[:0])
 				s.probs = append(s.probs, outcomes[i].Prob)
-				g := ss.shardOf(s.keyBuf)
-				st := &ss.shards[g]
-				if gid, ok := st.index[string(s.keyBuf)]; ok {
-					s.refs = append(s.refs, st.dense[gid&localMask])
+				h := hashKey(s.keyBuf)
+				st := &ss.shards[ss.shardOfHash(h)]
+				if l, ok := st.table.find(h, s.keyBuf); ok {
+					s.refs = append(s.refs, st.dense[l])
 					s.putFree(succ)
-				} else if li, ok := s.local[string(s.keyBuf)]; ok {
+				} else if li, added := s.local.intern(h, s.keyBuf); !added {
 					s.refs = append(s.refs, ^li)
 					s.putFree(succ)
 				} else {
-					li := int32(len(s.pworlds))
-					key := string(s.keyBuf)
-					s.local[key] = li
-					s.pkeys = append(s.pkeys, key)
+					s.phash = append(s.phash, h)
 					s.pworlds = append(s.pworlds, succ)
-					s.pshard = append(s.pshard, uint8(g))
 					s.created = append(s.created, false)
 					s.resolve = append(s.resolve, -1)
 					s.refs = append(s.refs, ^li)
@@ -1014,27 +955,21 @@ func (e *explorer) internShard(g uint32, sc *shardScratch, scratches []*scratch)
 	sc.err = nil
 	for ci, s := range scratches {
 		created := int32(0)
-		for li, key := range s.pkeys {
-			if uint32(s.pshard[li]) != g {
+		for li, h := range s.phash {
+			if ss.shardOfHash(h) != g {
 				continue
 			}
-			if pid, ok := st.index[key]; ok {
-				s.resolve[li] = pid
+			local, added := st.table.intern(h, s.local.key(int32(li)))
+			s.resolve[li] = int32(g)<<localBits | local
+			if !added {
 				continue
 			}
-			local := int32(len(st.dense))
 			if local > localMask {
-				sc.err = fmt.Errorf("modelcheck: shard %d overflowed %d states; raise Options.Shards", g, localMask+1)
+				sc.err = errShardOverflow(g)
 				return
 			}
-			packed := int32(g)<<localBits | local
-			st.index[key] = packed
-			st.dense = append(st.dense, -1) // assigned in the gather phase
-			st.trans = append(st.trans, e.zeroTrans...)
-			if e.opts.KeepKeys {
-				st.keys = append(st.keys, key)
-			}
-			s.resolve[li] = packed
+			st.dense = push(st.dense, -1) // assigned in the gather phase
+			st.trans = grown(st.trans, ss.NumPhils)
 			s.created[li] = true
 			created++
 		}
@@ -1052,7 +987,7 @@ func (e *explorer) gatherChunk(s *scratch, d0, base int) {
 	d := d0 + base
 	nf := e.nextFront[base:]
 	j := 0
-	for li := range s.pkeys {
+	for li := range s.pworlds {
 		w := s.pworlds[li]
 		s.pworlds[li] = nil
 		if !s.created[li] {
@@ -1116,8 +1051,8 @@ func (e *explorer) writeRows(g uint32, scratches []*scratch, chunkLo []int) {
 						packed := s.resolve[li]
 						sid = ss.shards[packed>>localBits].dense[packed&localMask]
 					}
-					st.succs = append(st.succs, sid)
-					st.probs = append(st.probs, prob)
+					st.succs = push(st.succs, sid)
+					st.probs = push(st.probs, prob)
 				}
 				st.trans[base+a] = transition{off: off, n: cnt}
 			}
@@ -1156,27 +1091,24 @@ func (e *explorer) mergeLevelSequential(scratches []*scratch, chunkLo []int) err
 						if s.resolve[li] >= 0 {
 							sid = s.resolve[li]
 						} else {
-							key := s.pkeys[li]
 							w := s.pworlds[li]
 							s.pworlds[li] = nil
-							g := uint32(s.pshard[li])
-							if pid, ok := ss.shards[g].index[key]; ok {
-								// Interned by an earlier chunk of this level.
-								sid = ss.shards[g].dense[pid&localMask]
-								s.putFree(w)
-							} else {
-								packed, dense, err := e.addState(g, key, w)
-								if err != nil {
-									return err
-								}
-								e.nextFront = append(e.nextFront, frontEntry{w: w, packed: packed})
-								sid = dense
+							packed, dense, added, err := e.internState(s.phash[li], s.local.key(li), w)
+							if err != nil {
+								return err
 							}
+							if added {
+								e.nextFront = push(e.nextFront, frontEntry{w: w, packed: packed})
+							} else {
+								// Interned by an earlier chunk of this level.
+								s.putFree(w)
+							}
+							sid = dense
 							s.resolve[li] = sid
 						}
 					}
-					st.succs = append(st.succs, sid)
-					st.probs = append(st.probs, prob)
+					st.succs = push(st.succs, sid)
+					st.probs = push(st.probs, prob)
 				}
 				st.trans[base+a] = transition{off: off, n: cnt}
 			}

@@ -117,7 +117,7 @@ func assertSameSpace(t *testing.T, label string, a, b *StateSpace) {
 		"succs":     {a.shards[0].succs, b.shards[0].succs},
 		"probs":     {a.shards[0].probs, b.shards[0].probs},
 		"dense":     {a.shards[0].dense, b.shards[0].dense},
-		"keys":      {a.shards[0].keys, b.shards[0].keys},
+		"keys":      {shardKeys(&a.shards[0]), shardKeys(&b.shards[0])},
 		"order":     {a.order, b.order},
 		"bad":       {a.bad, b.bad},
 		"anyEating": {a.anyEating, b.anyEating},
@@ -128,6 +128,16 @@ func assertSameSpace(t *testing.T, label string, a, b *StateSpace) {
 			t.Fatalf("%s: %s differs between worker counts", label, name)
 		}
 	}
+}
+
+// shardKeys reads every key of a shard through its arena, in local-index
+// order.
+func shardKeys(st *shardStore) []string {
+	keys := make([]string, len(st.dense))
+	for l := range keys {
+		keys[l] = string(st.table.key(int32(l)))
+	}
+	return keys
 }
 
 // assertEquivalentSpace verifies that a sharded exploration is the
@@ -175,9 +185,9 @@ func assertEquivalentSpace(t *testing.T, label string, seq, sh *StateSpace) {
 				t.Fatalf("%s: order[%d] = %d, want packed id %d (shard %d, local %d)",
 					label, d, sh.order[d], packed, g, l)
 			}
-			if key := st.keys[l]; sh.shardOfString(key) != uint32(g) {
+			if key := st.table.key(int32(l)); sh.shardOf(key) != uint32(g) {
 				t.Fatalf("%s: state (shard %d, local %d) has a key hashing to shard %d",
-					label, g, l, sh.shardOfString(key))
+					label, g, l, sh.shardOf(key))
 			}
 		}
 	}

@@ -339,6 +339,7 @@ func TestBadRequests(t *testing.T) {
 		{"ring at n=1", "/v1/check", Request{Topology: "ring", N: 1, Algorithm: dining.GDP2}},
 		{"ring-chord at n=2", "/v1/trials", Request{Topology: "ring-chord", N: 2, Algorithm: dining.GDP2}},
 		{"grid at n=1 in a sweep", "/v1/sweep", SweepRequest{Topologies: []TopologySpec{{Name: "grid", N: 1}}, Algorithms: []string{dining.LR1}}},
+		{"grid over the topology size bound", "/v1/check", Request{Topology: "grid", N: 182, Algorithm: dining.LR1}},
 		{"protected philosopher out of range", "/v1/check", Request{Topology: "ring", N: 3, Algorithm: dining.LR1, Protected: []dining.PhilID{99}}},
 		{"protected philosopher out of range in trials", "/v1/trials", Request{Topology: "ring", N: 3, Algorithm: dining.LR1, Scheduler: dining.Adversary, Protected: []dining.PhilID{99}}},
 	}
