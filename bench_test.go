@@ -560,7 +560,7 @@ func BenchmarkAnalyses(b *testing.B) {
 		b.Run("scc/"+c.name+"/cold", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				graphalg.StronglyConnected(ss, inSet, act, comp)
+				graphalg.NewPredecessorIndex(ss, 1).StronglyConnected(inSet, act, comp)
 			}
 		})
 		b.Run("scc/"+c.name+"/warm", func(b *testing.B) {

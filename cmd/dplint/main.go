@@ -9,15 +9,19 @@
 //	hotalloc      no closures in Outcome.Apply, no fmt on non-error hot paths
 //	unsafeaudit   unsafe imports confined to the audited allowlist
 //	registryname  registered built-in names canonical and unique per registry
+//	unused        exported internal identifiers referenced by non-test code
 //
 // Usage:
 //
 //	dplint [packages]
 //
 // where packages is "./..." (the default — every package of the module) or
-// an explicit list of package directories. Diagnostics print one per line as
-// file:line:col: analyzer: message. A finding that is intentional is
-// suppressed in place with an annotated reason:
+// an explicit list of package directories. The unused analyzer reads the
+// references of the whole module — cmd/, examples/ and the nested perfbench
+// module included, tests excluded — whichever packages are named, so its
+// verdict on a package does not depend on the command line. Diagnostics
+// print one per line as file:line:col: analyzer: message. A finding that is
+// intentional is suppressed in place with an annotated reason:
 //
 //	//dplint:ok <analyzer> <reason>
 //

@@ -155,8 +155,9 @@ type Engine struct {
 // topology, applying the options. It validates everything eagerly: a nil or
 // invalid topology, an unknown algorithm name and an unknown scheduler name
 // are construction-time errors listing the registered options, and a
-// protected philosopher or fault target the topology does not have is an
-// error too.
+// protected philosopher or fault target the topology does not have, a
+// negative count, bound or window and a negative AlgorithmOptions.M are
+// errors too.
 func New(topo *Topology, algorithm string, opts ...Option) (*Engine, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("dining: New requires a topology")
@@ -196,6 +197,12 @@ func New(topo *Topology, algorithm string, opts ...Option) (*Engine, error) {
 	}
 	if c.trials < 0 {
 		return nil, fmt.Errorf("dining: WithTrials(%d) is negative", c.trials)
+	}
+	if c.fairnessWindow < 0 {
+		return nil, fmt.Errorf("dining: WithFairnessWindow(%d) is negative (0 means the default window)", c.fairnessWindow)
+	}
+	if c.algoOpts.M < 0 {
+		return nil, fmt.Errorf("dining: AlgorithmOptions.M = %d is negative (0 means the number of forks)", c.algoOpts.M)
 	}
 	if c.faultName != "" {
 		name, fcfg, err := fault.ParseSpec(c.faultName)

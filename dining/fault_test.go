@@ -441,7 +441,7 @@ func TestDelayedGrantsCounterexampleReplay(t *testing.T) {
 		trace.Step{Phil: 0, Outcome: flight}, // grant enters flight (counter 1)
 		trace.Step{Phil: 0, Outcome: 1},      // delay branch: counter 1 -> 0
 		trace.Step{Phil: 0, Outcome: 0})      // forced delivery
-	tr, err := trace.Build(topo, wrapped, nil, dining.LockoutFreedomUnderFaults, steps)
+	tr, err := trace.Build(topo, wrapped, dining.LockoutFreedomUnderFaults, steps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -224,7 +224,7 @@ func init() {
 func (e *Engine) Check(ctx context.Context, props ...string) iter.Seq2[PropertyResult, error] {
 	ctx = orBackground(ctx)
 	return func(yield func(PropertyResult, error) bool) {
-		list, err := resolveProperties(props)
+		list, err := ResolveProperties(props)
 		if err != nil {
 			yield(PropertyResult{}, err)
 			return
@@ -260,7 +260,7 @@ func (e *Engine) Check(ctx context.Context, props ...string) iter.Seq2[PropertyR
 // CheckAll runs Check and returns the results in property order — the
 // blocking counterpart of the Check stream.
 func (e *Engine) CheckAll(ctx context.Context, props ...string) ([]PropertyResult, error) {
-	list, err := resolveProperties(props)
+	list, err := ResolveProperties(props)
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +292,7 @@ func (e *Engine) ReplayTrace(t *Trace) error {
 	if err != nil {
 		return err
 	}
-	_, err = trace.Replay(e.topo, prog, nil, t)
+	_, err = trace.Replay(e.topo, prog, t)
 	return err
 }
 
@@ -313,9 +313,10 @@ func (e *Engine) Explore(ctx context.Context) (*StateSpace, error) {
 	return e.explore(ctx)
 }
 
-// resolveProperties maps names to registered properties; no names selects
-// the exhaustive built-ins.
-func resolveProperties(names []string) ([]Property, error) {
+// ResolveProperties maps names to registered properties in order, as Check
+// and CheckAll resolve them: no names selects the exhaustive built-ins, and
+// an unknown name is an error listing the registered ones.
+func ResolveProperties(names []string) ([]Property, error) {
 	if len(names) == 0 {
 		names = ExhaustiveProperties()
 	}

@@ -84,14 +84,29 @@ type ScenarioResult struct {
 const scenarioSeedStride = 1_000_003
 
 // Scenarios expands the grid into its scenario list in grid order. It errors
-// on an empty axis so that a misconfigured sweep fails loudly instead of
-// streaming nothing.
+// on an empty axis and on a negative count, bound or window, so that a
+// misconfigured sweep fails loudly before it streams anything instead of
+// streaming nothing or silently running the defaults.
 func (s Sweep) Scenarios() ([]Scenario, error) {
 	if len(s.Topologies) == 0 {
 		return nil, fmt.Errorf("dining: Sweep needs at least one topology")
 	}
 	if len(s.Algorithms) == 0 {
 		return nil, fmt.Errorf("dining: Sweep needs at least one algorithm")
+	}
+	for _, f := range []struct {
+		name  string
+		value int64
+	}{
+		{"Trials", int64(s.Trials)},
+		{"MaxSteps", s.MaxSteps},
+		{"Workers", int64(s.Workers)},
+		{"AlgorithmOptions.M", int64(s.AlgorithmOptions.M)},
+		{"FairnessWindow", s.FairnessWindow},
+	} {
+		if f.value < 0 {
+			return nil, fmt.Errorf("dining: Sweep.%s = %d is negative", f.name, f.value)
+		}
 	}
 	schedulers := s.Schedulers
 	if len(schedulers) == 0 {

@@ -113,7 +113,7 @@ func TestSymmetryLiftedDeadlockWitness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := trace.Replay(topo, prog, nil, res.Counterexample)
+	w, err := trace.Replay(topo, prog, res.Counterexample)
 	if err != nil {
 		t.Fatalf("replay of the lifted counterexample failed: %v", err)
 	}

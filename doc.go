@@ -158,7 +158,7 @@
 //
 //	go run ./cmd/dplint ./...
 //
-// exits non-zero with file:line diagnostics when any of its five analyzers
+// exits non-zero with file:line diagnostics when any of its six analyzers
 // finds a violation:
 //
 //   - maporder: a map range loop must not feed iteration order into a
@@ -184,6 +184,14 @@
 //   - registryname: names registered with the five open registries
 //     (topologies, algorithms, schedulers, properties, faults) are
 //     canonical lower-kebab-case and unique per registry.
+//   - unused: every exported package-level function, type, variable and
+//     constant of an internal package has a use in non-test code outside
+//     its own declaration and methods — cmd/, examples/ and the perfbench
+//     module count, tests and test-helper packages do not — so API that only
+//     its own tests reach is deleted instead of maintained. Methods, the
+//     public dining API and test-helper packages are out of scope, and the
+//     rule reads the whole module's references, so `dplint <dir>` gives the
+//     same verdict on a package as `dplint ./...`.
 //
 // A deliberate exception is suppressed in place with a mandatory reason:
 //

@@ -202,9 +202,3 @@ func init() {
 	Register("central-monitor", func(Options) sim.Program { return NewCentralMonitor() })
 	Register("ticket-box", func(Options) sim.Program { return NewTicketBox(0) })
 }
-
-// PaperAlgorithms returns the four algorithms of the paper's tables, in table
-// order, configured with opts.
-func PaperAlgorithms(opts Options) []sim.Program {
-	return []sim.Program{NewLR1(opts), NewLR2(opts), NewGDP1(opts), NewGDP2(opts)}
-}

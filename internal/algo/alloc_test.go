@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/prng"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -60,13 +61,7 @@ func TestRunWorldSteadyStateAllocations(t *testing.T) {
 		return func() {
 			prog := NewGDP2(Options{})
 			topo := graph.Ring(7)
-			rr := sim.SchedulerFunc{
-				SchedulerName: "alloc-round-robin",
-				NextFunc: func(w *sim.World) graph.PhilID {
-					return graph.PhilID(w.Step % int64(len(w.Phils)))
-				},
-			}
-			if _, err := sim.Run(topo, prog, rr, prng.New(7), sim.RunOptions{MaxSteps: steps}); err != nil {
+			if _, err := sim.Run(topo, prog, sched.NewRoundRobin(), prng.New(7), sim.RunOptions{MaxSteps: steps}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -236,7 +236,8 @@ func analyzerNames(analyzers []*Analyzer) string {
 
 // NewAnalyzers returns a fresh instance of the full dplint suite. Instances
 // must not be shared between driver runs: registryname accumulates the
-// cross-package name→site map of one run.
+// cross-package name→site map of one run, and unused keeps the module
+// reference set it loaded.
 func NewAnalyzers() []*Analyzer {
 	return []*Analyzer{
 		NewMapOrder(),
@@ -244,5 +245,6 @@ func NewAnalyzers() []*Analyzer {
 		NewHotAlloc(),
 		NewUnsafeAudit(),
 		NewRegistryName(),
+		NewUnused(),
 	}
 }

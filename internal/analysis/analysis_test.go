@@ -8,7 +8,7 @@ import (
 	"repro/internal/analysis/analysistest"
 )
 
-// The five analyzer suites: each testdata package seeds positive hits,
+// The six analyzer suites: each testdata package seeds positive hits,
 // suppressed hits and clean code, with expectations in // want comments.
 
 func TestMapOrderSuite(t *testing.T) {
@@ -37,6 +37,16 @@ func TestUnsafeAuditSuite(t *testing.T) {
 
 func TestRegistryNameSuite(t *testing.T) {
 	analysistest.Run(t, "../sched/testdata/dplint/regnames", analysis.NewRegistryName())
+}
+
+// TestUnusedSuite runs the unused analyzer over a testdata module laid out
+// like this one — internal packages, a test-helper package, dining, cmd/,
+// examples/ and a nested perfbench module — once whole and once per package
+// directory, with the same expected findings both ways.
+func TestUnusedSuite(t *testing.T) {
+	analysistest.RunModule(t, "testdata/unused", func() []*analysis.Analyzer {
+		return []*analysis.Analyzer{analysis.NewUnused()}
+	})
 }
 
 // TestSuppressionHygiene pins the driver's own findings: annotations missing

@@ -80,12 +80,56 @@ func Load(t *testing.T, dir string) *analysis.Package {
 // against the package's want comments.
 func Run(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
-	pkg := Load(t, dir)
-	diags, err := analysis.Run([]*analysis.Package{pkg}, analyzers)
+	check(t, []*analysis.Package{Load(t, dir)}, analyzers)
+}
+
+// RunModule checks analyzers whose verdict depends on the whole module. dir
+// is the root of a testdata module (a directory with its own go.mod). Every
+// package of it is loaded by a fresh loader, the analyzers newAnalyzers
+// returns run over all of them, and the diagnostics are compared against the
+// want comments of every package. Then each package is checked again alone,
+// with a fresh loader and fresh analyzers, as `dplint <package dir>` runs
+// it: its diagnostics must match the same want comments, so the verdict
+// cannot depend on which packages the command line named.
+func RunModule(t *testing.T, dir string, newAnalyzers func() []*analysis.Analyzer) {
+	t.Helper()
+	pkgs, err := moduleLoader(t, dir).LoadAll()
+	if err != nil {
+		t.Fatalf("analysistest: load %s: %v", dir, err)
+	}
+	t.Run("module", func(t *testing.T) { check(t, pkgs, newAnalyzers()) })
+	for _, pkg := range pkgs {
+		t.Run(pkg.Path, func(t *testing.T) {
+			alone, err := moduleLoader(t, dir).LoadDirDefault(pkg.Dir)
+			if err != nil {
+				t.Fatalf("analysistest: load %s: %v", pkg.Dir, err)
+			}
+			check(t, []*analysis.Package{alone}, newAnalyzers())
+		})
+	}
+}
+
+func moduleLoader(t *testing.T, dir string) *analysis.Loader {
+	t.Helper()
+	l, err := analysis.NewLoader(dir)
+	if err != nil {
+		t.Fatalf("analysistest: loader: %v", err)
+	}
+	return l
+}
+
+// check applies the analyzers to pkgs and matches the diagnostics against
+// their want comments.
+func check(t *testing.T, pkgs []*analysis.Package, analyzers []*analysis.Analyzer) {
+	t.Helper()
+	diags, err := analysis.Run(pkgs, analyzers)
 	if err != nil {
 		t.Fatalf("analysistest: run: %v", err)
 	}
-	wants := parseWants(t, pkg)
+	var wants []*want
+	for _, pkg := range pkgs {
+		wants = append(wants, parseWants(t, pkg)...)
+	}
 	for _, d := range diags {
 		if !claim(wants, d) {
 			t.Errorf("unexpected diagnostic: %s", d)

@@ -32,6 +32,10 @@ type Package struct {
 	// Info carries the type-checker's expression types, object resolutions
 	// and constant values.
 	Info *types.Info
+
+	// loader loaded the package; an analyzer that needs the whole module
+	// (unused) loads it through the same loader.
+	loader *Loader
 }
 
 // RelFile returns the path of the file containing pos relative to the
@@ -186,13 +190,14 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 		return nil, fmt.Errorf("analysis: typecheck %s: %w", importPath, err)
 	}
 	pkg := &Package{
-		Path:  importPath,
-		Dir:   dir,
-		Root:  l.Root,
-		Fset:  l.Fset,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
+		Path:   importPath,
+		Dir:    dir,
+		Root:   l.Root,
+		Fset:   l.Fset,
+		Files:  files,
+		Types:  tpkg,
+		Info:   info,
+		loader: l,
 	}
 	l.pkgs[importPath] = pkg
 	return pkg, nil

@@ -1,0 +1,8 @@
+// Package dining is the public API: its exported identifiers are out of
+// scope, and its references count.
+package dining
+
+import "example.com/dp/internal/lib"
+
+// Unused is part of the library's surface, so the rule ignores it.
+func Unused() { lib.UsedByDining() }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/algo"
 	"repro/internal/graph"
 	"repro/internal/prng"
+	"repro/internal/sched"
 	"repro/internal/sim"
 )
 
@@ -254,11 +255,7 @@ func TestFaultSpecExposed(t *testing.T) {
 func TestRunUnderFaultsKeepsInvariants(t *testing.T) {
 	for _, spec := range []string{"crash-rejoin:0.2,0.3", "freeze:0.05", "lossy-grants:0.3", "delayed-grants:0.3,2"} {
 		topo, prog := wrap(t, spec, 5)
-		sched := sim.SchedulerFunc{
-			SchedulerName: "round-robin",
-			NextFunc:      func(w *sim.World) graph.PhilID { return graph.PhilID(w.Step % 5) },
-		}
-		_, err := sim.Run(topo, prog, sched, prng.New(7), sim.RunOptions{
+		_, err := sim.Run(topo, prog, sched.NewRoundRobin(), prng.New(7), sim.RunOptions{
 			MaxSteps:         4000,
 			CheckInvariants:  true,
 			ValidateOutcomes: true,

@@ -21,9 +21,6 @@ func Ring(n int) *Topology {
 	return declareAutomorphisms(b.MustBuild(), ringAutomorphisms(n)...)
 }
 
-// Classic is an alias for Ring, named after the classic problem statement.
-func Classic(n int) *Topology { return Ring(n) }
-
 // DoubledPolygon returns a topology with k forks arranged in a cycle and two
 // parallel philosophers on every cycle edge, i.e. 2k philosophers sharing k
 // forks. DoubledPolygon(3) is the leftmost example of Figure 1 in the paper

@@ -24,9 +24,8 @@
 // internal scratch pool, so independent analyses run concurrently over one
 // shared index with zero per-state heap allocations once the pool is warm —
 // which is how the lockout-freedom property fans its per-philosopher trap
-// analyses across workers. The package-level functions are one-shot
-// conveniences that build a throwaway index; the pre-worklist sweeps are
-// retained in graphalgtest as test-only reference oracles.
+// analyses across workers. The pre-worklist sweeps are retained in
+// graphalgtest as test-only reference oracles.
 //
 // # Determinism
 //
@@ -69,69 +68,6 @@ type StateView interface {
 	// truncated explorations) carry artificial self-loops; the analyses
 	// exclude them so truncation can never fabricate a violation.
 	Expanded(s int) bool
-}
-
-// Reachable returns the set of states reachable from the initial state using
-// any actions and any outcomes, as a boolean slice indexed by state.
-func Reachable(v StateView) []bool {
-	seen := make([]bool, v.NumStates())
-	stack := []int{v.Initial()}
-	seen[v.Initial()] = true
-	nActions := v.NumActions()
-	for len(stack) > 0 {
-		s := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for a := 0; a < nActions; a++ {
-			for _, succ := range v.Succs(s, a) {
-				if !seen[succ] {
-					seen[succ] = true
-					stack = append(stack, int(succ))
-				}
-			}
-		}
-	}
-	return seen
-}
-
-// DeadlockStates returns the reachable, expanded states in which every
-// action is a self-loop: the system can never change state again.
-func DeadlockStates(v StateView) []int {
-	reachable := Reachable(v)
-	nActions := v.NumActions()
-	var out []int
-	for s := 0; s < v.NumStates(); s++ {
-		// Unexpanded states (possible only on truncated explorations) carry
-		// artificial self-loops; treating them as deadlocks would fabricate
-		// violations out of the truncation itself.
-		if !reachable[s] || !v.Expanded(s) {
-			continue
-		}
-		stuck := true
-		for a := 0; a < nActions && stuck; a++ {
-			for _, succ := range v.Succs(s, a) {
-				if int(succ) != s {
-					stuck = false
-					break
-				}
-			}
-		}
-		if stuck {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// DeadRegionStates returns the reachable states from which no goal state is
-// reachable under any action and any outcome. States that were never
-// expanded count as able to reach a goal: their artificial self-loops say
-// nothing about the real system, and truncation must never fabricate a
-// violation — on a truncated view the analysis under-approximates, like
-// MaximalTrap. It is the one-shot form of
-// PredecessorIndex.DeadRegionStates; callers running several analyses should
-// build the index once and share it.
-func DeadRegionStates(v StateView, goal func(s int) bool) []int {
-	return NewPredecessorIndex(v, 1).DeadRegionStates(goal)
 }
 
 // Choice is one move along a scheduler-choice path: the adversary picks

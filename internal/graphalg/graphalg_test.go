@@ -63,9 +63,13 @@ func fixture() *mdp {
 	})
 }
 
+// index builds a fresh predecessor index over m, as the model checker does
+// once per explored space.
+func index(m *mdp) *PredecessorIndex { return NewPredecessorIndex(m, 1) }
+
 func TestReachable(t *testing.T) {
 	t.Parallel()
-	got := Reachable(fixture())
+	got := index(fixture()).Reachable()
 	want := []bool{true, true, true, false, false}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Reachable = %v, want %v", got, want)
@@ -75,12 +79,12 @@ func TestReachable(t *testing.T) {
 func TestDeadlockStates(t *testing.T) {
 	t.Parallel()
 	m := fixture()
-	if got := DeadlockStates(m); !reflect.DeepEqual(got, []int{2}) {
+	if got := index(m).DeadlockStates(); !reflect.DeepEqual(got, []int{2}) {
 		t.Errorf("DeadlockStates = %v, want [2]; state 3 deadlocks but is unreachable", got)
 	}
 	// An unexpanded state's artificial self-loops must not read as deadlock.
 	m.expanded[2] = false
-	if got := DeadlockStates(m); len(got) != 0 {
+	if got := index(m).DeadlockStates(); len(got) != 0 {
 		t.Errorf("DeadlockStates counted the unexpanded state 2: %v", got)
 	}
 }
@@ -89,13 +93,13 @@ func TestDeadRegionStates(t *testing.T) {
 	t.Parallel()
 	m := fixture()
 	goal := func(s int) bool { return s == 1 }
-	if got := DeadRegionStates(m, goal); !reflect.DeepEqual(got, []int{2}) {
+	if got := index(m).DeadRegionStates(goal); !reflect.DeepEqual(got, []int{2}) {
 		t.Errorf("DeadRegionStates = %v, want [2] (the absorbing state cannot reach 1)", got)
 	}
 	// Unexpanded states count as able to reach the goal — truncation must
 	// never fabricate a dead region.
 	m.expanded[2] = false
-	if got := DeadRegionStates(m, goal); len(got) != 0 {
+	if got := index(m).DeadRegionStates(goal); len(got) != 0 {
 		t.Errorf("DeadRegionStates fabricated %v from the unexpanded state", got)
 	}
 }
@@ -125,7 +129,7 @@ func TestMaximalTrap(t *testing.T) {
 	// Safe region: 0 (only a0 avoids the bad state 2) and 1 (both actions).
 	// The end component {0, 1} retains a0 in both states and a1 in state 1,
 	// so every action index is covered somewhere inside: a trap.
-	trap := MaximalTrap(m, m.Bad)
+	trap := index(m).MaximalTrap(m.Bad)
 	if !trap.Exists || !trap.Reachable {
 		t.Fatalf("expected a trap: %+v", trap)
 	}
@@ -139,7 +143,7 @@ func TestMaximalTrap(t *testing.T) {
 	// Making state 1 bad too empties the safe region: from 0 every action
 	// risks a bad state.
 	m.bad[1] = true
-	trap = MaximalTrap(m, m.Bad)
+	trap = index(m).MaximalTrap(m.Bad)
 	if trap.Exists || trap.SafeRegionStates != 0 {
 		t.Errorf("expected an empty safe region: %+v", trap)
 	}
@@ -156,7 +160,7 @@ func TestMaximalTrapPartialCoverage(t *testing.T) {
 		{{2}, {2}},
 	})
 	m.bad[2] = true
-	trap := MaximalTrap(m, m.Bad)
+	trap := index(m).MaximalTrap(m.Bad)
 	if trap.Exists {
 		t.Fatalf("no action-1 move stays safe, yet a trap was found: %+v", trap)
 	}
@@ -179,7 +183,7 @@ func TestStronglyConnected(t *testing.T) {
 		act[s] = []bool{true, true}
 	}
 	comp := make([]int, m.NumStates())
-	n := StronglyConnected(m, inSet, act, comp)
+	n := index(m).StronglyConnected(inSet, act, comp)
 	if n != 2 {
 		t.Fatalf("component count = %d, want 2 (comp %v)", n, comp)
 	}

@@ -31,30 +31,3 @@ type Trap struct {
 	// When Exists is false this explains what was missing.
 	CoveredActions []int
 }
-
-// MaximalTrap analyses the view for a trap against the given bad-state
-// labelling (pass v.Bad for the view's default labelling). It is the
-// one-shot form of PredecessorIndex.MaximalTrap — the index is built, used
-// once and discarded; callers running several analyses (or the same analysis
-// against several labellings, like the lockout-freedom property) should build
-// the index once and share it.
-func MaximalTrap(v StateView, bad func(s int) bool) Trap {
-	return NewPredecessorIndex(v, 1).MaximalTrap(bad)
-}
-
-// StronglyConnected computes SCC indices (into comp) of the directed graph
-// whose nodes are the states with inSet true and whose edges are all
-// outcomes of the actions retained in act. It returns the number of
-// components. States not in the set get comp = -1. comp must have length
-// v.NumStates(); act must have one []bool of length v.NumActions() per
-// state.
-//
-// The implementation is an iterative Tarjan, so deeply recurrent state
-// graphs cannot blow the goroutine stack, and it enumerates successors in
-// place through per-frame (action, outcome) cursors instead of materializing
-// a successor slice per visited state. It is the one-shot form of
-// PredecessorIndex.StronglyConnected — callers decomposing the same view
-// repeatedly should build the index once and share it.
-func StronglyConnected(v StateView, inSet []bool, act [][]bool, comp []int) int {
-	return NewPredecessorIndex(v, 1).StronglyConnected(inSet, act, comp)
-}

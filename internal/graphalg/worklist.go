@@ -403,8 +403,14 @@ func (ix *PredecessorIndex) MaximalTrap(bad func(s int) bool) Trap {
 // StronglyConnected computes SCC indices (into comp) of the directed graph
 // whose nodes are the states with inSet true and whose edges are all
 // outcomes of the actions retained in act, over the warm index. It returns
-// the number of components; states not in the set get comp = -1. It is the
-// pooled-scratch form of the package-level StronglyConnected.
+// the number of components; states not in the set get comp = -1. comp must
+// have length NumStates of the view; act must have one []bool of length
+// NumActions per state.
+//
+// The implementation is an iterative Tarjan, so deeply recurrent state
+// graphs cannot blow the goroutine stack, and it enumerates successors in
+// place through per-frame (action, outcome) cursors instead of
+// materializing a successor slice per visited state.
 func (ix *PredecessorIndex) StronglyConnected(inSet []bool, act [][]bool, comp []int) int {
 	n, nActions := ix.n, ix.nActions
 	sc := ix.getScratch()

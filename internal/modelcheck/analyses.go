@@ -17,16 +17,6 @@ func (ss *StateSpace) Reachable() []bool {
 	return ss.PredecessorIndex().Reachable()
 }
 
-// EatReachableFromEverywhere reports whether, from every reachable state, a
-// state in which some philosopher is eating remains reachable (existentially
-// over scheduling and randomness). A false answer exhibits a true dead end:
-// a region from which no meal can ever happen again under any scheduling —
-// for example the hold-and-wait deadlock of the colored-philosophers baseline
-// on an odd ring.
-func (ss *StateSpace) EatReachableFromEverywhere() bool {
-	return len(ss.DeadRegionStates()) == 0
-}
-
 // DeadRegionStates returns the reachable states from which no eating state is
 // reachable under any scheduling and any random outcomes — a reverse BFS
 // from the eating states over the predecessor index.

@@ -92,12 +92,6 @@ type Options struct {
 	// Protected is the set of philosophers whose meals count as "bad" for the
 	// starvation-trap analysis; nil or empty means all philosophers.
 	Protected []graph.PhilID
-	// Hunger overrides the AlwaysHungry workload (rarely useful: the paper's
-	// progress analysis assumes saturated demand). When set, exploration
-	// clones carry the full run metrics so that metric-reading models
-	// (sim.NeverHungryAgainAfter) keep working; the default workload uses
-	// the faster protocol-only clones.
-	Hunger sim.HungerModel
 	// KeepKeys exposes the canonical key of every state for debugging and
 	// witness extraction (StateSpace.KeyOf, Trap.WitnessKey). The store holds
 	// every key's bytes regardless — its intern table needs them — so this
@@ -192,9 +186,8 @@ type shardStore struct {
 // exploration-order view over them. It implements graphalg.StateView; all
 // exported state indices are dense ids.
 type StateSpace struct {
-	topo   *graph.Topology
-	prog   sim.Program
-	hunger sim.HungerModel
+	topo *graph.Topology
+	prog sim.Program
 
 	// NumPhils is the number of philosophers (actions per state).
 	NumPhils int
@@ -405,10 +398,8 @@ type scratch struct {
 	obuf, sbuf []sim.Outcome
 	// free recycles protocol-clone worlds: revisited successors and expanded
 	// frontier worlds go back here and their backing slices are reused by the
-	// next clone. Disabled (noRecycle) under a custom hunger model, whose
-	// full clones carry metric slices the protocol-clone path must not reuse.
-	free      []*sim.World
-	noRecycle bool
+	// next clone.
+	free []*sim.World
 
 	// Parallel expansion record, flattened in (state, action, outcome) order.
 	counts []int32   // per (state, action): number of outcomes
@@ -429,10 +420,6 @@ type scratch struct {
 	err     error
 }
 
-func newScratch(noRecycle bool) *scratch {
-	return &scratch{noRecycle: noRecycle}
-}
-
 func (s *scratch) takeFree() *sim.World {
 	if n := len(s.free); n > 0 {
 		w := s.free[n-1]
@@ -443,11 +430,7 @@ func (s *scratch) takeFree() *sim.World {
 	return nil
 }
 
-func (s *scratch) putFree(w *sim.World) {
-	if !s.noRecycle {
-		s.free = append(s.free, w)
-	}
-}
+func (s *scratch) putFree(w *sim.World) { s.free = append(s.free, w) }
 
 // shardScratch is the per-shard merge-phase state.
 type shardScratch struct {
@@ -495,17 +478,6 @@ func (e *explorer) appendKey(w *sim.World, buf []byte) []byte {
 // orbit's representative world alongside the canonical ones.
 func (e *explorer) keepRepKeys() bool {
 	return e.opts.Symmetry != nil && e.opts.KeepKeys
-}
-
-// clone copies src for one explored transition, reusing spare when possible.
-// With a custom hunger model the clones must carry run metrics (the model
-// may read them, e.g. NeverHungryAgainAfter reads EatsBy), so fall back to
-// full Clone and skip recycling.
-func (e *explorer) clone(src, spare *sim.World) *sim.World {
-	if e.opts.Hunger != nil {
-		return src.Clone()
-	}
-	return src.CloneProtocolInto(spare)
 }
 
 // stateFlags computes the per-state labels recorded at intern time.
@@ -613,7 +585,6 @@ func Explore(topo *graph.Topology, prog sim.Program, opts Options) (*StateSpace,
 	ss := &StateSpace{
 		topo:      topo,
 		prog:      prog,
-		hunger:    opts.Hunger,
 		NumPhils:  topo.NumPhilosophers(),
 		shards:    make([]shardStore, shards),
 		shardMask: uint32(shards - 1),
@@ -632,12 +603,9 @@ func Explore(topo *graph.Topology, prog sim.Program, opts Options) (*StateSpace,
 	}
 
 	initial := sim.NewWorld(topo)
-	if opts.Hunger != nil {
-		initial.Hunger = opts.Hunger
-	}
 	prog.Init(initial)
 
-	w0 := e.clone(initial, nil)
+	w0 := initial.CloneProtocol()
 	key0 := e.appendKey(w0, nil)
 	packed0, _, _, err := e.internState(hashKey(key0), key0, w0)
 	if err != nil {
@@ -684,7 +652,7 @@ const interruptCheckInterval = 1024
 func (e *explorer) exploreSequential() error {
 	ss := e.ss
 	st := &ss.shards[0]
-	s := newScratch(e.opts.Hunger != nil)
+	s := &scratch{}
 	for head := 0; head < len(e.front); head++ {
 		if e.opts.Interrupt != nil && head%interruptCheckInterval == 0 {
 			if err := e.opts.Interrupt(); err != nil {
@@ -705,7 +673,7 @@ func (e *explorer) exploreSequential() error {
 			s.obuf = outcomes
 			off := int32(len(st.succs))
 			for i := range outcomes {
-				succ := e.clone(w, s.takeFree())
+				succ := w.CloneProtocolInto(s.takeFree())
 				succOut := ss.prog.Outcomes(succ, pid, s.sbuf[:0])
 				s.sbuf = succOut
 				if len(succOut) != len(outcomes) {
@@ -774,7 +742,7 @@ func (e *explorer) exploreSharded(workers int) error {
 		for lo := 0; lo < n; lo += chunk {
 			hi := min(lo+chunk, n)
 			if active == len(scratches) {
-				scratches = append(scratches, newScratch(e.opts.Hunger != nil))
+				scratches = append(scratches, &scratch{})
 			}
 			s := scratches[active]
 			chunkLo = append(chunkLo, lo)
@@ -911,7 +879,7 @@ func (e *explorer) expandChunk(s *scratch, entries []frontEntry) {
 			s.obuf = outcomes
 			s.counts = append(s.counts, int32(len(outcomes)))
 			for i := range outcomes {
-				succ := e.clone(w, s.takeFree())
+				succ := w.CloneProtocolInto(s.takeFree())
 				succOut := ss.prog.Outcomes(succ, pid, s.sbuf[:0])
 				s.sbuf = succOut
 				if len(succOut) != len(outcomes) {

@@ -2,6 +2,8 @@ package modelcheck
 
 import (
 	"encoding/hex"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/algo"
@@ -67,23 +69,6 @@ func TestExploreBasicProperties(t *testing.T) {
 	}
 }
 
-func TestExploreSupportsMetricReadingHungerModel(t *testing.T) {
-	t.Parallel()
-	// NeverHungryAgainAfter reads the EatsBy metric, which protocol-only
-	// clones do not carry; Explore must fall back to full clones for custom
-	// hunger models instead of panicking on the nil slice.
-	ss, err := Explore(graph.Ring(3), mustProg(t, "LR1", algo.Options{}), Options{
-		Hunger:    sim.NeverHungryAgainAfter{Limit: 1},
-		MaxStates: 20_000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss.NumStates() == 0 {
-		t.Fatal("empty state space")
-	}
-}
-
 func TestExploreRejectsNilArguments(t *testing.T) {
 	t.Parallel()
 	if _, err := Explore(nil, mustProg(t, "LR1", algo.Options{}), Options{}); err == nil {
@@ -91,6 +76,36 @@ func TestExploreRejectsNilArguments(t *testing.T) {
 	}
 	if _, err := Explore(graph.Ring(3), nil, Options{}); err == nil {
 		t.Error("Explore accepted nil program")
+	}
+}
+
+// flakyProgram breaks the Program contract that equal protocol states
+// produce identical outcome sets: it returns one outcome and two on
+// alternate calls, whatever the world — as a program registered through
+// dining.RegisterAlgorithm might if it read a clock or a counter.
+type flakyProgram struct{ calls atomic.Int64 }
+
+func (*flakyProgram) Name() string              { return "flaky" }
+func (*flakyProgram) Init(*sim.World)           {}
+func (*flakyProgram) Symmetric() bool           { return true }
+func flakyStay(*sim.World, graph.PhilID, int64) {}
+func (p *flakyProgram) Outcomes(_ *sim.World, _ graph.PhilID, buf []sim.Outcome) []sim.Outcome {
+	if p.calls.Add(1)%2 == 0 {
+		return append(buf, sim.Outcome{Prob: 0.5, Label: "stay", Apply: flakyStay}, sim.Outcome{Prob: 0.5, Label: "stay too", Apply: flakyStay})
+	}
+	return append(buf, sim.Outcome{Prob: 1, Label: "stay", Apply: flakyStay})
+}
+
+// TestExploreRejectsUnstableOutcomeSets trips the explorer's guard on
+// outcome sets that change between equal worlds, on the sequential loop and
+// in the sharded loop's expandChunk, which each carry their own copy of it.
+func TestExploreRejectsUnstableOutcomeSets(t *testing.T) {
+	t.Parallel()
+	for _, opts := range []Options{{Workers: 1, Shards: 1}, {Workers: 2}} {
+		_, err := Explore(graph.Ring(3), &flakyProgram{}, opts)
+		if err == nil || !strings.Contains(err.Error(), "flaky produced unstable outcome sets for P0") {
+			t.Errorf("workers %d, shards %d: err = %v, want the unstable outcome sets error", opts.Workers, opts.Shards, err)
+		}
 	}
 }
 
@@ -310,7 +325,7 @@ func TestPathToFindsReplayableCounterexamples(t *testing.T) {
 	if cx.FinalKey != hex.EncodeToString([]byte(ss.KeyOf(dead[0]))) {
 		t.Errorf("trace final key %s does not match the target state's canonical key", cx.FinalKey)
 	}
-	w, err := trace.Replay(graph.Ring(3), prog, nil, cx)
+	w, err := trace.Replay(graph.Ring(3), prog, cx)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -321,7 +336,7 @@ func TestPathToFindsReplayableCounterexamples(t *testing.T) {
 	// A tampered trace must be rejected.
 	bad := *cx
 	bad.FinalKey = "00"
-	if _, err := trace.Replay(graph.Ring(3), prog, nil, &bad); err == nil {
+	if _, err := trace.Replay(graph.Ring(3), prog, &bad); err == nil {
 		t.Error("Replay accepted a trace with a corrupted final key")
 	}
 }

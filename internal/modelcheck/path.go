@@ -66,7 +66,7 @@ func (ss *StateSpace) CounterexampleTo(property string, target int) (*trace.Trac
 			steps[i] = trace.Step{Phil: int(c.Phil), Outcome: c.Outcome}
 		}
 	}
-	return trace.Build(ss.topo, ss.prog, ss.hunger, property, steps)
+	return trace.Build(ss.topo, ss.prog, property, steps)
 }
 
 // liftChoices translates a quotient scheduler path into a concrete one. The
@@ -81,9 +81,6 @@ func (ss *StateSpace) CounterexampleTo(property string, target int) (*trace.Trac
 func (ss *StateSpace) liftChoices(choices []Choice) ([]trace.Step, error) {
 	steps := make([]trace.Step, len(choices))
 	w := sim.NewWorld(ss.topo)
-	if ss.hunger != nil {
-		w.Hunger = ss.hunger
-	}
 	ss.prog.Init(w)
 	q := ss.initial
 	var buf []byte

@@ -371,14 +371,14 @@ func TestConcurrentRunsReplay(t *testing.T) {
 						steps = append(steps, trace.Step{Phil: int(h.phil), Outcome: o})
 					}
 				}
-				tr, err := trace.Build(c.topo, prog, nil, "", steps)
+				tr, err := trace.Build(c.topo, prog, "", steps)
 				if err != nil {
 					t.Fatalf("replaying %d holds: %v", len(all), err)
 				}
 				if want := hex.EncodeToString(final.AppendKey(nil)); tr.FinalKey != want {
 					t.Fatalf("replay of %d holds ends in %s, the run in %s", len(all), tr.FinalKey, want)
 				}
-				replayed, err := trace.Replay(c.topo, prog, nil, tr)
+				replayed, err := trace.Replay(c.topo, prog, tr)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -109,46 +109,10 @@ func (s *Sticky) Next(w *sim.World) graph.PhilID {
 // Reset implements sim.ResettableScheduler.
 func (s *Sticky) Reset() { s.pos, s.count = 0, 0 }
 
-// Priority schedules the first schedulable philosopher in a fixed preference
-// order every step. It is deliberately unfair (philosophers late in the order
-// may never run while earlier ones exist); it is used in tests of the
-// fairness monitor and in starvation demonstrations.
-type Priority struct {
-	// Order is the preference order; philosophers not listed are appended in
-	// ID order.
-	Order []graph.PhilID
-}
-
-// NewPriority returns a priority scheduler with the given preference order.
-func NewPriority(order ...graph.PhilID) *Priority {
-	return &Priority{Order: order}
-}
-
-// Name implements sim.Scheduler.
-func (*Priority) Name() string { return "priority" }
-
-// Next implements sim.Scheduler. It schedules the highest-priority philosopher
-// that is not currently blocked in a pure busy-wait with nothing to do; since
-// every philosopher always has an action in this model, it simply returns the
-// first philosopher of the order.
-func (s *Priority) Next(w *sim.World) graph.PhilID {
-	if len(s.Order) > 0 {
-		p := s.Order[0]
-		if int(p) < len(w.Phils) {
-			return p
-		}
-	}
-	return 0
-}
-
-// Reset implements sim.ResettableScheduler: the preference order is
-// configuration, not run state.
-func (s *Priority) Reset() {}
-
 // HungryFirst schedules a uniformly random hungry or eating philosopher when
 // one exists, and a uniformly random philosopher otherwise. It keeps the
 // system busy without being adversarial, and is fair with probability 1 under
-// the AlwaysHungry workload.
+// the saturated workload (a scheduled thinking philosopher becomes hungry).
 type HungryFirst struct {
 	rng  *prng.Source
 	busy []graph.PhilID // per-step scratch, reused across Next calls

@@ -19,6 +19,14 @@ func (countingProgram) Outcomes(w *sim.World, p graph.PhilID, buf []sim.Outcome)
 	return append(buf, sim.Outcome{Prob: 1, Label: "noop", Apply: func(*sim.World, graph.PhilID, int64) {}})
 }
 
+// stuck always picks philosopher 0: as a scheduler it is unfair, and as an
+// advisor it is the most stubborn strategy there is.
+type stuck struct{}
+
+func (stuck) Name() string                   { return "stuck" }
+func (stuck) Next(*sim.World) graph.PhilID   { return 0 }
+func (stuck) Advise(*sim.World) graph.PhilID { return 0 }
+
 func TestRoundRobinCyclesThroughAll(t *testing.T) {
 	t.Parallel()
 	w := sim.NewWorld(graph.Ring(4))
@@ -85,18 +93,6 @@ func TestHungryFirstPrefersBusyPhilosophers(t *testing.T) {
 	}
 }
 
-func TestPrioritySchedulerReturnsHighestPriority(t *testing.T) {
-	t.Parallel()
-	w := sim.NewWorld(graph.Ring(4))
-	s := NewPriority(3, 1)
-	if got := s.Next(w); got != 3 {
-		t.Errorf("priority scheduler returned %d, want 3", got)
-	}
-	if got := NewPriority().Next(w); got != 0 {
-		t.Errorf("priority scheduler with empty order returned %d, want 0", got)
-	}
-}
-
 func TestFairnessMonitorMeasuresGaps(t *testing.T) {
 	t.Parallel()
 	topo := graph.Ring(3)
@@ -125,8 +121,7 @@ func TestFairnessMonitorMeasuresGaps(t *testing.T) {
 func TestFairnessMonitorDetectsUnfairness(t *testing.T) {
 	t.Parallel()
 	w := sim.NewWorld(graph.Ring(3))
-	unfair := sim.SchedulerFunc{SchedulerName: "stuck", NextFunc: func(*sim.World) graph.PhilID { return 0 }}
-	mon := NewFairnessMonitor(unfair)
+	mon := NewFairnessMonitor(stuck{})
 	for i := 0; i < 100; i++ {
 		mon.Next(w)
 	}
@@ -145,8 +140,7 @@ func TestStubbornForcesFairness(t *testing.T) {
 	t.Parallel()
 	// An advisor that always wants philosopher 0; the stubborn wrapper must
 	// still schedule everyone.
-	adv := AdvisorFunc{AdvisorName: "always-0", AdviseFunc: func(*sim.World) graph.PhilID { return 0 }}
-	s := NewStubborn(adv)
+	s := NewStubborn(stuck{})
 	topo := graph.Ring(4)
 	res, err := sim.Run(topo, countingProgram{}, s, prng.New(1), sim.RunOptions{MaxSteps: 5000})
 	if err != nil {
@@ -167,7 +161,7 @@ func TestStubbornForcesFairness(t *testing.T) {
 
 func TestBoundedFairRespectsWindow(t *testing.T) {
 	t.Parallel()
-	adv := AdvisorFunc{AdvisorName: "always-0", AdviseFunc: func(*sim.World) graph.PhilID { return 0 }}
+	adv := stuck{}
 	s := NewBoundedFair(adv, 50)
 	mon := NewFairnessMonitor(s)
 	topo := graph.Ring(5)
@@ -183,60 +177,6 @@ func TestBoundedFairRespectsWindow(t *testing.T) {
 	}
 	if got := NewBoundedFair(adv, 0).window(); got != DefaultBoundedWindow {
 		t.Errorf("default window = %d, want %d", got, DefaultBoundedWindow)
-	}
-}
-
-func TestReplayFollowsSequenceThenFallsBack(t *testing.T) {
-	t.Parallel()
-	w := sim.NewWorld(graph.Ring(3))
-	r := NewReplay(false, 2, 2, 1)
-	got := []graph.PhilID{r.Next(w), r.Next(w), r.Next(w), r.Next(w), r.Next(w)}
-	want := []graph.PhilID{2, 2, 1, 0, 1} // falls back to round robin
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("replay sequence %v, want %v", got, want)
-		}
-	}
-	loop := NewReplay(true, 1, 2)
-	for i := 0; i < 10; i++ {
-		p := loop.Next(w)
-		if p != 1 && p != 2 {
-			t.Fatalf("looping replay escaped its sequence: %d", p)
-		}
-	}
-}
-
-func TestScriptedDirectives(t *testing.T) {
-	t.Parallel()
-	topo := graph.Ring(3)
-	w := sim.NewWorld(topo)
-	hungryCount := 0
-	s := NewScripted(false,
-		Directive{Phil: 1, Budget: 3},
-		Directive{Phil: 2, Until: func(w *sim.World) bool { return hungryCount >= 2 }},
-	)
-	var seq []graph.PhilID
-	for i := 0; i < 8; i++ {
-		p := s.Next(w)
-		seq = append(seq, p)
-		if p == 2 {
-			hungryCount++
-		}
-	}
-	// First 3 schedulings of philosopher 1, then philosopher 2 until the
-	// condition (checked before each subsequent scheduling) holds, then the
-	// round-robin fallback.
-	if seq[0] != 1 || seq[1] != 1 || seq[2] != 1 {
-		t.Fatalf("scripted sequence %v should start with three schedulings of P1", seq)
-	}
-	if seq[3] != 2 || seq[4] != 2 {
-		t.Fatalf("scripted sequence %v should continue with P2", seq)
-	}
-	if !s.Exhausted() {
-		t.Error("script should be exhausted after its directives completed")
-	}
-	if s.String() == "" {
-		t.Error("empty script description")
 	}
 }
 
@@ -279,7 +219,6 @@ func TestResetMatchesFresh(t *testing.T) {
 		{"round-robin", func(*prng.Source) sim.ResettableScheduler { return NewRoundRobin() }},
 		{"uniform-random", func(rng *prng.Source) sim.ResettableScheduler { return NewUniformRandom(rng) }},
 		{"sticky", func(*prng.Source) sim.ResettableScheduler { return NewSticky(3) }},
-		{"priority", func(*prng.Source) sim.ResettableScheduler { return NewPriority(2, 4) }},
 		{"hungry-first", func(rng *prng.Source) sim.ResettableScheduler { return NewHungryFirst(rng) }},
 		{"stubborn", func(*prng.Source) sim.ResettableScheduler { return NewStubborn(NewGreedyLivelock()) }},
 		{"bounded-fair", func(*prng.Source) sim.ResettableScheduler { return NewBoundedFair(NewGreedyLivelock(), 16) }},

@@ -18,18 +18,6 @@ type Advisor interface {
 	Advise(w *sim.World) graph.PhilID
 }
 
-// AdvisorFunc adapts a function to the Advisor interface.
-type AdvisorFunc struct {
-	AdvisorName string
-	AdviseFunc  func(w *sim.World) graph.PhilID
-}
-
-// Name implements Advisor.
-func (a AdvisorFunc) Name() string { return a.AdvisorName }
-
-// Advise implements Advisor.
-func (a AdvisorFunc) Advise(w *sim.World) graph.PhilID { return a.AdviseFunc(w) }
-
 // Stubborn turns an Advisor into a fair scheduler using the construction of
 // Section 3 of the paper: the adversary follows its strategy, but it may
 // ignore a given philosopher only for a bounded number of steps (the current

@@ -89,7 +89,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, id, err)
 		return
 	}
-	props, err := req.properties()
+	props, err := dining.ResolveProperties(req.Props)
 	if err != nil {
 		s.reject(w, id, err)
 		return

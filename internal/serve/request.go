@@ -16,6 +16,7 @@ const maxBodyBytes = 1 << 20
 // in registry names and numbers, mirroring the dpcheck/dpsim flags. Zero
 // values mean the engine defaults, except Workers and Shards, which fall
 // back to the server-wide defaults first (dpserve -workers/-shards).
+// Negative numbers are rejected, as dining.New rejects them.
 type Request struct {
 	// ID is the client-chosen request id echoed on every response line
 	// (empty = server-assigned).
@@ -77,16 +78,10 @@ func (s *Server) engine(req *Request) (*dining.Engine, error) {
 		dining.WithWorkers(workers),
 		dining.WithShards(shards),
 		dining.WithMaxSteps(req.MaxSteps),
+		dining.WithMaxStates(req.MaxStates),
+		dining.WithTrials(req.Trials),
+		dining.WithFairnessWindow(req.FairnessWindow),
 		dining.WithAlgorithmOptions(dining.AlgorithmOptions{M: req.M}),
-	}
-	if req.MaxStates > 0 {
-		opts = append(opts, dining.WithMaxStates(req.MaxStates))
-	}
-	if req.Trials > 0 {
-		opts = append(opts, dining.WithTrials(req.Trials))
-	}
-	if req.FairnessWindow > 0 {
-		opts = append(opts, dining.WithFairnessWindow(req.FairnessWindow))
 	}
 	if len(req.Protected) > 0 {
 		opts = append(opts, dining.WithProtected(req.Protected...))
@@ -101,24 +96,6 @@ func (s *Server) engine(req *Request) (*dining.Engine, error) {
 		opts = append(opts, dining.WithSymmetry())
 	}
 	return dining.New(topo, req.Algorithm, opts...)
-}
-
-// properties resolves the request's property selection in request order
-// (empty = the exhaustive built-ins, like Engine.Check).
-func (req *Request) properties() ([]dining.Property, error) {
-	names := req.Props
-	if len(names) == 0 {
-		names = dining.ExhaustiveProperties()
-	}
-	list := make([]dining.Property, len(names))
-	for i, name := range names {
-		p, err := dining.LookupProperty(name)
-		if err != nil {
-			return nil, err
-		}
-		list[i] = p
-	}
-	return list, nil
 }
 
 // TopologySpec names one topology of a sweep grid.

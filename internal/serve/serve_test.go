@@ -342,6 +342,17 @@ func TestBadRequests(t *testing.T) {
 		{"grid over the topology size bound", "/v1/check", Request{Topology: "grid", N: 182, Algorithm: dining.LR1}},
 		{"protected philosopher out of range", "/v1/check", Request{Topology: "ring", N: 3, Algorithm: dining.LR1, Protected: []dining.PhilID{99}}},
 		{"protected philosopher out of range in trials", "/v1/trials", Request{Topology: "ring", N: 3, Algorithm: dining.LR1, Scheduler: dining.Adversary, Protected: []dining.PhilID{99}}},
+		{"negative max_states", "/v1/check", Request{Topology: "ring", N: 3, Algorithm: dining.LR1, MaxStates: -5}},
+		{"negative trials in a check", "/v1/check", Request{Topology: "ring", N: 3, Algorithm: dining.LR1, Trials: -3}},
+		{"negative trials", "/v1/trials", Request{Topology: "ring", N: 3, Algorithm: dining.LR1, Trials: -3}},
+		{"negative fairness_window", "/v1/trials", Request{Topology: "ring", N: 3, Algorithm: dining.LR1, Scheduler: dining.Adversary, FairnessWindow: -1}},
+		{"negative fairness_window in a check", "/v1/check", Request{Topology: "ring", N: 3, Algorithm: dining.LR1, FairnessWindow: -1}},
+		{"negative m", "/v1/check", Request{Topology: "ring", N: 3, Algorithm: dining.GDP1, M: -1}},
+		{"negative m in trials", "/v1/trials", Request{Topology: "ring", N: 3, Algorithm: dining.GDP1, M: -1}},
+		{"negative trials in a sweep", "/v1/sweep", SweepRequest{Topologies: []TopologySpec{{Name: "ring", N: 3}}, Algorithms: []string{dining.LR1}, Trials: -2}},
+		{"negative max_steps in a sweep", "/v1/sweep", SweepRequest{Topologies: []TopologySpec{{Name: "ring", N: 3}}, Algorithms: []string{dining.LR1}, MaxSteps: -1}},
+		{"negative m in a sweep", "/v1/sweep", SweepRequest{Topologies: []TopologySpec{{Name: "ring", N: 3}}, Algorithms: []string{dining.GDP1}, M: -1}},
+		{"negative fairness_window in a sweep", "/v1/sweep", SweepRequest{Topologies: []TopologySpec{{Name: "ring", N: 3}}, Algorithms: []string{dining.LR1}, FairnessWindow: -1}},
 	}
 	for _, tc := range cases {
 		code, events := post(t, ts, tc.path, tc.body)
@@ -351,6 +362,14 @@ func TestBadRequests(t *testing.T) {
 		if len(events) != 1 || events[0].Event != "error" || events[0].Error == "" || events[0].ID == "" {
 			t.Errorf("%s: response = %+v, want one accountable error event", tc.name, events)
 		}
+	}
+
+	// A negative bound is malformed, not merely unbounded: under an
+	// admission cap it is still a 400, not the cap's 422.
+	_, capped := newTestServer(t, Options{MaxRequestStates: 5000})
+	code, events := post(t, capped, "/v1/check", Request{Topology: "ring", N: 3, Algorithm: dining.LR1, MaxStates: -5})
+	if code != http.StatusBadRequest || len(events) != 1 || !strings.Contains(events[0].Error, "negative") {
+		t.Errorf("negative max_states under an admission cap: status %d, events %+v; want 400 naming the negative bound", code, events)
 	}
 }
 

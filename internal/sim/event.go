@@ -15,8 +15,9 @@ const (
 	EventScheduled EventKind = iota
 	// EventBecameHungry records the end of the thinking section.
 	EventBecameHungry
-	// EventStillThinking records a scheduled philosopher that kept thinking.
-	EventStillThinking
+	// Value 2 is reserved (a kept-thinking event, which the saturated
+	// workload never emits) so that no later kind changes its value.
+	_
 	// EventCommitted records a philosopher selecting its first fork (the
 	// "empty arrow" of the paper's figures).
 	EventCommitted
@@ -77,8 +78,6 @@ func (k EventKind) String() string {
 		return "scheduled"
 	case EventBecameHungry:
 		return "became-hungry"
-	case EventStillThinking:
-		return "still-thinking"
 	case EventCommitted:
 		return "committed"
 	case EventTookFork:
@@ -144,12 +143,6 @@ func (e Event) String() string {
 type Recorder interface {
 	Record(Event)
 }
-
-// RecorderFunc adapts a function to the Recorder interface.
-type RecorderFunc func(Event)
-
-// Record implements Recorder.
-func (f RecorderFunc) Record(e Event) { f(e) }
 
 // emit records an event if a recorder is installed.
 func (w *World) emit(kind EventKind, p graph.PhilID, f graph.ForkID, detail int64) {

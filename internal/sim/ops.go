@@ -24,12 +24,6 @@ func (w *World) BecomeHungry(p graph.PhilID) {
 	w.emit(EventBecameHungry, p, graph.NoFork, 0)
 }
 
-// StayThinking records that p was scheduled while thinking and did not become
-// hungry.
-func (w *World) StayThinking(p graph.PhilID) {
-	w.emit(EventStillThinking, p, graph.NoFork, 0)
-}
-
 // Commit records p selecting fork f as its first fork (not yet taken).
 func (w *World) Commit(p graph.PhilID, f graph.ForkID) {
 	st := &w.Phils[p]

@@ -90,61 +90,6 @@ type SideSymmetricProgram interface {
 	SideSymmetric() bool
 }
 
-// HungerModel decides when thinking philosophers become hungry. The paper
-// assumes "think may not terminate": the end of thinking is not under the
-// algorithm's control, so it is a property of the workload, not of the
-// program.
-type HungerModel interface {
-	// Name returns the model's name for reports.
-	Name() string
-	// HungerProbability returns the probability that philosopher p, scheduled
-	// while thinking, becomes hungry at this step.
-	HungerProbability(w *World, p graph.PhilID) float64
-}
-
-// AlwaysHungry is the saturated workload: thinking terminates immediately, so
-// every philosopher re-enters the trying section as soon as it is scheduled.
-// This is the workload of the paper's progress and lockout analyses ("whenever
-// a philosopher is hungry...").
-type AlwaysHungry struct{}
-
-// Name implements HungerModel.
-func (AlwaysHungry) Name() string { return "always-hungry" }
-
-// HungerProbability implements HungerModel.
-func (AlwaysHungry) HungerProbability(*World, graph.PhilID) float64 { return 1 }
-
-// NeverHungryAgainAfter is a workload in which each philosopher becomes hungry
-// until it has eaten Limit times and then thinks forever. Limit 0 means the
-// philosopher never becomes hungry at all. It reads the EatsBy metric, so it
-// must not be used with protocol-only worlds (CloneProtocol).
-type NeverHungryAgainAfter struct {
-	Limit int64
-}
-
-// Name implements HungerModel.
-func (m NeverHungryAgainAfter) Name() string { return fmt.Sprintf("appetite-%d", m.Limit) }
-
-// HungerProbability implements HungerModel.
-func (m NeverHungryAgainAfter) HungerProbability(w *World, p graph.PhilID) float64 {
-	if w.EatsBy[p] >= m.Limit {
-		return 0
-	}
-	return 1
-}
-
-// BernoulliHunger is a workload in which a scheduled thinking philosopher
-// becomes hungry with fixed probability P.
-type BernoulliHunger struct {
-	P float64
-}
-
-// Name implements HungerModel.
-func (m BernoulliHunger) Name() string { return fmt.Sprintf("bernoulli-%.2f", m.P) }
-
-// HungerProbability implements HungerModel.
-func (m BernoulliHunger) HungerProbability(*World, graph.PhilID) float64 { return m.P }
-
 // applyBecomeHungry performs the "become hungry" bookkeeping and jumps to the
 // program counter in arg.
 func applyBecomeHungry(w *World, p graph.PhilID, arg int64) {
@@ -152,41 +97,14 @@ func applyBecomeHungry(w *World, p graph.PhilID, arg int64) {
 	w.Phils[p].PC = uint8(arg)
 }
 
-// applyStayThinking records a scheduled thinking philosopher that kept
-// thinking.
-func applyStayThinking(w *World, p graph.PhilID, _ int64) {
-	w.StayThinking(p)
-}
-
 // ThinkOutcomes is a helper for programs: it appends the outcome set of a
-// scheduled thinking philosopher under the world's hunger model to buf. When
-// the philosopher becomes hungry, the standard bookkeeping runs and its
-// program counter is set to hungryPC (the first line of the trying section).
+// scheduled thinking philosopher to buf. The workload is saturated — the
+// paper's progress and lockout analyses assume that thinking ends as soon as
+// the philosopher is scheduled — so the set is the single outcome "become
+// hungry" with probability 1: the standard bookkeeping runs and the program
+// counter is set to hungryPC (the first line of the trying section).
 func ThinkOutcomes(w *World, p graph.PhilID, buf []Outcome, hungryPC uint8) []Outcome {
-	prob := 1.0
-	if w.Hunger != nil {
-		prob = w.Hunger.HungerProbability(w, p)
-	}
-	hungry := Outcome{
-		Prob:  prob,
-		Label: "become hungry",
-		Arg:   int64(hungryPC),
-		Apply: applyBecomeHungry,
-	}
-	if prob >= 1 {
-		hungry.Prob = 1
-		return append(buf, hungry)
-	}
-	think := Outcome{
-		Prob:  1 - prob,
-		Label: "keep thinking",
-		Apply: applyStayThinking,
-	}
-	if prob <= 0 {
-		think.Prob = 1
-		return append(buf, think)
-	}
-	return append(buf, hungry, think)
+	return append(buf, Outcome{Prob: 1, Label: "become hungry", Arg: int64(hungryPC), Apply: applyBecomeHungry})
 }
 
 // SampleOutcome selects one of the outcomes according to their probabilities

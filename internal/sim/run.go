@@ -34,18 +34,6 @@ type ResettableScheduler interface {
 	Reset()
 }
 
-// SchedulerFunc adapts a function to the Scheduler interface.
-type SchedulerFunc struct {
-	SchedulerName string
-	NextFunc      func(w *World) graph.PhilID
-}
-
-// Name implements Scheduler.
-func (s SchedulerFunc) Name() string { return s.SchedulerName }
-
-// Next implements Scheduler.
-func (s SchedulerFunc) Next(w *World) graph.PhilID { return s.NextFunc(w) }
-
 // RunOptions configures a run of the step engine.
 type RunOptions struct {
 	// MaxSteps bounds the number of atomic actions; 0 means the package
@@ -68,8 +56,6 @@ type RunOptions struct {
 	// cancellation reaches the step loop without threading a Context (and a
 	// per-step branch) through the hot path.
 	Stop func() bool
-	// Hunger overrides the default AlwaysHungry workload when non-nil.
-	Hunger HungerModel
 	// Recorder receives every event when non-nil.
 	Recorder Recorder
 	// CheckInvariants makes the engine verify World.CheckInvariants after
@@ -162,9 +148,6 @@ func Run(topo *graph.Topology, prog Program, sched Scheduler, rng *prng.Source, 
 		return nil, errors.New("sim: Run requires topology, program, scheduler and rng")
 	}
 	w := NewWorld(topo)
-	if opts.Hunger != nil {
-		w.Hunger = opts.Hunger
-	}
 	w.SetRecorder(opts.Recorder)
 	prog.Init(w)
 	return RunWorld(w, prog, sched, rng, opts)
@@ -192,9 +175,6 @@ func RunWorldInto(res *Result, w *World, prog Program, sched Scheduler, rng *prn
 	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = DefaultMaxSteps
-	}
-	if opts.Hunger != nil {
-		w.Hunger = opts.Hunger
 	}
 	if opts.Recorder != nil {
 		w.SetRecorder(opts.Recorder)

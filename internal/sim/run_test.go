@@ -61,6 +61,12 @@ func toyApplyFinish(w *World, p graph.PhilID, _ int64) {
 	w.BackToThinking(p, 1)
 }
 
+// schedFunc adapts a function to the Scheduler interface.
+type schedFunc func(w *World) graph.PhilID
+
+func (schedFunc) Name() string                 { return "test-func" }
+func (f schedFunc) Next(w *World) graph.PhilID { return f(w) }
+
 // roundRobin is a minimal fair scheduler for engine tests.
 type roundRobin struct{ next int }
 
@@ -164,16 +170,13 @@ func TestRunDetectsStarvationUnderUnfairScheduler(t *testing.T) {
 	// the paper's sense; but a scheduler that schedules everyone once and then
 	// ignores philosopher 2 leaves it hungry forever.
 	calls := 0
-	unfair := SchedulerFunc{
-		SchedulerName: "unfair",
-		NextFunc: func(w *World) graph.PhilID {
-			calls++
-			if calls <= 3 {
-				return graph.PhilID(calls - 1) // let everyone become hungry
-			}
-			return graph.PhilID(calls % 2)
-		},
-	}
+	unfair := schedFunc(func(w *World) graph.PhilID {
+		calls++
+		if calls <= 3 {
+			return graph.PhilID(calls - 1) // let everyone become hungry
+		}
+		return graph.PhilID(calls % 2)
+	})
 	res, err := Run(graph.Path(3), toyProgram{}, unfair, prng.New(5), RunOptions{MaxSteps: 2000})
 	if err != nil {
 		t.Fatal(err)
@@ -194,12 +197,12 @@ func TestRunDetectsStarvationUnderUnfairScheduler(t *testing.T) {
 
 func TestRunRecordsEvents(t *testing.T) {
 	t.Parallel()
-	var events []Event
-	rec := RecorderFunc(func(e Event) { events = append(events, e) })
+	rec := &eventLog{}
 	_, err := Run(graph.Path(2), toyProgram{}, &roundRobin{}, prng.New(6), RunOptions{
 		MaxSteps: 200,
 		Recorder: rec,
 	})
+	events := rec.events
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,9 +220,14 @@ func TestRunRecordsEvents(t *testing.T) {
 	}
 }
 
+// eventLog is a Recorder keeping every event.
+type eventLog struct{ events []Event }
+
+func (l *eventLog) Record(e Event) { l.events = append(l.events, e) }
+
 func TestRunRejectsBadScheduler(t *testing.T) {
 	t.Parallel()
-	bad := SchedulerFunc{SchedulerName: "bad", NextFunc: func(*World) graph.PhilID { return 99 }}
+	bad := schedFunc(func(*World) graph.PhilID { return 99 })
 	if _, err := Run(graph.Path(2), toyProgram{}, bad, prng.New(1), RunOptions{MaxSteps: 10}); err == nil {
 		t.Fatal("Run accepted an out-of-range philosopher from the scheduler")
 	}
@@ -241,69 +249,18 @@ func TestRunRejectsNilArguments(t *testing.T) {
 	}
 }
 
-func TestRunIsDeterministicForSeed(t *testing.T) {
-	t.Parallel()
-	run := func(seed uint64) *Result {
-		res, err := Run(graph.Ring(4), toyProgram{}, &roundRobin{}, prng.New(seed), RunOptions{
-			MaxSteps: 3000,
-			Hunger:   BernoulliHunger{P: 0.5},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(11), run(11)
-	if a.TotalEats != b.TotalEats || a.Steps != b.Steps || a.FirstEatStep != b.FirstEatStep {
-		t.Error("identical seeds produced different runs")
-	}
-}
-
-func TestHungerModels(t *testing.T) {
-	t.Parallel()
-	w := NewWorld(graph.Ring(3))
-	if got := (AlwaysHungry{}).HungerProbability(w, 0); got != 1 {
-		t.Errorf("AlwaysHungry probability = %v", got)
-	}
-	limited := NeverHungryAgainAfter{Limit: 2}
-	if got := limited.HungerProbability(w, 0); got != 1 {
-		t.Errorf("limited appetite before limit = %v, want 1", got)
-	}
-	w.EatsBy[0] = 2
-	if got := limited.HungerProbability(w, 0); got != 0 {
-		t.Errorf("limited appetite at limit = %v, want 0", got)
-	}
-	if got := (BernoulliHunger{P: 0.3}).HungerProbability(w, 0); math.Abs(got-0.3) > 1e-12 {
-		t.Errorf("Bernoulli probability = %v", got)
-	}
-	if (AlwaysHungry{}).Name() == "" || limited.Name() == "" || (BernoulliHunger{P: 0.3}).Name() == "" {
-		t.Error("hunger models should have names")
-	}
-}
-
 func TestThinkOutcomes(t *testing.T) {
 	t.Parallel()
 	w := NewWorld(graph.Ring(3))
-	w.Hunger = BernoulliHunger{P: 0.25}
-	got := ThinkOutcomes(w, 0, nil, 2)
-	if len(got) != 2 {
-		t.Fatalf("expected 2 outcomes for fractional hunger, got %d", len(got))
+	hungry := ThinkOutcomes(w, 0, nil, 7)
+	if len(hungry) != 1 || hungry[0].Prob != 1 || hungry[0].Label != "become hungry" {
+		t.Fatalf("a scheduled thinking philosopher must become hungry with probability 1, got %+v", hungry)
 	}
-	if err := ValidateOutcomes(got); err != nil {
+	if err := ValidateOutcomes(hungry); err != nil {
 		t.Error(err)
 	}
-	w.Hunger = AlwaysHungry{}
-	if got := ThinkOutcomes(w, 0, nil, 2); len(got) != 1 {
-		t.Errorf("AlwaysHungry should give a single outcome, got %d", len(got))
-	}
-	w.Hunger = NeverHungryAgainAfter{Limit: 0}
-	if got := ThinkOutcomes(w, 0, nil, 2); len(got) != 1 || got[0].Label != "keep thinking" {
-		t.Errorf("zero appetite should give a single keep-thinking outcome")
-	}
-	// The hungry outcome applies the standard bookkeeping and jumps to the
+	// The outcome applies the standard bookkeeping and jumps to the
 	// requested PC.
-	w.Hunger = AlwaysHungry{}
-	hungry := ThinkOutcomes(w, 0, nil, 7)
 	hungry[0].Do(w, 0)
 	if !w.IsHungry(0) || w.Phils[0].PC != 7 {
 		t.Errorf("hungry outcome did not apply: phase %v pc %d", w.PhaseOf(0), w.Phils[0].PC)

@@ -178,14 +178,9 @@ type World struct {
 	pending *pendingGrants
 	// Step counts atomic actions executed so far.
 	Step int64
-	// Hunger decides when thinking philosophers become hungry (the workload).
-	// It is policy, not protocol state, and is excluded from Key.
-	Hunger HungerModel
 
 	// Metrics (not part of Key). On protocol-only worlds (CloneProtocol) the
-	// metric slices are nil and the mutation helpers skip metric updates;
-	// metric-reading hunger models (NeverHungryAgainAfter) must not be used
-	// with such worlds.
+	// metric slices are nil and the mutation helpers skip metric updates.
 
 	// TotalEats is the number of completed meals.
 	TotalEats int64
@@ -225,7 +220,6 @@ func NewWorld(topo *graph.Topology) *World {
 		req:          make([]bool, topo.TotalSlots()),
 		used:         make([]int64, topo.TotalSlots()),
 		Step:         0,
-		Hunger:       AlwaysHungry{},
 		FirstEatStep: -1,
 	}
 	for p := range w.Phils {
@@ -324,7 +318,6 @@ func (w *World) Clone() *World {
 		used:         append([]int64(nil), w.used...),
 		Globals:      append([]int64(nil), w.Globals...),
 		Step:         w.Step,
-		Hunger:       w.Hunger,
 		TotalEats:    w.TotalEats,
 		FirstEatStep: w.FirstEatStep,
 		TotalWait:    w.TotalWait,
@@ -363,7 +356,6 @@ func (w *World) CloneProtocolInto(dst *World) *World {
 			used:    append([]int64(nil), w.used...),
 			Globals: append([]int64(nil), w.Globals...),
 			Step:    w.Step,
-			Hunger:  w.Hunger,
 		}
 		if w.pending != nil {
 			c.pending = &pendingGrants{slots: append([]uint8(nil), w.pending.slots...)}
@@ -384,7 +376,6 @@ func (w *World) CloneProtocolInto(dst *World) *World {
 		dst.pending = &pendingGrants{slots: append([]uint8(nil), w.pending.slots...)}
 	}
 	dst.Step = w.Step
-	dst.Hunger = w.Hunger
 	return dst
 }
 
@@ -406,7 +397,6 @@ func (w *World) View() *World {
 		Globals:      w.Globals,
 		pending:      w.pending,
 		Step:         w.Step,
-		Hunger:       w.Hunger,
 		FirstEatStep: -1,
 	}
 }
@@ -445,7 +435,6 @@ func (w *World) CloneLocalInto(dst *World, p graph.PhilID) *World {
 	}
 	dst.Globals = append(dst.Globals[:0], w.Globals...)
 	dst.Step = w.Step
-	dst.Hunger = w.Hunger
 	return dst
 }
 

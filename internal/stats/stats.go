@@ -1,5 +1,5 @@
 // Package stats provides the small statistical toolkit used by the
-// experiment harness: running moments, histograms, binomial proportion
+// experiment harness: running moments, binomial proportion
 // estimates with confidence intervals, and fairness indices over
 // per-philosopher meal counts.
 package stats
@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Running accumulates a stream of float64 observations with Welford's
@@ -158,128 +157,4 @@ func JainIndex(xs []int64) float64 {
 		return 1
 	}
 	return sum * sum / (float64(len(xs)) * sumSq)
-}
-
-// MinMax returns the smallest and largest values of xs (0, 0 for empty input).
-func MinMax(xs []int64) (min, max int64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []int64) int64 {
-	var total int64
-	for _, x := range xs {
-		total += x
-	}
-	return total
-}
-
-// Percentile returns the q-th percentile (0 <= q <= 100) of xs using
-// nearest-rank on a sorted copy. It returns 0 for empty input.
-func Percentile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(q/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
-}
-
-// Histogram is a fixed-bucket histogram over int64 observations.
-type Histogram struct {
-	// BucketWidth is the width of each bucket (must be positive).
-	BucketWidth int64
-	counts      map[int64]int64
-	total       int64
-}
-
-// NewHistogram returns a histogram with the given bucket width.
-func NewHistogram(bucketWidth int64) *Histogram {
-	if bucketWidth <= 0 {
-		bucketWidth = 1
-	}
-	return &Histogram{BucketWidth: bucketWidth, counts: make(map[int64]int64)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x int64) {
-	bucket := x / h.BucketWidth
-	if x < 0 {
-		bucket = -((-x + h.BucketWidth - 1) / h.BucketWidth)
-	}
-	h.counts[bucket]++
-	h.total++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Buckets returns the non-empty buckets as (lower bound, count) pairs in
-// increasing order.
-func (h *Histogram) Buckets() ([]int64, []int64) {
-	keys := make([]int64, 0, len(h.counts))
-	for k := range h.counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	lows := make([]int64, len(keys))
-	counts := make([]int64, len(keys))
-	for i, k := range keys {
-		lows[i] = k * h.BucketWidth
-		counts[i] = h.counts[k]
-	}
-	return lows, counts
-}
-
-// String renders a small ASCII bar chart.
-func (h *Histogram) String() string {
-	lows, counts := h.Buckets()
-	var maxCount int64
-	for _, c := range counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	out := ""
-	for i := range lows {
-		bar := 1
-		if maxCount > 0 {
-			bar = int(40 * counts[i] / maxCount)
-		}
-		if bar < 1 {
-			bar = 1
-		}
-		out += fmt.Sprintf("%8d | %s %d\n", lows[i], repeat('#', bar), counts[i])
-	}
-	return out
-}
-
-func repeat(c byte, n int) string {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = c
-	}
-	return string(b)
 }

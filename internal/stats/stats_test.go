@@ -142,66 +142,3 @@ func TestJainIndexBoundsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestMinMaxSum(t *testing.T) {
-	t.Parallel()
-	min, max := MinMax([]int64{3, -1, 7, 0})
-	if min != -1 || max != 7 {
-		t.Errorf("MinMax = %d, %d", min, max)
-	}
-	if Sum([]int64{3, -1, 7, 0}) != 9 {
-		t.Error("Sum wrong")
-	}
-	min, max = MinMax(nil)
-	if min != 0 || max != 0 {
-		t.Error("MinMax of empty should be 0,0")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	t.Parallel()
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := Percentile(xs, 50); got != 5 {
-		t.Errorf("P50 = %v, want 5", got)
-	}
-	if got := Percentile(xs, 100); got != 10 {
-		t.Errorf("P100 = %v, want 10", got)
-	}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Errorf("P0 = %v, want 1", got)
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("empty percentile = %v, want 0", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	t.Parallel()
-	h := NewHistogram(10)
-	for _, x := range []int64{1, 5, 9, 10, 11, 25, 25, -3} {
-		h.Add(x)
-	}
-	if h.Total() != 8 {
-		t.Errorf("Total = %d", h.Total())
-	}
-	lows, counts := h.Buckets()
-	if len(lows) != len(counts) || len(lows) == 0 {
-		t.Fatal("empty buckets")
-	}
-	if lows[0] != -10 {
-		t.Errorf("first bucket low = %d, want -10 for the negative observation", lows[0])
-	}
-	var sum int64
-	for _, c := range counts {
-		sum += c
-	}
-	if sum != 8 {
-		t.Errorf("bucket counts sum to %d, want 8", sum)
-	}
-	if h.String() == "" {
-		t.Error("empty histogram rendering")
-	}
-	if NewHistogram(0).BucketWidth != 1 {
-		t.Error("zero bucket width should be clamped to 1")
-	}
-}

@@ -82,20 +82,16 @@ func (t *Trace) String() string {
 	return b.String()
 }
 
-// run executes steps from the initial state of prog on topo (under hunger;
-// nil keeps the saturated default workload) and returns the final world. The
-// execution mirrors the model checker's transition semantics exactly: the
-// scheduled philosopher's outcome set is computed, the indexed outcome is
-// applied, and the step counter advances. fill controls whether each step's
+// run executes steps from the initial state of prog on topo and returns the
+// final world. The execution mirrors the model checker's transition
+// semantics exactly: the scheduled philosopher's outcome set is computed, the
+// indexed outcome is applied, and the step counter advances. fill controls whether each step's
 // Label and Prob are (re)written from the executed outcome.
-func run(topo *graph.Topology, prog sim.Program, hunger sim.HungerModel, steps []Step, fill bool) (*sim.World, error) {
+func run(topo *graph.Topology, prog sim.Program, steps []Step, fill bool) (*sim.World, error) {
 	if topo == nil || prog == nil {
 		return nil, fmt.Errorf("trace: run requires a topology and a program")
 	}
 	w := sim.NewWorld(topo)
-	if hunger != nil {
-		w.Hunger = hunger
-	}
 	prog.Init(w)
 	var buf []sim.Outcome
 	for i := range steps {
@@ -124,8 +120,8 @@ func run(topo *graph.Topology, prog sim.Program, hunger sim.HungerModel, steps [
 // probabilities are filled in from the executed outcomes, the final state is
 // rendered in the paper's arrow notation, and its canonical key is recorded
 // for replay verification. Build takes ownership of steps.
-func Build(topo *graph.Topology, prog sim.Program, hunger sim.HungerModel, property string, steps []Step) (*Trace, error) {
-	w, err := run(topo, prog, hunger, steps, true)
+func Build(topo *graph.Topology, prog sim.Program, property string, steps []Step) (*Trace, error) {
+	w, err := run(topo, prog, steps, true)
 	if err != nil {
 		return nil, err
 	}
@@ -149,12 +145,11 @@ func faultSpec(prog sim.Program) string {
 	return ""
 }
 
-// Replay re-executes a trace's scheduler choices against prog on topo (under
-// hunger; nil keeps the default workload) and verifies the run lands in the
-// state the trace reports. It returns the final world on success and an
+// Replay re-executes a trace's scheduler choices against prog on topo and
+// verifies the run lands in the state the trace reports. It returns the final world on success and an
 // error when the trace names a different system, a step is inapplicable, or
 // the final state diverges from FinalKey.
-func Replay(topo *graph.Topology, prog sim.Program, hunger sim.HungerModel, t *Trace) (*sim.World, error) {
+func Replay(topo *graph.Topology, prog sim.Program, t *Trace) (*sim.World, error) {
 	if t == nil {
 		return nil, fmt.Errorf("trace: Replay requires a trace")
 	}
@@ -168,7 +163,7 @@ func Replay(topo *graph.Topology, prog sim.Program, hunger sim.HungerModel, t *T
 		return nil, fmt.Errorf("trace: trace was recorded under faults %q, not %q", t.Faults, faultSpec(prog))
 	}
 	steps := append([]Step(nil), t.Steps...)
-	w, err := run(topo, prog, hunger, steps, false)
+	w, err := run(topo, prog, steps, false)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ func TestBuildFillsLabelsAndReplayVerifies(t *testing.T) {
 	}
 	// Schedule P0 twice: become hungry, then the commit coin flip (outcome 0).
 	steps := []Step{{Phil: 0, Outcome: 0}, {Phil: 0, Outcome: 0}}
-	tr, err := Build(topo, prog, nil, "test-property", steps)
+	tr, err := Build(topo, prog, "test-property", steps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestBuildFillsLabelsAndReplayVerifies(t *testing.T) {
 	if tr.FinalKey == "" || tr.FinalState == "" {
 		t.Error("Build must record the final key and rendered final state")
 	}
-	if _, err := Replay(topo, prog, nil, tr); err != nil {
+	if _, err := Replay(topo, prog, tr); err != nil {
 		t.Fatalf("replay of a freshly built trace failed: %v", err)
 	}
 	if s := tr.String(); !strings.Contains(s, "test-property") || !strings.Contains(s, "P0") {
@@ -49,13 +49,13 @@ func TestBuildAndReplayRejectBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Build(topo, prog, nil, "p", []Step{{Phil: 9, Outcome: 0}}); err == nil {
+	if _, err := Build(topo, prog, "p", []Step{{Phil: 9, Outcome: 0}}); err == nil {
 		t.Error("Build accepted an out-of-range philosopher")
 	}
-	if _, err := Build(topo, prog, nil, "p", []Step{{Phil: 0, Outcome: 7}}); err == nil {
+	if _, err := Build(topo, prog, "p", []Step{{Phil: 0, Outcome: 7}}); err == nil {
 		t.Error("Build accepted an out-of-range outcome index")
 	}
-	tr, err := Build(topo, prog, nil, "p", []Step{{Phil: 0, Outcome: 0}})
+	tr, err := Build(topo, prog, "p", []Step{{Phil: 0, Outcome: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,15 +63,15 @@ func TestBuildAndReplayRejectBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Replay(topo, other, nil, tr); err == nil {
+	if _, err := Replay(topo, other, tr); err == nil {
 		t.Error("Replay accepted a trace recorded for a different algorithm")
 	}
-	if _, err := Replay(graph.Ring(4), prog, nil, tr); err == nil {
+	if _, err := Replay(graph.Ring(4), prog, tr); err == nil {
 		t.Error("Replay accepted a trace recorded on a different topology")
 	}
 	bad := *tr
 	bad.FinalKey = "ff"
-	if _, err := Replay(topo, prog, nil, &bad); err == nil {
+	if _, err := Replay(topo, prog, &bad); err == nil {
 		t.Error("Replay accepted a diverging final key")
 	}
 }
@@ -83,7 +83,7 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := Build(topo, prog, nil, "progress", []Step{{Phil: 0, Outcome: 0}, {Phil: 1, Outcome: 0}})
+	tr, err := Build(topo, prog, "progress", []Step{{Phil: 0, Outcome: 0}, {Phil: 1, Outcome: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The wire format is replayable: a trace decoded from JSON verifies.
-	if _, err := Replay(topo, prog, nil, &back); err != nil {
+	if _, err := Replay(topo, prog, &back); err != nil {
 		t.Fatalf("replay of a JSON round-tripped trace failed: %v", err)
 	}
 }

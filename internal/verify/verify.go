@@ -1,17 +1,15 @@
 // Package verify provides machine-checkable formulations of the paper's
 // statements that complement the exhaustive model checker on instances too
 // large to explore: Monte-Carlo progress and lockout-freedom checks
-// (Theorems 3 and 4), the probability lower bound used in the proof of
-// Theorem 3, and a symmetry audit of the algorithms (the paper's symmetry and
-// full-distribution conditions).
+// (Theorems 3 and 4), and the probability lower bounds of the paper: the one
+// used in the proof of Theorem 3 and the Section 3 scheduler's success
+// bound.
 package verify
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
-	"repro/internal/algo"
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/prng"
@@ -22,13 +20,6 @@ import (
 // SchedulerFactory constructs a fresh scheduler for each trial (schedulers
 // carry state, so they cannot be shared across trials).
 type SchedulerFactory func(rng *prng.Source) sim.Scheduler
-
-// forEachTrial runs trial functions across a worker pool, collecting
-// results in trial-index order so that aggregation (including
-// floating-point folds) is identical to a sequential run; see par.Trials.
-func forEachTrial[T any](workers, trials int, run func(trial int) (T, error)) ([]T, error) {
-	return par.Trials(workers, trials, run)
-}
 
 // trialSlot is the per-worker working set of one Monte-Carlo trial: the
 // recycled world, the recycled run summary, and the recycled run-level
@@ -161,7 +152,7 @@ func (c ProgressCheck) Run() (*ProgressResult, error) {
 		seed     uint64
 	}
 	worlds := newTrialPool(c.Topology, c.Algorithm)
-	perTrial, err := forEachTrial(c.Workers, c.Trials, func(i int) (trialResult, error) {
+	perTrial, err := par.Trials(c.Workers, c.Trials, func(i int) (trialResult, error) {
 		seed := c.Seed + uint64(i)*0x9e3779b9
 		s := worlds.get()
 		rng, sched := s.prepare(c.Scheduler, seed)
@@ -244,7 +235,7 @@ func (c LockoutCheck) Run() (*LockoutResult, error) {
 		seed uint64
 	}
 	worlds := newTrialPool(c.Topology, c.Algorithm)
-	perTrial, err := forEachTrial(c.Workers, c.Trials, func(i int) (trialResult, error) {
+	perTrial, err := par.Trials(c.Workers, c.Trials, func(i int) (trialResult, error) {
 		seed := c.Seed + uint64(i)*0x9e3779b9
 		s := worlds.get()
 		rng, sched := s.prepare(c.Scheduler, seed)
@@ -298,36 +289,6 @@ func DistinctNumberBound(m, k int) float64 {
 	return p
 }
 
-// EstimateDistinctNumberProbability estimates, by simulation, the probability
-// that k independent uniform draws from [1, m] are pairwise distinct. It is
-// used to validate DistinctNumberBound against an independent computation.
-func EstimateDistinctNumberProbability(m, k int, trials int, seed uint64) float64 {
-	if trials <= 0 {
-		trials = 100_000
-	}
-	rng := prng.New(seed)
-	hits := 0
-	seen := make(map[int]bool, k)
-	for t := 0; t < trials; t++ {
-		for key := range seen {
-			delete(seen, key)
-		}
-		distinct := true
-		for i := 0; i < k; i++ {
-			v := rng.IntRange(1, m)
-			if seen[v] {
-				distinct = false
-				break
-			}
-			seen[v] = true
-		}
-		if distinct {
-			hits++
-		}
-	}
-	return float64(hits) / float64(trials)
-}
-
 // Section3Bound returns the paper's lower bound for the probability that the
 // fair approximation of the Section 3 scheduler succeeds forever:
 // 1/4 · Π_{k≥1}(1 − p^k) ≥ 1/4 · (1 − p − p²), which is at least 1/16 for
@@ -337,104 +298,4 @@ func Section3Bound(p float64) float64 {
 		return 0
 	}
 	return 0.25 * (1 - p - p*p)
-}
-
-// SymmetryReport is the result of a symmetry audit.
-type SymmetryReport struct {
-	// IdenticalInitialStates reports whether all philosophers and all forks
-	// start in identical states.
-	IdenticalInitialStates bool
-	// UsesSharedGlobals reports whether the algorithm touched any shared
-	// global register during a probe run (full distribution forbids it).
-	UsesSharedGlobals bool
-	// Details carries human-readable findings.
-	Details []string
-}
-
-// Symmetric is the overall verdict: identical initial states and no shared
-// state beyond the forks.
-func (r SymmetryReport) Symmetric() bool {
-	return r.IdenticalInitialStates && !r.UsesSharedGlobals
-}
-
-// AuditSymmetry checks the paper's symmetry and full-distribution conditions
-// for an algorithm on a topology: all philosophers and forks must start in the
-// same state, and a probe run must not use any shared variable other than the
-// forks themselves.
-func AuditSymmetry(topo *graph.Topology, prog sim.Program, seed uint64) SymmetryReport {
-	var rep SymmetryReport
-	w := sim.NewWorld(topo)
-	prog.Init(w)
-
-	rep.IdenticalInitialStates = true
-	for p := 1; p < len(w.Phils); p++ {
-		if w.Phils[p] != w.Phils[0] {
-			rep.IdenticalInitialStates = false
-			//dplint:ok hotalloc cold path: the symmetry audit runs once per algorithm, not per trial
-			rep.Details = append(rep.Details, fmt.Sprintf("philosopher %d starts in a different state than philosopher 0", p))
-			break
-		}
-	}
-	for f := 1; f < len(w.Forks); f++ {
-		if w.Forks[f].NR != w.Forks[0].NR || w.Forks[f].Holder != w.Forks[0].Holder {
-			rep.IdenticalInitialStates = false
-			//dplint:ok hotalloc cold path: the symmetry audit runs once per algorithm, not per trial
-			rep.Details = append(rep.Details, fmt.Sprintf("fork %d starts in a different state than fork 0", f))
-			break
-		}
-	}
-	if len(w.Globals) > 0 {
-		for _, g := range w.Globals {
-			if g != 0 {
-				rep.UsesSharedGlobals = true
-			}
-		}
-	}
-
-	// Probe run: any write to a shared global register is a violation of full
-	// distribution.
-	rng := prng.New(seed)
-	sched := sim.SchedulerFunc{
-		SchedulerName: "audit-round-robin",
-		NextFunc: func(w *sim.World) graph.PhilID {
-			return graph.PhilID(w.Step % int64(len(w.Phils)))
-		},
-	}
-	res, err := sim.RunWorld(w, prog, sched, rng, sim.RunOptions{MaxSteps: 5000})
-	if err != nil {
-		rep.Details = append(rep.Details, "probe run failed: "+err.Error())
-		return rep
-	}
-	for _, g := range res.Final.Globals {
-		if g != 0 {
-			rep.UsesSharedGlobals = true
-		}
-	}
-	if len(res.Final.Globals) > 0 && !rep.UsesSharedGlobals {
-		// Globals allocated but never set to a non-zero value still indicate
-		// shared state (for example a monitor token that happened to be free
-		// at the end); report it.
-		rep.UsesSharedGlobals = true
-	}
-	if rep.UsesSharedGlobals {
-		rep.Details = append(rep.Details, "algorithm uses shared global registers (not fully distributed)")
-	}
-	return rep
-}
-
-// AlgorithmOptionsForTheorem3 returns the algorithm options used by the
-// Theorem 3 experiments for a given m multiplier: m = multiplier × k, so the
-// DistinctNumberBound can be swept.
-func AlgorithmOptionsForTheorem3(topo *graph.Topology, multiplier int) algo.Options {
-	if multiplier < 1 {
-		multiplier = 1
-	}
-	return algo.Options{M: topo.NumForks() * multiplier}
-}
-
-// TheoremBoundGap quantifies how conservative the Theorem 3 bound is for a
-// given m and k: the ratio between the exact distinct-draw probability and 1.
-// It is exported for the bound-sweep experiment (E-B2).
-func TheoremBoundGap(m, k int) float64 {
-	return math.Max(0, 1-DistinctNumberBound(m, k))
 }

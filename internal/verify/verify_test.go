@@ -14,6 +14,34 @@ import (
 func randomSched(rng *prng.Source) sim.Scheduler { return sched.NewUniformRandom(rng) }
 func roundRobinSched(*prng.Source) sim.Scheduler { return sched.NewRoundRobin() }
 
+// auditSymmetry checks the paper's symmetry and full-distribution conditions
+// for prog on topo: identical reports whether every philosopher and every
+// fork starts in the same state, and sharesGlobals whether a 5,000-step
+// round-robin run used any shared register beyond the forks.
+func auditSymmetry(t *testing.T, topo *graph.Topology, prog sim.Program, seed uint64) (identical, sharesGlobals bool) {
+	t.Helper()
+	w := sim.NewWorld(topo)
+	prog.Init(w)
+	identical = true
+	for p := range w.Phils {
+		if w.Phils[p] != w.Phils[0] {
+			t.Logf("%s: philosopher %d starts in a different state than philosopher 0", prog.Name(), p)
+			identical = false
+		}
+	}
+	for f := range w.Forks {
+		if w.Forks[f] != w.Forks[0] {
+			t.Logf("%s: fork %d starts in a different state than fork 0", prog.Name(), f)
+			identical = false
+		}
+	}
+	res, err := sim.RunWorld(w, prog, sched.NewRoundRobin(), prng.New(seed), sim.RunOptions{MaxSteps: 5000})
+	if err != nil {
+		t.Fatalf("probe run of %s on %s failed: %v", prog.Name(), topo.Name(), err)
+	}
+	return identical, len(res.Final.Globals) != 0
+}
+
 func TestDistinctNumberBound(t *testing.T) {
 	t.Parallel()
 	if got := DistinctNumberBound(5, 1); got != 1 {
@@ -43,11 +71,29 @@ func TestDistinctNumberBoundPanicsWhenKExceedsM(t *testing.T) {
 	DistinctNumberBound(2, 3)
 }
 
+// TestDistinctNumberBoundMatchesSimulation checks the closed form against
+// an independent Monte-Carlo estimate: the fraction of 200,000 rounds of k
+// uniform draws from [1, m] that are pairwise distinct.
 func TestDistinctNumberBoundMatchesSimulation(t *testing.T) {
 	t.Parallel()
+	const trials = 200_000
 	for _, tc := range []struct{ m, k int }{{3, 3}, {6, 3}, {10, 4}} {
+		rng := prng.New(7)
+		hits := 0
+		for range trials {
+			seen := make([]bool, tc.m+1)
+			distinct := true
+			for range tc.k {
+				v := rng.IntRange(1, tc.m)
+				distinct = distinct && !seen[v]
+				seen[v] = true
+			}
+			if distinct {
+				hits++
+			}
+		}
 		analytic := DistinctNumberBound(tc.m, tc.k)
-		estimated := EstimateDistinctNumberProbability(tc.m, tc.k, 200_000, 7)
+		estimated := float64(hits) / trials
 		if math.Abs(analytic-estimated) > 0.01 {
 			t.Errorf("m=%d k=%d: analytic %v vs estimated %v", tc.m, tc.k, analytic, estimated)
 		}
@@ -151,9 +197,8 @@ func TestAuditSymmetryPaperAlgorithms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := AuditSymmetry(topo, prog, 3)
-		if !rep.Symmetric() {
-			t.Errorf("%s should pass the symmetry audit: %+v", name, rep)
+		if identical, shares := auditSymmetry(t, topo, prog, 3); !identical || shares {
+			t.Errorf("%s should pass the symmetry audit: identical initial states %v, shared globals %v", name, identical, shares)
 		}
 	}
 }
@@ -166,23 +211,8 @@ func TestAuditSymmetryRejectsCentralizedBaselines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := AuditSymmetry(topo, prog, 3)
-		if rep.Symmetric() {
+		if _, shares := auditSymmetry(t, topo, prog, 3); !shares {
 			t.Errorf("%s uses shared state and must fail the symmetry audit", name)
 		}
-	}
-}
-
-func TestAlgorithmOptionsForTheorem3(t *testing.T) {
-	t.Parallel()
-	topo := graph.Ring(4)
-	if got := AlgorithmOptionsForTheorem3(topo, 3).M; got != 12 {
-		t.Errorf("M = %d, want 12", got)
-	}
-	if got := AlgorithmOptionsForTheorem3(topo, 0).M; got != 4 {
-		t.Errorf("M with zero multiplier = %d, want 4", got)
-	}
-	if gap := TheoremBoundGap(4, 4); gap <= 0 || gap >= 1 {
-		t.Errorf("TheoremBoundGap(4,4) = %v out of (0,1)", gap)
 	}
 }

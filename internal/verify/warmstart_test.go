@@ -138,14 +138,16 @@ func TestTrialWarmStartAllocs(t *testing.T) {
 // aggregates.
 func closureSched(rng *prng.Source) sim.Scheduler {
 	next := 0
-	return sim.SchedulerFunc{
-		SchedulerName: "closure-robin",
-		NextFunc: func(w *sim.World) graph.PhilID {
-			next += 1 + rng.Intn(2)
-			return graph.PhilID(next % len(w.Phils))
-		},
-	}
+	return closureRobin(func(w *sim.World) graph.PhilID {
+		next += 1 + rng.Intn(2)
+		return graph.PhilID(next % len(w.Phils))
+	})
 }
+
+type closureRobin func(w *sim.World) graph.PhilID
+
+func (closureRobin) Name() string                     { return "closure-robin" }
+func (f closureRobin) Next(w *sim.World) graph.PhilID { return f(w) }
 
 // TestWarmStartNonResettableScheduler pins the factory-fallback path of the
 // trial pool: a scheduler that does not implement sim.ResettableScheduler is
