@@ -38,13 +38,22 @@ func main() {
 	cfg := cli.Config{Topology: "figure1a", Steps: 30_000, Seed: 3}
 	cfg.Register(flag.CommandLine, cli.FlagTopology|cli.FlagSteps|cli.FlagSeed|cli.FlagProps|cli.FlagJSON|cli.FlagWorkers|cli.FlagShards|cli.FlagFaults|cli.FlagSymmetry)
 	var (
-		window    = flag.Int64("window", 512, "fairness window of the adversary")
+		window    = flag.Int64("window", sched.DefaultBoundedWindow, "fairness window of the adversary (0 = the default)")
 		snapshots = flag.Int64("snapshots", 6, "number of state snapshots to print for the first algorithm")
 		maxStates = flag.Int("max-states", 500_000, "state cap of the -props property checks (0 = default)")
 	)
 	flag.Parse()
 	if err := cfg.Validate(); err != nil {
 		cli.Fatal("dpadversary", err)
+	}
+	// Resolve the window the adversary runs with, so the header reports it:
+	// a negative window is refused as dining.New refuses one, and 0 selects
+	// the bounded-fair default.
+	if *window < 0 {
+		cli.Fatal("dpadversary", fmt.Errorf("-window must be >= 0 (0 selects the default %d), got %d", sched.DefaultBoundedWindow, *window))
+	}
+	if *window == 0 {
+		*window = sched.DefaultBoundedWindow
 	}
 
 	topo, err := cfg.BuildTopology()

@@ -1,8 +1,10 @@
 // Command dpsim runs a generalized dining-philosophers simulation from the
 // command line: pick a topology, an algorithm, a scheduler and a seed, and it
 // reports meals, waiting times, fairness and (optionally) the full event
-// trace. With -trials > 1 the per-trial results stream in as workers finish;
-// the printed aggregates are bit-identical for any -workers value.
+// trace. A single run (-trials 1, the default) is one Engine.Run, so -trace
+// works at any -workers value. With -trials > 1 the per-trial results stream
+// in as workers finish; the printed aggregates are bit-identical for any
+// -workers value.
 //
 // Examples:
 //
@@ -65,30 +67,13 @@ func main() {
 		fmt.Println()
 	}
 
-	// Stream the trials as workers finish; keep them indexed so that every
-	// printed aggregate is independent of completion order.
-	byTrial := make([]dining.TrialResult, cfg.Trials)
-	for tr, err := range eng.Trials(ctx, cfg.Trials) {
+	if cfg.Trials == 1 && !cfg.JSON {
+		// A single run's report (and -trace's final state) comes from Run,
+		// the engine's one fresh-world run, which keeps the final world.
+		res, err := eng.Run(ctx)
 		if err != nil {
 			cli.Fatal("dpsim", err)
 		}
-		byTrial[tr.Trial] = tr
-		if !cfg.JSON && cfg.Trials > 1 {
-			fmt.Printf("trial %3d: meals %d, mean wait %.1f steps\n", tr.Trial, tr.TotalEats, tr.MeanWaitSteps)
-		}
-	}
-
-	if cfg.JSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(byTrial); err != nil {
-			cli.Fatal("dpsim", err)
-		}
-		return
-	}
-
-	if cfg.Trials == 1 {
-		res := byTrial[0]
 		fmt.Printf("meals: %d (per philosopher %v)\n", res.TotalEats, res.EatsBy)
 		fmt.Printf("first meal at step %d, mean wait %.1f steps, max scheduling gap %d\n",
 			res.FirstEatStep, res.MeanWaitSteps, res.MaxScheduleGap)
@@ -99,7 +84,29 @@ func main() {
 			fmt.Println("--- per-philosopher activity ---")
 			fmt.Print(trace.Summarize(log, topo.NumPhilosophers()))
 			fmt.Println("--- final state ---")
-			fmt.Print(trace.RenderState(res.Result.Final))
+			fmt.Print(trace.RenderState(res.Final))
+		}
+		return
+	}
+
+	// Stream the trials as workers finish; keep them indexed so that every
+	// printed aggregate is independent of completion order.
+	byTrial := make([]dining.TrialResult, cfg.Trials)
+	for tr, err := range eng.Trials(ctx, cfg.Trials) {
+		if err != nil {
+			cli.Fatal("dpsim", err)
+		}
+		byTrial[tr.Trial] = tr
+		if !cfg.JSON {
+			fmt.Printf("trial %3d: meals %d, mean wait %.1f steps\n", tr.Trial, tr.TotalEats, tr.MeanWaitSteps)
+		}
+	}
+
+	if cfg.JSON {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(byTrial); err != nil {
+			cli.Fatal("dpsim", err)
 		}
 		return
 	}

@@ -30,13 +30,17 @@
 //		dining.WithMaxSteps(100_000))
 //
 // Every run path takes a [context.Context] and honours cancellation:
-// [Engine.Run] executes one simulation, [Engine.Repeat] runs n deterministic
-// Monte-Carlo trials in index order, [Engine.Check] verifies properties,
-// [Engine.Explore] returns the explored state space, and
-// [Engine.RunConcurrent] executes the same program on real goroutines. The engine
-// is the only code that turns a configuration into a program, a scheduler
-// and a run: the experiment suite ([Experiments], [RunAll]) builds one
-// engine per table row.
+// [Engine.Run] executes one simulation from a fresh world and returns the
+// final world with it, [Engine.Trials] streams n deterministic Monte-Carlo
+// trials, [Engine.Check] verifies properties, [Engine.Explore] returns the
+// explored state space, and [Engine.RunConcurrent] executes the same program
+// on real goroutines. The engine is the only code that turns a configuration
+// into a program, a scheduler and a run: the experiment suite
+// ([Experiments], [RunAll]) builds one engine per table row. Every
+// Monte-Carlo trial other than Run's — Trials, the statistical properties and
+// the suite's sampled rows — runs on one warm-started harness, which clones a
+// prototype world and recycles each worker's world, run summary and
+// scheduler between trials.
 //
 // # Properties
 //
@@ -56,8 +60,8 @@
 // attach a replayable counterexample [Trace] to every failure — the exact
 // scheduler-choice path into the violating region, verifiable with
 // [Engine.ReplayTrace]; the statistical built-ins ([StatisticalProgress],
-// [StatisticalLockout]) wrap the Monte-Carlo checks for instances too large
-// to explore. Custom properties implement [Property] (or wrap a function in
+// [StatisticalLockout]) sample runs on the trial harness for instances too
+// large to explore. Custom properties implement [Property] (or wrap a function in
 // [PropertyFunc]) and register with [RegisterProperty].
 //
 // # Faults

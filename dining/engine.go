@@ -9,11 +9,11 @@ import (
 	"repro/internal/algo"
 	"repro/internal/fault"
 	"repro/internal/graph"
-	"repro/internal/par"
 	"repro/internal/prng"
 	"repro/internal/runtime"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/verify"
 )
 
 // seedStride separates derived per-trial seeds: trial i of an engine with
@@ -53,9 +53,9 @@ func WithScheduler(name string) Option { return func(c *config) { c.scheduler = 
 // streamed trials deterministic at any worker count.
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 
-// WithWorkers bounds the number of goroutines used by Trials, Repeat and
-// Sweep (0 = one per CPU, 1 = sequential). Results are identical for every
-// value.
+// WithWorkers bounds the number of goroutines used by Trials, Check (its
+// exploration, its property fan-out and its statistical trials) and Explore
+// (0 = one per CPU, 1 = sequential). Results are identical for every value.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithShards splits the state-space store of Check and Explore
@@ -118,8 +118,8 @@ func WithSymmetry() Option { return func(c *config) { c.symmetry = true } }
 // everything eagerly — an unknown model name, a rate outside [0, 1], too
 // many rates and a target philosopher the topology does not have are all
 // construction-time errors. The Monte-Carlo simulator and the exhaustive
-// model checker both run the wrapped program, so Run, Trials, Repeat, Check
-// and Explore all see the same perturbed MDP, and RunConcurrent runs it on
+// model checker both run the wrapped program, so Run, Trials, Check and
+// Explore all see the same perturbed MDP, and RunConcurrent runs it on
 // goroutines: every model, and every rate per step, as in the checker.
 func WithFaults(name string, rates ...float64) Option {
 	return func(c *config) {
@@ -135,9 +135,10 @@ func WithFaultTargets(phils ...PhilID) Option {
 	return func(c *config) { c.faultTargets = append([]PhilID(nil), phils...) }
 }
 
-// WithRecorder attaches an event recorder to Run. A recorder observes a
-// single event stream, so Trials and Repeat reject engines that have one
-// combined with more than one worker.
+// WithRecorder attaches an event recorder to Run and Trials. A recorder
+// observes a single event stream, so Trials rejects engines that have one
+// combined with more than one worker; Run, a single run, takes it at any
+// worker count.
 func WithRecorder(r Recorder) Option { return func(c *config) { c.recorder = r } }
 
 // Engine is an immutable, fully validated experiment configuration: a
@@ -300,25 +301,6 @@ func (c *config) newScheduler(rng *prng.Source) (sim.Scheduler, error) {
 	})
 }
 
-// simulate executes one simulation with the given seed — the single run
-// path behind Run, Trials, Repeat and the experiment suite. The run's random
-// source is seeded first and the scheduler draws from a split of it, so a
-// trial is a pure function of the engine and the seed. Cancelling ctx ends
-// the run with reason sim.StopCancelled.
-func (e *Engine) simulate(ctx context.Context, seed uint64, opts sim.RunOptions) (*SimResult, error) {
-	prog, err := e.program()
-	if err != nil {
-		return nil, err
-	}
-	rng := prng.New(seed)
-	scheduler, err := e.cfg.newScheduler(rng.Split())
-	if err != nil {
-		return nil, err
-	}
-	opts.Stop = stopFunc(ctx)
-	return sim.Run(e.topo, prog, scheduler, rng, opts)
-}
-
 // orBackground substitutes context.Background for a nil ctx so that every
 // engine entry point tolerates nil uniformly.
 func orBackground(ctx context.Context) context.Context {
@@ -336,14 +318,29 @@ func (e *Engine) runOptions() sim.RunOptions {
 // trialSeed derives the seed of trial i from the base seed and i alone.
 func (e *Engine) trialSeed(i int) uint64 { return e.cfg.seed + uint64(i)*seedStride }
 
-// Run executes one simulation with the engine's base seed. Cancelling ctx
-// ends the run and returns the context's error.
+// Run executes one simulation with the engine's base seed from a freshly
+// built world — the engine's only fresh-world run, and the only one whose
+// result keeps its final world. It reproduces trial 0 of Trials exactly.
+// Cancelling ctx ends the run and returns the context's error.
 func (e *Engine) Run(ctx context.Context) (*SimResult, error) {
 	ctx = orBackground(ctx)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res, err := e.simulate(ctx, e.cfg.seed, e.runOptions())
+	prog, err := e.program()
+	if err != nil {
+		return nil, err
+	}
+	rng := prng.New(e.cfg.seed)
+	scheduler, err := e.cfg.newScheduler(rng.Split())
+	if err != nil {
+		return nil, err
+	}
+	opts := e.runOptions()
+	if ctx.Done() != nil {
+		opts.Stop = func() bool { return ctx.Err() != nil }
+	}
+	res, err := sim.Run(e.topo, prog, scheduler, rng, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -354,8 +351,7 @@ func (e *Engine) Run(ctx context.Context) (*SimResult, error) {
 }
 
 // TrialResult is one entry of a trial stream: the trial's index and seed
-// plus a flat, JSON-stable summary of the run. Result carries the complete
-// simulation outcome for programmatic consumers and is excluded from JSON.
+// plus a flat, JSON-stable summary of the run.
 type TrialResult struct {
 	Trial          int      `json:"trial"`
 	Seed           uint64   `json:"seed"`
@@ -370,11 +366,10 @@ type TrialResult struct {
 	MaxScheduleGap int64    `json:"max_schedule_gap"`
 	Starved        []PhilID `json:"starved,omitempty"`
 	Reason         string   `json:"reason"`
-
-	Result *SimResult `json:"-"`
 }
 
-// newTrialResult flattens a simulation result into the stream entry.
+// newTrialResult flattens a trial's recycled simulation result into the
+// stream entry, copying the slices the harness reuses.
 func newTrialResult(trial int, seed uint64, res *SimResult) TrialResult {
 	return TrialResult{
 		Trial:          trial,
@@ -384,63 +379,80 @@ func newTrialResult(trial int, seed uint64, res *SimResult) TrialResult {
 		Scheduler:      res.SchedulerName,
 		Steps:          res.Steps,
 		TotalEats:      res.TotalEats,
-		EatsBy:         res.EatsBy,
+		EatsBy:         append([]int64(nil), res.EatsBy...),
 		FirstEatStep:   res.FirstEatStep,
 		MeanWaitSteps:  res.MeanWaitSteps,
 		MaxScheduleGap: res.MaxScheduleGap,
-		Starved:        res.Starved,
+		Starved:        append([]PhilID(nil), res.Starved...),
 		Reason:         string(res.Reason),
-		Result:         res,
 	}
 }
 
-// runTrial executes trial i with its derived seed. The engine's recorder is
-// attached when present — streamWorkers has then already forced sequential
-// execution, so the recorder observes a single ordered event stream.
-func (e *Engine) runTrial(ctx context.Context, i int) (TrialResult, error) {
-	seed := e.trialSeed(i)
-	res, err := e.simulate(ctx, seed, e.runOptions())
+// batch describes Monte-Carlo trials of the engine for the warm-start
+// harness (verify.Trials): the engine's (possibly fault-wrapped) program and
+// scheduler, trial i seeded seed(i) and run with opts, across workers
+// goroutines.
+func (e *Engine) batch(workers int, seed func(int) uint64, opts sim.RunOptions) (verify.Batch, error) {
+	prog, err := e.program()
 	if err != nil {
-		return TrialResult{Trial: i, Seed: seed}, fmt.Errorf("dining: trial %d: %w", i, err)
+		return verify.Batch{}, err
 	}
-	if res.Reason == sim.StopCancelled {
-		return TrialResult{Trial: i, Seed: seed}, ctx.Err()
-	}
-	return newTrialResult(i, seed, res), nil
+	return verify.Batch{
+		Topology:  e.topo,
+		Program:   prog,
+		Scheduler: e.schedulerFactory(),
+		Options:   opts,
+		Seed:      seed,
+		Workers:   workers,
+	}, nil
 }
 
-// streamWorkers resolves the worker count for a stream, honouring the
-// recorder restriction (a recorder observes a single event stream).
-func (e *Engine) streamWorkers() (int, error) {
-	if e.cfg.recorder != nil {
-		if e.cfg.workers > 1 {
-			return 0, fmt.Errorf("dining: WithRecorder requires WithWorkers(1), got %d", e.cfg.workers)
-		}
-		return 1, nil
+// sample runs n trials of e on the warm-start harness, trial i seeded
+// seed(i) and run with opts across workers goroutines, and returns fold's
+// value for each in trial-index order (verify.Collect). The statistical
+// properties and the experiment suite's Monte-Carlo rows run through it.
+func sample[T any](ctx context.Context, e *Engine, workers, n int, seed func(int) uint64, opts sim.RunOptions, fold func(int, uint64, *SimResult) T) ([]T, error) {
+	b, err := e.batch(workers, seed, opts)
+	if err != nil {
+		return nil, err
 	}
-	return e.cfg.workers, nil
+	return verify.Collect(ctx, b, n, fold)
+}
+
+// strided returns the seed schedule base + i*stride.
+func strided(base, stride uint64) func(int) uint64 {
+	return func(i int) uint64 { return base + uint64(i)*stride }
 }
 
 // Trials streams n Monte-Carlo trials, yielding each TrialResult as its
-// worker finishes — completion order, not index order. Each trial's seed
-// depends only on its index, so the result yielded for a given index is
-// bit-identical whatever the worker count; aggregate in index order (or use
-// Repeat) to reproduce a sequential run exactly. The stream stops at the
-// first trial error or context cancellation, yielding that error last.
+// worker finishes — completion order, not index order. The trials run on
+// the warm-start harness (each worker recycles its world, run summary and
+// scheduler), and each trial's seed depends only on its index, so the
+// result yielded for a given index is bit-identical to a fresh run with
+// that seed, whatever the worker count; aggregate in index order to
+// reproduce a sequential run exactly. The stream stops at the first trial
+// error or context cancellation, yielding that error last.
 func (e *Engine) Trials(ctx context.Context, n int) iter.Seq2[TrialResult, error] {
 	ctx = orBackground(ctx)
 	if n <= 0 {
-		n = 1 // mirror Repeat: the degenerate request still runs one trial
+		n = 1 // the degenerate request still runs one trial
 	}
 	return func(yield func(TrialResult, error) bool) {
-		workers, err := e.streamWorkers()
+		// A recorder observes a single event stream.
+		workers := e.cfg.workers
+		if e.cfg.recorder != nil {
+			if workers > 1 {
+				yield(TrialResult{}, fmt.Errorf("dining: WithRecorder requires WithWorkers(1), got %d", workers))
+				return
+			}
+			workers = 1
+		}
+		b, err := e.batch(workers, e.trialSeed, e.runOptions())
 		if err != nil {
 			yield(TrialResult{}, err)
 			return
 		}
-		for s := range par.Stream(ctx, workers, n, func(i int) (TrialResult, error) {
-			return e.runTrial(ctx, i)
-		}) {
+		for s := range verify.Trials(ctx, b, n, newTrialResult) {
 			if s.Err != nil {
 				yield(TrialResult{Trial: s.Index, Seed: e.trialSeed(s.Index)}, s.Err)
 				return
@@ -450,30 +462,6 @@ func (e *Engine) Trials(ctx context.Context, n int) iter.Seq2[TrialResult, error
 			}
 		}
 	}
-}
-
-// Repeat runs n trials and returns the full results in trial-index order —
-// the blocking, aggregate-friendly counterpart of Trials, bit-identical to a
-// sequential run for any worker count.
-func (e *Engine) Repeat(ctx context.Context, n int) ([]*SimResult, error) {
-	ctx = orBackground(ctx)
-	if n <= 0 {
-		n = 1
-	}
-	workers, err := e.streamWorkers()
-	if err != nil {
-		return nil, err
-	}
-	results := make([]*SimResult, n)
-	for s := range par.Stream(ctx, workers, n, func(i int) (TrialResult, error) {
-		return e.runTrial(ctx, i)
-	}) {
-		if s.Err != nil {
-			return nil, s.Err
-		}
-		results[s.Index] = s.Value.Result
-	}
-	return results, nil
 }
 
 // RunConcurrent executes the system on the goroutine runtime for the given

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/modelcheck"
-	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/verify"
@@ -18,9 +17,10 @@ import (
 // Every row of every experiment is an Engine built by ExperimentConfig.engine,
 // so the suite runs the same program assembly, scheduler construction,
 // simulation and exploration as Run, Trials and Check. Monte-Carlo rows keep
-// their own seed schedules and stop rules by calling Engine.simulate per
-// trial; exhaustive rows explore the engine's state space and run the
-// analysis of the starvation-trap property on it.
+// their own seed schedules and stop rules and run on the warm-start trial
+// harness that Trials and the statistical properties run on (sample);
+// exhaustive rows explore the engine's state space and run the analysis of
+// the starvation-trap property on it.
 
 // ExperimentConfig controls how much work each experiment does.
 type ExperimentConfig struct {
@@ -61,16 +61,6 @@ func (c ExperimentConfig) engine(topo *Topology, algorithm string, opts ...Optio
 		opts = append(opts, WithSymmetry())
 	}
 	return New(topo, algorithm, opts...)
-}
-
-// runTrials runs n trials of the row engine, trial i with seed
-// seed + i*stride, across c.Workers goroutines and returns the results in
-// trial order. Each result depends only on its index, so every aggregate
-// folded over the slice in order is identical for any worker count.
-func (c ExperimentConfig) runTrials(e *Engine, n int, seed, stride uint64, opts sim.RunOptions) ([]*SimResult, error) {
-	return par.Trials(c.Workers, n, func(i int) (*SimResult, error) {
-		return e.simulate(context.TODO(), seed+uint64(i)*stride, opts)
-	})
 }
 
 // trapCheck explores the row engine's state space and runs the analysis of
@@ -167,14 +157,12 @@ func (c ExperimentConfig) adversaryStarvationRate(topo *Topology, algorithm stri
 	if err != nil {
 		return prop, err
 	}
-	results, err := c.runTrials(e, trials, seed, 7919, sim.RunOptions{MaxSteps: steps})
-	if err != nil {
-		return prop, err
+	runs, err := sample(context.TODO(), e, c.Workers, trials, strided(seed, 7919), sim.RunOptions{MaxSteps: steps},
+		func(_ int, _ uint64, res *SimResult) bool { return starved(res, protected) })
+	for _, s := range runs {
+		prop.Add(s)
 	}
-	for _, res := range results {
-		prop.Add(starved(res, protected))
-	}
-	return prop, nil
+	return prop, err
 }
 
 // starved reports whether no protected philosopher (no philosopher at all
@@ -294,19 +282,6 @@ func runTheorem2(cfg ExperimentConfig) (*Table, error) {
 	return t, nil
 }
 
-// firstMeals counts the trials that made progress and averages their step
-// of first meal.
-func firstMeals(results []*SimResult) (progressed int, mean float64) {
-	var firstMeal stats.Running
-	for _, res := range results {
-		if res.Progress() {
-			progressed++
-			firstMeal.Add(float64(res.FirstEatStep))
-		}
-	}
-	return progressed, firstMeal.Mean()
-}
-
 // --- E-T3 ---
 
 func runTheorem3(cfg ExperimentConfig) (*Table, error) {
@@ -319,11 +294,12 @@ func runTheorem3(cfg ExperimentConfig) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			results, err := cfg.runTrials(e, trials, cfg.Seed, 131, sim.RunOptions{MaxSteps: 60_000, StopAfterTotalEats: 1})
+			steps, err := sample(context.TODO(), e, cfg.Workers, trials, strided(cfg.Seed, 131),
+				sim.RunOptions{MaxSteps: 60_000, StopAfterTotalEats: 1}, firstMealStep)
 			if err != nil {
 				return nil, err
 			}
-			progressed, mean := firstMeals(results)
+			progressed, mean := firstMeals(steps)
 			t.AddRow(topo.Name(), kind, fmt.Sprintf("%d/%d", progressed, trials), fmt.Sprintf("%.1f", mean))
 		}
 	}
@@ -374,26 +350,12 @@ func runTheorem4(cfg ExperimentConfig) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		prog, err := e.program()
-		if err != nil {
-			return nil, err
-		}
-		check := verify.LockoutCheck{
-			Topology:  topo,
-			Algorithm: prog,
-			Scheduler: e.schedulerFactory(),
-			Trials:    trials,
-			MaxSteps:  150_000,
-			MealsEach: 1,
-			Seed:      cfg.Seed + 77,
-			Workers:   cfg.Workers,
-		}
-		res, err := check.Run()
+		s, err := sampleLockout(context.TODO(), e, cfg.Workers, trials, 150_000, strided(cfg.Seed+77, statSeedStride))
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(topo.Name(), "GDP2 as printed", "Monte-Carlo lockout check (random fair scheduler)",
-			!res.Passed(), fmt.Sprintf("all-fed rate %s, worst Jain %.3f", res.Proportion.String(), res.WorstJainIndex))
+			s.failures > 0, fmt.Sprintf("all-fed rate %s, worst Jain %.3f", s.fed.String(), s.worstJain))
 	}
 
 	t.AddNote("REPRODUCTION FINDING: reading Tables 2/4 literally, Cond(fork) guards only the first fork. The model checker then finds a fair scheduler that starves an individual GDP2 philosopher on the classic ring (both neighbours always acquire the fork they share with the victim as their second fork, which is never courtesy-checked). Checking the courtesy condition on both acquisitions removes every such trap we could explore. Under non-adversarial fair schedulers GDP2 as printed serves everyone, which is why simulation alone would not have caught this.")
@@ -417,7 +379,8 @@ func runEfficiency(cfg ExperimentConfig) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			results, err := cfg.runTrials(e, trials, cfg.Seed, 997, sim.RunOptions{MaxSteps: 50_000})
+			results, err := sample(context.TODO(), e, cfg.Workers, trials, strided(cfg.Seed, 997),
+				sim.RunOptions{MaxSteps: 50_000}, newTrialResult)
 			if err != nil {
 				return nil, err
 			}
@@ -450,11 +413,12 @@ func runNumberRangeSweep(cfg ExperimentConfig) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		results, err := cfg.runTrials(e, trials, cfg.Seed, 313, sim.RunOptions{MaxSteps: 60_000, StopAfterTotalEats: 1})
+		steps, err := sample(context.TODO(), e, cfg.Workers, trials, strided(cfg.Seed, 313),
+			sim.RunOptions{MaxSteps: 60_000, StopAfterTotalEats: 1}, firstMealStep)
 		if err != nil {
 			return nil, err
 		}
-		progressed, mean := firstMeals(results)
+		progressed, mean := firstMeals(steps)
 		bound := verify.DistinctNumberBound(m, k)
 		t.AddRow(topo.Name(), m, fmt.Sprintf("%.3f", bound), fmt.Sprintf("%d/%d", progressed, trials), fmt.Sprintf("%.1f", mean))
 	}

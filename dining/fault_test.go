@@ -104,14 +104,7 @@ func TestNilFaultEquivalenceGrid(t *testing.T) {
 					topo.Name(), alg, wantJSON, gotJSON)
 			}
 
-			wantTrials, err := plain.Repeat(ctx, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotTrials, err := zero.Repeat(ctx, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
+			wantTrials, gotTrials := trialsByIndex(t, plain, 4), trialsByIndex(t, zero, 4)
 			for i := range wantTrials {
 				if wantTrials[i].TotalEats != gotTrials[i].TotalEats || wantTrials[i].Steps != gotTrials[i].Steps ||
 					!reflect.DeepEqual(wantTrials[i].EatsBy, gotTrials[i].EatsBy) {
@@ -174,14 +167,7 @@ func TestDelayedGrantsNilFaultEquivalenceGrid(t *testing.T) {
 					topo.Name(), alg, wantJSON, gotJSON)
 			}
 
-			wantTrials, err := plain.Repeat(ctx, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotTrials, err := zero.Repeat(ctx, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
+			wantTrials, gotTrials := trialsByIndex(t, plain, 4), trialsByIndex(t, zero, 4)
 			for i := range wantTrials {
 				if wantTrials[i].TotalEats != gotTrials[i].TotalEats || wantTrials[i].Steps != gotTrials[i].Steps ||
 					!reflect.DeepEqual(wantTrials[i].EatsBy, gotTrials[i].EatsBy) {
@@ -198,7 +184,7 @@ func TestDelayedGrantsNilFaultEquivalenceGrid(t *testing.T) {
 func TestFaultTrialsDeterministicAcrossWorkers(t *testing.T) {
 	t.Parallel()
 	const trials = 12
-	collect := func(workers int) []*dining.SimResult {
+	collect := func(workers int) []dining.TrialResult {
 		eng, err := dining.New(dining.Ring(5), dining.GDP2,
 			dining.WithSeed(42),
 			dining.WithMaxSteps(6_000),
@@ -207,11 +193,7 @@ func TestFaultTrialsDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := eng.Repeat(context.Background(), trials)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return trialsByIndex(t, eng, trials)
 	}
 	want := collect(1)
 	for _, workers := range []int{3, 8} {

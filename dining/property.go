@@ -1,9 +1,11 @@
 package dining
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"iter"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/modelcheck"
@@ -11,6 +13,7 @@ import (
 	"repro/internal/prng"
 	"repro/internal/registry"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/verify"
 )
@@ -52,8 +55,8 @@ const (
 	// in which no protected philosopher ever eats — the machine-checked form
 	// of Theorems 1–4. The property FAILS when such a trap exists.
 	StarvationTrap = "starvation-trap"
-	// StatisticalProgress is the Monte-Carlo progress check of
-	// internal/verify: every sampled run must reach a first meal.
+	// StatisticalProgress is the Monte-Carlo progress check: every sampled
+	// run must reach a first meal.
 	StatisticalProgress = "statistical-progress"
 	// StatisticalLockout is the Monte-Carlo lockout-freedom check: every
 	// sampled run must serve every philosopher at least once.
@@ -565,10 +568,14 @@ func checkLockoutFreedomAs(ctx context.Context, name string, in PropertyInput) (
 	return res, nil
 }
 
-// --- Statistical built-ins (Monte-Carlo wrappers over internal/verify) ---
+// --- Statistical built-ins (Monte-Carlo, on the warm-start trial harness) ---
+
+// statSeedStride separates the trials of the statistical checks: trial i of
+// a check with base seed s runs with seed s + i*statSeedStride.
+const statSeedStride = 0x9e3779b9
 
 // schedulerFactory adapts the engine's scheduler configuration to the
-// per-trial constructor the verify checks expect.
+// per-trial constructor of the trial harness.
 func (e *Engine) schedulerFactory() verify.SchedulerFactory {
 	return func(rng *prng.Source) sim.Scheduler {
 		s, err := e.cfg.newScheduler(rng)
@@ -581,84 +588,113 @@ func (e *Engine) schedulerFactory() verify.SchedulerFactory {
 	}
 }
 
-// stopFunc adapts ctx cancellation to the polling hook of the verify checks.
-func stopFunc(ctx context.Context) func() bool {
-	if ctx.Done() == nil {
-		return nil
+// firstMealStep folds a trial to the step of its first meal, or -1 when it
+// completed none.
+func firstMealStep(_ int, _ uint64, res *SimResult) int64 {
+	if !res.Progress() {
+		return -1
 	}
-	return func() bool { return ctx.Err() != nil }
+	return res.FirstEatStep
 }
 
+// firstMeals counts the trials that made progress and averages their step
+// of first meal, over the per-trial values of firstMealStep.
+func firstMeals(steps []int64) (progressed int, mean float64) {
+	var firstMeal stats.Running
+	for _, step := range steps {
+		if step >= 0 {
+			progressed++
+			firstMeal.Add(float64(step))
+		}
+	}
+	return progressed, firstMeal.Mean()
+}
+
+// checkStatisticalProgress is the Monte-Carlo form of the progress statement
+// T --(F, p)--> E: every trial starts from the all-thinking initial state
+// under the saturated workload and must complete a meal within the step
+// budget (defaults: 100 trials of 100,000 steps).
 func checkStatisticalProgress(ctx context.Context, in PropertyInput) (PropertyResult, error) {
 	e := in.Engine
 	res := in.newResult(StatisticalProgress, StatisticalProperty)
-	prog, err := e.program()
+	seed := strided(e.cfg.seed, statSeedStride)
+	opts := sim.RunOptions{MaxSteps: cmp.Or(e.cfg.maxSteps, 100_000), StopAfterTotalEats: 1}
+	steps, err := sample(ctx, e, e.cfg.workers, cmp.Or(e.cfg.trials, 100), seed, opts, firstMealStep)
 	if err != nil {
 		return res, err
 	}
-	check := verify.ProgressCheck{
-		Topology:  e.topo,
-		Algorithm: prog,
-		Scheduler: e.schedulerFactory(),
-		Trials:    e.cfg.trials,
-		MaxSteps:  e.cfg.maxSteps,
-		Seed:      e.cfg.seed,
-		Workers:   e.cfg.workers,
-		Stop:      stopFunc(ctx),
-	}
-	pr, err := check.Run()
-	if err != nil {
-		return res, err
-	}
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	res.Trials = int(pr.Proportion.Trials())
-	res.Failures = len(pr.Failures)
-	res.Passed = pr.Passed()
+	progressed, mean := firstMeals(steps)
+	res.Trials = len(steps)
+	res.Failures = res.Trials - progressed
+	res.Passed = res.Failures == 0
 	if res.Passed {
-		res.Detail = fmt.Sprintf("progress in %d/%d trials (mean steps to first meal %.1f)",
-			pr.Proportion.Successes(), pr.Proportion.Trials(), pr.StepsToFirstMeal.Mean())
+		res.Detail = fmt.Sprintf("progress in %d/%d trials (mean steps to first meal %.1f)", progressed, res.Trials, mean)
 	} else {
 		res.Detail = fmt.Sprintf("no progress in %d/%d trials (first failing seed %d)",
-			res.Failures, pr.Proportion.Trials(), pr.Failures[0])
+			res.Failures, res.Trials, seed(slices.Index(steps, -1)))
 	}
 	return res, nil
 }
 
+// lockoutSample aggregates Monte-Carlo lockout trials: how many served every
+// philosopher, the smallest Jain fairness index of the per-philosopher meal
+// counts over all trials, and the seed of the first trial that left a
+// philosopher unserved.
+type lockoutSample struct {
+	fed          stats.Proportion
+	worstJain    float64
+	failures     int
+	firstFailing uint64
+}
+
+// sampleLockout runs the Monte-Carlo form of the lockout-freedom statement
+// T_i --(F, 1)--> E_i: n trials of steps steps each, trial i seeded seed(i),
+// of which a trial passes when every philosopher ate at least once. The
+// statistical-lockout property and E-T4's Monte-Carlo rows share it.
+func sampleLockout(ctx context.Context, e *Engine, workers, n int, steps int64, seed func(int) uint64) (lockoutSample, error) {
+	type trial struct {
+		fed  bool
+		jain float64
+	}
+	trials, err := sample(ctx, e, workers, n, seed, sim.RunOptions{MaxSteps: steps}, func(_ int, _ uint64, r *SimResult) trial {
+		return trial{fed: slices.Min(r.EatsBy) > 0, jain: stats.JainIndex(r.EatsBy)}
+	})
+	if err != nil {
+		return lockoutSample{}, err
+	}
+	out := lockoutSample{worstJain: 1}
+	for i, t := range trials {
+		out.fed.Add(t.fed)
+		out.worstJain = min(out.worstJain, t.jain)
+		if !t.fed {
+			if out.failures == 0 {
+				out.firstFailing = seed(i)
+			}
+			out.failures++
+		}
+	}
+	return out, nil
+}
+
+// checkStatisticalLockout samples lockout-freedom (defaults: 50 trials of
+// 200,000 steps).
 func checkStatisticalLockout(ctx context.Context, in PropertyInput) (PropertyResult, error) {
 	e := in.Engine
 	res := in.newResult(StatisticalLockout, StatisticalProperty)
-	prog, err := e.program()
+	s, err := sampleLockout(ctx, e, e.cfg.workers, cmp.Or(e.cfg.trials, 50), cmp.Or(e.cfg.maxSteps, 200_000),
+		strided(e.cfg.seed, statSeedStride))
 	if err != nil {
 		return res, err
 	}
-	check := verify.LockoutCheck{
-		Topology:  e.topo,
-		Algorithm: prog,
-		Scheduler: e.schedulerFactory(),
-		Trials:    e.cfg.trials,
-		MaxSteps:  e.cfg.maxSteps,
-		Seed:      e.cfg.seed,
-		Workers:   e.cfg.workers,
-		Stop:      stopFunc(ctx),
-	}
-	lr, err := check.Run()
-	if err != nil {
-		return res, err
-	}
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	res.Trials = int(lr.Proportion.Trials())
-	res.Failures = len(lr.Failures)
-	res.Passed = lr.Passed()
+	res.Trials = int(s.fed.Trials())
+	res.Failures = s.failures
+	res.Passed = res.Failures == 0
 	if res.Passed {
 		res.Detail = fmt.Sprintf("every philosopher served in %d/%d trials (worst Jain index %.3f)",
-			lr.Proportion.Successes(), lr.Proportion.Trials(), lr.WorstJainIndex)
+			res.Trials, res.Trials, s.worstJain)
 	} else {
 		res.Detail = fmt.Sprintf("a philosopher went unserved in %d/%d trials (first failing seed %d)",
-			res.Failures, lr.Proportion.Trials(), lr.Failures[0])
+			res.Failures, res.Trials, s.firstFailing)
 	}
 	return res, nil
 }

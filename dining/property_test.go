@@ -3,6 +3,7 @@ package dining_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -384,5 +385,53 @@ func TestWithShardsRejectsNegative(t *testing.T) {
 	t.Parallel()
 	if _, err := dining.New(dining.Ring(3), dining.LR1, dining.WithShards(-1)); err == nil {
 		t.Error("New accepted WithShards(-1)")
+	}
+}
+
+// TestProgressCheckGDP1OnFigure1Topologies is Theorem 3 in Monte-Carlo
+// form: under random fair scheduling GDP1 makes progress on every Figure 1
+// topology in every trial of the statistical-progress property.
+func TestProgressCheckGDP1OnFigure1Topologies(t *testing.T) {
+	t.Parallel()
+	for _, topo := range []*dining.Topology{dining.Figure1A(), dining.Figure1B(), dining.Figure1C(), dining.Figure1D()} {
+		eng := mustEngine(t, topo, dining.GDP1, dining.WithTrials(30), dining.WithMaxSteps(50_000), dining.WithSeed(11))
+		r := checkOne(t, eng, dining.StatisticalProgress)
+		if !r.Passed || r.Failures != 0 || r.Trials != 30 {
+			t.Errorf("GDP1 failed to progress on %s: %+v", topo.Name(), r)
+		}
+		var progressed, trials int
+		var mean float64
+		if _, err := fmt.Sscanf(r.Detail, "progress in %d/%d trials (mean steps to first meal %f)", &progressed, &trials, &mean); err != nil || mean <= 0 {
+			t.Errorf("first-meal statistics missing for %s: %q", topo.Name(), r.Detail)
+		}
+	}
+}
+
+// TestProgressCheckDetectsDeadlock: the naive baseline deadlocks under
+// round-robin, and the statistical-progress property must report the
+// failures rather than hide them.
+func TestProgressCheckDetectsDeadlock(t *testing.T) {
+	t.Parallel()
+	eng := mustEngine(t, dining.Ring(5), dining.NaiveLeftFirst, dining.WithScheduler(dining.RoundRobin),
+		dining.WithTrials(5), dining.WithMaxSteps(20_000), dining.WithSeed(3))
+	if r := checkOne(t, eng, dining.StatisticalProgress); r.Passed || r.Failures == 0 {
+		t.Errorf("statistical progress passed for the deadlocking naive baseline: %+v", r)
+	}
+}
+
+// TestLockoutCheckGDP2: under random fair scheduling GDP2 serves every
+// philosopher of figure1a in every trial of the statistical-lockout
+// property, with a plausible worst Jain index.
+func TestLockoutCheckGDP2(t *testing.T) {
+	t.Parallel()
+	eng := mustEngine(t, dining.Figure1A(), dining.GDP2, dining.WithTrials(10), dining.WithMaxSteps(150_000), dining.WithSeed(5))
+	r := checkOne(t, eng, dining.StatisticalLockout)
+	if !r.Passed || r.Failures != 0 {
+		t.Errorf("GDP2 statistical lockout failed: %+v", r)
+	}
+	var served, trials int
+	var jain float64
+	if _, err := fmt.Sscanf(r.Detail, "every philosopher served in %d/%d trials (worst Jain index %f)", &served, &trials, &jain); err != nil || jain <= 0 || jain > 1 {
+		t.Errorf("implausible Jain index in %q", r.Detail)
 	}
 }

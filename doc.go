@@ -30,7 +30,12 @@
 // scheduler-choice path from the initial state into the violating region,
 // rendered in the paper's arrow notation and verifiable with
 // Engine.ReplayTrace. Statistical built-ins (statistical-progress,
-// statistical-lockout) cover instances too large to explore.
+// statistical-lockout) cover instances too large to explore. They,
+// Engine.Trials and the experiment suite's Monte-Carlo rows all run on one
+// trial harness (internal/verify's Trials), which builds one prototype world
+// per batch and recycles each worker's world, run summary and scheduler from
+// trial to trial; Engine.Run is the one fresh-world run, and the only one
+// that returns its final world.
 //
 // The fault layer (internal/fault) perturbs the transition system itself:
 // a registered fault model — crash-rejoin (a philosopher crashes, drops its

@@ -22,12 +22,14 @@ type Scheduler interface {
 }
 
 // ResettableScheduler is implemented by schedulers that can return to their
-// just-constructed state in place. Trial harnesses that recycle per-worker
-// scheduler instances (package verify's trial pool) call Reset between
-// trials instead of constructing a fresh scheduler; after Reset the
-// scheduler's decisions must be identical to those of a newly constructed
-// instance with the same configuration. Schedulers driven by a *prng.Source
-// keep the pointer across Reset — the harness reseeds the source in place.
+// just-constructed state in place. The trial harness verify.Trials, which
+// runs every Monte-Carlo trial (only dining's single Engine.Run builds a
+// fresh world and scheduler), recycles per-worker scheduler instances and
+// calls Reset between trials instead of constructing a fresh scheduler;
+// after Reset the scheduler's decisions must be identical to those of a
+// newly constructed instance with the same configuration. Schedulers driven
+// by a *prng.Source keep the pointer across Reset — the harness reseeds the
+// source in place.
 type ResettableScheduler interface {
 	Scheduler
 	// Reset restores the scheduler to its initial state.
@@ -168,7 +170,7 @@ func RunWorld(w *World, prog Program, sched Scheduler, rng *prng.Source, opts Ru
 // allocating one: every field is overwritten and the metric slices (EatsBy,
 // FirstEatBy, ScheduledCount, Starved) and per-run scratch arrays are reused
 // in place, so a caller that recycles the Result across runs — the
-// Monte-Carlo trial loops of internal/verify — aggregates trials without any
+// Monte-Carlo trial harness verify.Trials — aggregates trials without any
 // per-trial Result allocations. The reused slices are overwritten by the next
 // run; copy them if retained.
 func RunWorldInto(res *Result, w *World, prog Program, sched Scheduler, rng *prng.Source, opts RunOptions) error {

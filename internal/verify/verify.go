@@ -1,20 +1,22 @@
-// Package verify provides machine-checkable formulations of the paper's
-// statements that complement the exhaustive model checker on instances too
-// large to explore: Monte-Carlo progress and lockout-freedom checks
-// (Theorems 3 and 4), and the probability lower bounds of the paper: the one
-// used in the proof of Theorem 3 and the Section 3 scheduler's success
-// bound.
+// Package verify is the Monte-Carlo side of the reproduction, for instances
+// too large to explore exhaustively. Trials is the one trial harness: every
+// Monte-Carlo trial outside dining's single Engine.Run — Engine.Trials, the
+// statistical progress and lockout properties (Theorems 3 and 4) and the
+// sampled rows of the experiment suite — runs on its warm-started pool. The
+// package also holds the paper's probability lower bounds: the one used in
+// the proof of Theorem 3 and the Section 3 scheduler's success bound.
 package verify
 
 import (
+	"context"
 	"fmt"
+	"iter"
 	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/prng"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // SchedulerFactory constructs a fresh scheduler for each trial (schedulers
@@ -101,173 +103,71 @@ func (tp *trialPool) put(s *trialSlot) {
 	tp.pool.Put(s)
 }
 
-// ProgressCheck is the Monte-Carlo form of a progress statement
-// T --(F, p)--> E: starting every trial from the all-thinking initial state
-// under a saturated workload, the system must reach a state where some
-// philosopher eats.
-type ProgressCheck struct {
+// Batch is one batch of Monte-Carlo trials: trial i runs Program on
+// Topology from its initial world under a scheduler built by Scheduler, with
+// Options, and derives all of its randomness from Seed(i). Each trial is
+// bit-identical to the fresh-world run
+//
+//	rng := prng.New(b.Seed(i))
+//	res, err := sim.Run(b.Topology, b.Program, b.Scheduler(rng.Split()), rng, b.Options)
+//
+// but starts from a recycled world, Result and scheduler (see trialPool).
+// Program is shared by every worker, so it must be safe for concurrent use,
+// as the registered algorithms and fault wrappers are.
+type Batch struct {
 	Topology  *graph.Topology
-	Algorithm sim.Program
+	Program   sim.Program
 	Scheduler SchedulerFactory
-	Trials    int
-	MaxSteps  int64
-	Seed      uint64
+	// Options configures every trial's run; Trials sets Options.Stop from
+	// its context.
+	Options sim.RunOptions
+	// Seed derives the seed of trial i.
+	Seed func(i int) uint64
 	// Workers bounds the trial goroutines (0 = one per CPU, 1 = sequential);
-	// the result is identical for every value.
+	// the value yielded for a trial is identical for every value.
 	Workers int
-	// Stop is polled by every trial's step loop when non-nil; a true return
-	// ends the trial early. It is how context cancellation reaches a running
-	// check (the caller should treat a stopped check's result as invalid).
-	Stop func() bool
 }
 
-// ProgressResult summarises a ProgressCheck.
-type ProgressResult struct {
-	Proportion stats.Proportion
-	// StepsToFirstMeal aggregates the number of steps before the first meal
-	// over successful trials.
-	StepsToFirstMeal stats.Running
-	// Failures lists the seeds of trials with no progress (empty when the
-	// check passed).
-	Failures []uint64
-}
-
-// Passed reports whether every trial made progress.
-func (r *ProgressResult) Passed() bool { return len(r.Failures) == 0 }
-
-// Run executes the check.
-func (c ProgressCheck) Run() (*ProgressResult, error) {
-	if c.Topology == nil || c.Algorithm == nil || c.Scheduler == nil {
-		return nil, fmt.Errorf("verify: ProgressCheck requires a topology, an algorithm and a scheduler factory")
+// Trials streams n trials of b across b.Workers goroutines in completion
+// order (see par.Stream): it runs each trial on a pooled slot and yields
+// fold's value for it. fold receives the trial's index, its seed and its
+// recycled Result, whose slices and Final world the worker's next trial
+// overwrites, so fold must copy whatever it keeps. A trial cut short by
+// cancelling ctx yields ctx's error.
+func Trials[T any](ctx context.Context, b Batch, n int, fold func(i int, seed uint64, res *sim.Result) T) iter.Seq[par.Streamed[T]] {
+	opts := b.Options
+	opts.Stop = nil
+	if ctx != nil && ctx.Done() != nil {
+		opts.Stop = func() bool { return ctx.Err() != nil }
 	}
-	if c.Trials <= 0 {
-		c.Trials = 100
-	}
-	if c.MaxSteps <= 0 {
-		c.MaxSteps = 100_000
-	}
-	type trialResult struct {
-		ok       bool
-		firstEat float64
-		seed     uint64
-	}
-	worlds := newTrialPool(c.Topology, c.Algorithm)
-	perTrial, err := par.Trials(c.Workers, c.Trials, func(i int) (trialResult, error) {
-		seed := c.Seed + uint64(i)*0x9e3779b9
+	worlds := newTrialPool(b.Topology, b.Program)
+	return par.Stream(ctx, b.Workers, n, func(i int) (T, error) {
+		var zero T
 		s := worlds.get()
-		rng, sched := s.prepare(c.Scheduler, seed)
-		if err := sim.RunWorldInto(&s.res, s.w, c.Algorithm, sched, rng, sim.RunOptions{
-			MaxSteps:           c.MaxSteps,
-			StopAfterTotalEats: 1,
-			Stop:               c.Stop,
-		}); err != nil {
-			return trialResult{}, fmt.Errorf("verify: progress trial %d: %w", i, err)
+		defer worlds.put(s)
+		seed := b.Seed(i)
+		rng, sched := s.prepare(b.Scheduler, seed)
+		if err := sim.RunWorldInto(&s.res, s.w, b.Program, sched, rng, opts); err != nil {
+			return zero, fmt.Errorf("verify: trial %d: %w", i, err)
 		}
-		tr := trialResult{ok: s.res.Progress(), firstEat: float64(s.res.FirstEatStep), seed: seed}
-		worlds.put(s)
-		return tr, nil
+		if s.res.Reason == sim.StopCancelled {
+			return zero, ctx.Err()
+		}
+		return fold(i, seed, &s.res), nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	out := &ProgressResult{}
-	for _, tr := range perTrial {
-		out.Proportion.Add(tr.ok)
-		if tr.ok {
-			out.StepsToFirstMeal.Add(tr.firstEat)
-		} else {
-			out.Failures = append(out.Failures, tr.seed)
-		}
-	}
-	return out, nil
 }
 
-// LockoutCheck is the Monte-Carlo form of the lockout-freedom statement
-// T_i --(F, 1)--> E_i: every philosopher that becomes hungry eventually eats.
-// A trial passes when every philosopher completes at least MealsEach meals
-// within the step budget.
-type LockoutCheck struct {
-	Topology  *graph.Topology
-	Algorithm sim.Program
-	Scheduler SchedulerFactory
-	Trials    int
-	MaxSteps  int64
-	MealsEach int64
-	Seed      uint64
-	// Workers bounds the trial goroutines (0 = one per CPU, 1 = sequential);
-	// the result is identical for every value.
-	Workers int
-	// Stop is polled by every trial's step loop when non-nil; a true return
-	// ends the trial early (see ProgressCheck.Stop).
-	Stop func() bool
-}
-
-// LockoutResult summarises a LockoutCheck.
-type LockoutResult struct {
-	Proportion stats.Proportion
-	// WorstJainIndex is the smallest Jain fairness index over per-philosopher
-	// meal counts observed across trials.
-	WorstJainIndex float64
-	// Failures lists the seeds of failed trials.
-	Failures []uint64
-}
-
-// Passed reports whether every trial served every philosopher.
-func (r *LockoutResult) Passed() bool { return len(r.Failures) == 0 }
-
-// Run executes the check.
-func (c LockoutCheck) Run() (*LockoutResult, error) {
-	if c.Topology == nil || c.Algorithm == nil || c.Scheduler == nil {
-		return nil, fmt.Errorf("verify: LockoutCheck requires a topology, an algorithm and a scheduler factory")
-	}
-	if c.Trials <= 0 {
-		c.Trials = 50
-	}
-	if c.MaxSteps <= 0 {
-		c.MaxSteps = 200_000
-	}
-	if c.MealsEach <= 0 {
-		c.MealsEach = 1
-	}
-	type trialResult struct {
-		ok   bool
-		jain float64
-		seed uint64
-	}
-	worlds := newTrialPool(c.Topology, c.Algorithm)
-	perTrial, err := par.Trials(c.Workers, c.Trials, func(i int) (trialResult, error) {
-		seed := c.Seed + uint64(i)*0x9e3779b9
-		s := worlds.get()
-		rng, sched := s.prepare(c.Scheduler, seed)
-		if err := sim.RunWorldInto(&s.res, s.w, c.Algorithm, sched, rng, sim.RunOptions{
-			MaxSteps: c.MaxSteps,
-			Stop:     c.Stop,
-		}); err != nil {
-			return trialResult{}, fmt.Errorf("verify: lockout trial %d: %w", i, err)
+// Collect runs Trials to completion and returns fold's values in
+// trial-index order, so that any aggregate folded over them in order is
+// bit-identical for every worker count. It stops at the first error the
+// stream yields.
+func Collect[T any](ctx context.Context, b Batch, n int, fold func(i int, seed uint64, res *sim.Result) T) ([]T, error) {
+	out := make([]T, max(n, 0))
+	for s := range Trials(ctx, b, n, fold) {
+		if s.Err != nil {
+			return nil, s.Err
 		}
-		ok := true
-		for _, meals := range s.res.EatsBy {
-			if meals < c.MealsEach {
-				ok = false
-				break
-			}
-		}
-		tr := trialResult{ok: ok, jain: stats.JainIndex(s.res.EatsBy), seed: seed}
-		worlds.put(s)
-		return tr, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &LockoutResult{WorstJainIndex: 1}
-	for _, tr := range perTrial {
-		out.Proportion.Add(tr.ok)
-		if tr.jain < out.WorstJainIndex {
-			out.WorstJainIndex = tr.jain
-		}
-		if !tr.ok {
-			out.Failures = append(out.Failures, tr.seed)
-		}
+		out[s.Index] = s.Value
 	}
 	return out, nil
 }

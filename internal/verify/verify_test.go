@@ -12,7 +12,6 @@ import (
 )
 
 func randomSched(rng *prng.Source) sim.Scheduler { return sched.NewUniformRandom(rng) }
-func roundRobinSched(*prng.Source) sim.Scheduler { return sched.NewRoundRobin() }
 
 // auditSymmetry checks the paper's symmetry and full-distribution conditions
 // for prog on topo: identical reports whether every philosopher and every
@@ -111,81 +110,6 @@ func TestSection3Bound(t *testing.T) {
 	}
 	if Section3Bound(-1) != 0 || Section3Bound(1) != 0 {
 		t.Error("out-of-range p should give 0")
-	}
-}
-
-func TestProgressCheckGDP1OnFigure1Topologies(t *testing.T) {
-	t.Parallel()
-	// Theorem 3, Monte-Carlo form: GDP1 makes progress on every Figure 1
-	// topology under random fair scheduling, in every trial.
-	for _, topo := range graph.Figure1() {
-		prog, err := algo.New("GDP1", algo.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := ProgressCheck{
-			Topology:  topo,
-			Algorithm: prog,
-			Scheduler: randomSched,
-			Trials:    30,
-			MaxSteps:  50_000,
-			Seed:      11,
-		}.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Passed() {
-			t.Errorf("GDP1 failed to progress on %s in trials with seeds %v", topo.Name(), res.Failures)
-		}
-		if res.StepsToFirstMeal.Mean() <= 0 {
-			t.Errorf("first-meal statistics missing for %s", topo.Name())
-		}
-	}
-}
-
-func TestProgressCheckDetectsDeadlock(t *testing.T) {
-	t.Parallel()
-	// The naive baseline deadlocks under round-robin; the progress check must
-	// report the failures rather than hide them.
-	res, err := ProgressCheck{
-		Topology:  graph.Ring(5),
-		Algorithm: algo.NewNaive(),
-		Scheduler: roundRobinSched,
-		Trials:    5,
-		MaxSteps:  20_000,
-		Seed:      3,
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Passed() {
-		t.Error("progress check passed for the deadlocking naive baseline")
-	}
-}
-
-func TestLockoutCheckGDP2(t *testing.T) {
-	t.Parallel()
-	prog, err := algo.New("GDP2", algo.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := LockoutCheck{
-		Topology:  graph.Figure1A(),
-		Algorithm: prog,
-		Scheduler: randomSched,
-		Trials:    10,
-		MaxSteps:  150_000,
-		MealsEach: 1,
-		Seed:      5,
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Passed() {
-		t.Errorf("GDP2 lockout check failed for seeds %v", res.Failures)
-	}
-	if res.WorstJainIndex <= 0 || res.WorstJainIndex > 1 {
-		t.Errorf("implausible Jain index %v", res.WorstJainIndex)
 	}
 }
 
