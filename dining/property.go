@@ -303,11 +303,15 @@ func (e *Engine) ReplayTrace(t *Trace) error {
 // exploration Engine.Check runs once for its exhaustive properties, on the
 // same (possibly fault-perturbed) transition system, with the engine's
 // worker and shard configuration. The returned space is immutable and safe
-// for concurrent use (its lazily built predecessor index is constructed at
-// most once), which is what lets long-lived services cache explored spaces
-// across requests keyed by Engine.Fingerprint and hand one space to many
-// concurrent property checks: Property.Check accepts it through
-// PropertyInput.Space. Cancelling ctx aborts the exploration.
+// for concurrent use, and it keeps every analysis it runs — the predecessor
+// index, deadlock and dead-region states, each starvation trap and each
+// counterexample path, each computed at most once — which is what lets
+// long-lived services cache explored spaces across requests keyed by
+// Engine.Fingerprint and hand one space to many concurrent property checks:
+// Property.Check accepts it through PropertyInput.Space, and a check after
+// the first re-runs no analysis (except lockout-freedom on a symmetric
+// engine, which re-explores the unreduced space each time). Cancelling ctx
+// aborts the exploration.
 func (e *Engine) Explore(ctx context.Context) (*StateSpace, error) {
 	ctx = orBackground(ctx)
 	if err := ctx.Err(); err != nil {
@@ -481,7 +485,7 @@ func checkStarvationTrap(_ context.Context, in PropertyInput) (PropertyResult, e
 	res := in.newResult(StarvationTrap, ExhaustiveProperty)
 	trap := in.Space.FindStarvationTrap()
 	phils := in.Engine.topo.NumPhilosophers()
-	if !trap.Exists || !trap.Reachable {
+	if !trapped(trap) {
 		res.Passed = true
 		res.Detail = fmt.Sprintf("no fair starvation trap (safe region %d states, best coverage %d/%d philosophers)",
 			trap.SafeRegionStates, len(trap.CoveredPhilosophers), phils)
@@ -504,7 +508,10 @@ func checkLockoutFreedom(ctx context.Context, in PropertyInput) (PropertyResult,
 
 // checkLockoutFreedomAs decides individual starvation traps on the explored
 // space under the given property name; LockoutFreedom and
-// LockoutFreedomUnderFaults share it.
+// LockoutFreedomUnderFaults share it. Each philosopher's trap comes from the
+// space's memo (StateSpace.FindStarvationTrapAgainst), so a re-check of a
+// cached space re-runs no analysis, and with one protected philosopher the
+// trap is the one starvation-trap computes.
 func checkLockoutFreedomAs(ctx context.Context, name string, in PropertyInput) (PropertyResult, error) {
 	res := in.newResult(name, ExhaustiveProperty)
 	space := in.Space
@@ -526,47 +533,49 @@ func checkLockoutFreedomAs(ctx context.Context, name string, in PropertyInput) (
 		}
 	}
 	// One trap analysis per protected philosopher, fanned across the
-	// engine's workers: the analyses are pure reads of the shared state
-	// space, so they run concurrently, and both the verdict and the reported
-	// philosopher are chosen in index order afterwards — identical to the
-	// sequential loop for every worker count. With one worker the fan-out
-	// buys nothing, so the stream is consumed with an early break the moment
-	// the verdict-deciding (lowest-index) trap appears; par.Stream yields
-	// inline in index order at workers == 1, so later philosophers are never
-	// analysed — the old sequential loop's short-circuit.
-	workers := in.Engine.cfg.workers
+	// engine's workers over the shared space. The lowest-index philosopher
+	// whose analysis fails or finds a trap decides the verdict, so results
+	// settle in index order: the stream stops once every philosopher below
+	// a deciding one is settled clear, and par.Stream then starts no later
+	// analysis. The verdict, and at workers == 1 (which runs inline in index
+	// order) the set of philosophers analysed, match the sequential loop's.
 	traps := make([]modelcheck.Trap, len(phils))
 	errs := make([]error, len(phils))
-	for s := range par.Stream(ctx, workers, len(phils), func(i int) (modelcheck.Trap, error) {
+	delivered := make([]bool, len(phils))
+	settled := 0 // phils[:settled] are delivered with neither error nor trap
+	for s := range par.Stream(ctx, in.Engine.cfg.workers, len(phils), func(i int) (modelcheck.Trap, error) {
 		return space.FindStarvationTrapAgainst([]PhilID{phils[i]})
 	}) {
-		traps[s.Index], errs[s.Index] = s.Value, s.Err
-		if workers == 1 && (s.Err != nil || (s.Value.Exists && s.Value.Reachable)) {
+		traps[s.Index], errs[s.Index], delivered[s.Index] = s.Value, s.Err, true
+		for settled < len(phils) && delivered[settled] && errs[settled] == nil && !trapped(traps[settled]) {
+			settled++
+		}
+		if settled < len(phils) && delivered[settled] {
 			break
 		}
 	}
-	for _, err := range errs {
-		if err != nil {
-			return res, err
-		}
-	}
-	for i, trap := range traps {
-		if !trap.Exists || !trap.Reachable {
-			continue
-		}
-		res.TrapStates = trap.States
-		res.Detail = fmt.Sprintf("a fair adversary can starve philosopher %d forever: trap of %d states", phils[i], trap.States)
-		cx, err := space.CounterexampleTo(name, trap.WitnessState)
-		if err != nil {
-			return res, err
-		}
-		res.Counterexample = cx
+	if settled == len(phils) {
+		res.Passed = true
+		res.Detail = fmt.Sprintf("no individual starvation trap against any of %d philosopher(s)", len(phils))
 		return res, nil
 	}
-	res.Passed = true
-	res.Detail = fmt.Sprintf("no individual starvation trap against any of %d philosopher(s)", len(phils))
+	if err := errs[settled]; err != nil {
+		return res, err
+	}
+	trap := traps[settled]
+	res.TrapStates = trap.States
+	res.Detail = fmt.Sprintf("a fair adversary can starve philosopher %d forever: trap of %d states", phils[settled], trap.States)
+	cx, err := space.CounterexampleTo(name, trap.WitnessState)
+	if err != nil {
+		return res, err
+	}
+	res.Counterexample = cx
 	return res, nil
 }
+
+// trapped reports whether a trap analysis found a reachable trap — the
+// refutation of starvation-trap and lockout-freedom.
+func trapped(t modelcheck.Trap) bool { return t.Exists && t.Reachable }
 
 // --- Statistical built-ins (Monte-Carlo, on the warm-start trial harness) ---
 

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/dining"
@@ -333,29 +335,238 @@ func TestRegisterCustomProperty(t *testing.T) {
 	}
 }
 
+// builtinTopologies and builtinAlgorithms snapshot the registries at package
+// initialization, before any test registers a plugin: the grid tests below
+// run over exactly the built-in entries.
+var (
+	builtinTopologies = dining.Topologies()
+	builtinAlgorithms = dining.Algorithms()
+)
+
 // TestLockoutFreedomStreamedMatchesSequential pins the determinism of the
 // parallelized lockout-freedom check: the per-philosopher trap analyses run
-// concurrently over par.Stream, but the verdict — including which
-// philosopher is reported starvable and the exact counterexample trace —
-// must match the sequential loop for every worker count. GDP1 on the theta
-// graph fails the check (it guarantees progress but not lockout-freedom), so
-// both the failing and the trace-selection paths are exercised; GDP2 passes,
-// covering the all-philosophers-survive path.
+// concurrently over par.Stream and settle in index order, and the verdict —
+// including which philosopher is reported starvable and the exact
+// counterexample trace — must match the sequential loop for every worker
+// count. The grid is every built-in topology (default size) × every
+// built-in algorithm, capped at the state bound of
+// TestWorklistMatchesReferenceFixpoint, so passing, failing and truncated
+// cells all occur. Each cell runs with no protected set (one analysis per
+// philosopher) and with philosopher 0 protected, where lockout-freedom and
+// starvation-trap share one memoized trap and race for it when the
+// properties fan out.
 func TestLockoutFreedomStreamedMatchesSequential(t *testing.T) {
 	t.Parallel()
-	for _, alg := range []string{dining.GDP1, dining.GDP2} {
-		seq := mustCheckJSON(t,
-			mustEngine(t, dining.Theorem2Minimal(), alg, dining.WithWorkers(1)),
-			dining.LockoutFreedom)
-		for _, workers := range []int{2, 3, 5} {
-			got := mustCheckJSON(t,
-				mustEngine(t, dining.Theorem2Minimal(), alg, dining.WithWorkers(workers)),
-				dining.LockoutFreedom)
-			if got != seq {
-				t.Errorf("%s: lockout-freedom with %d workers diverged from the sequential loop:\n got  %s\n want %s",
-					alg, workers, got, seq)
+	maxStates := 2500
+	if testing.Short() {
+		maxStates = 1200
+	}
+	failing := 0
+	for _, topoName := range builtinTopologies {
+		topo, err := dining.NewTopology(topoName, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alg := range builtinAlgorithms {
+			for _, protected := range [][]dining.PhilID{nil, {0}} {
+				engine := func(workers int) *dining.Engine {
+					return mustEngine(t, topo, alg, dining.WithProtected(protected...),
+						dining.WithMaxStates(maxStates), dining.WithWorkers(workers))
+				}
+				props := []string{dining.LockoutFreedom, dining.StarvationTrap}
+				results, err := engine(1).CheckAll(context.Background(), props...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !results[0].Passed {
+					failing++
+				}
+				out, err := json.Marshal(results)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seq := string(out)
+				for _, workers := range []int{2, 3} {
+					if got := mustCheckJSON(t, engine(workers), props...); got != seq {
+						t.Errorf("%s/%s protected %v: lockout-freedom with %d workers diverged from the sequential loop:\n got  %s\n want %s",
+							topo.Name(), alg, protected, workers, got, seq)
+					}
+				}
 			}
 		}
+	}
+	if failing == 0 {
+		t.Error("no grid cell failed lockout-freedom; the grid no longer exercises the trap-selection path")
+	}
+}
+
+// analyseSpace decides the four exhaustive properties on ss the way a
+// dpserve cache hit does (Property.Check on a given space), runs
+// FindStarvationTrapAgainst for every philosopher and reads the space's
+// other memoized analyses, returning everything in JSON form. It reports
+// failures with t.Error, so it may run on any goroutine.
+func analyseSpace(t *testing.T, eng *dining.Engine, ss *dining.StateSpace) string {
+	t.Helper()
+	var out struct {
+		Results    []dining.PropertyResult
+		Traps      []any
+		Deadlocks  []int
+		DeadRegion []int
+		Trap       any
+		Path       any
+	}
+	for _, name := range dining.ExhaustiveProperties() {
+		p, err := dining.LookupProperty(name)
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		res, err := p.Check(context.Background(), dining.PropertyInput{Engine: eng, Space: ss})
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		out.Results = append(out.Results, res)
+	}
+	for p := range eng.Topology().NumPhilosophers() {
+		trap, err := ss.FindStarvationTrapAgainst([]dining.PhilID{dining.PhilID(p)})
+		if err != nil {
+			t.Error(err)
+			return ""
+		}
+		out.Traps = append(out.Traps, trap)
+	}
+	out.Deadlocks = ss.DeadlockStates()
+	out.DeadRegion = ss.DeadRegionStates()
+	out.Trap = ss.FindStarvationTrap()
+	path, ok := ss.PathTo(ss.NumStates() - 1)
+	out.Path = []any{path, ok}
+	js, err := json.Marshal(out)
+	if err != nil {
+		t.Error(err)
+	}
+	return string(js)
+}
+
+// TestSharedSpaceAnalysesConcurrent pins the analysis memo of a shared
+// space, the situation of a dpserve cache entry: eight goroutines check the
+// exhaustive properties and run every per-philosopher trap analysis on one
+// space at once, and each must see exactly what a sequential run on a
+// separately explored space sees. The instances cover reachable traps with
+// counterexamples (Theorem 1), deadlocks and dead regions (naive-left-first)
+// and a protected philosopher whose trap lockout-freedom and starvation-trap
+// share (GDP1 with P0 protected). Afterwards every returned slice is
+// mutated, and the next analysis must not see it.
+func TestSharedSpaceAnalysesConcurrent(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		topo      *dining.Topology
+		alg       string
+		protected []dining.PhilID
+	}{
+		{dining.Theorem1Minimal(), dining.LR1, []dining.PhilID{0, 1, 2}},
+		{dining.Ring(3), dining.NaiveLeftFirst, nil},
+		{dining.Theorem2Minimal(), dining.GDP1, []dining.PhilID{0}},
+	} {
+		name := tc.topo.Name() + "/" + tc.alg
+		eng := mustEngine(t, tc.topo, tc.alg, dining.WithProtected(tc.protected...), dining.WithWorkers(2))
+		explore := func() *dining.StateSpace {
+			ss, err := eng.Explore(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ss
+		}
+		want := analyseSpace(t, eng, explore())
+		shared := explore()
+		got := make([]string, 8)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[g] = analyseSpace(t, eng, shared)
+			}()
+		}
+		wg.Wait()
+		for g, js := range got {
+			if js != want {
+				t.Errorf("%s: goroutine %d diverged from the sequential run:\n got  %s\n want %s", name, g, js, want)
+			}
+		}
+
+		if dead := shared.DeadlockStates(); len(dead) > 0 {
+			dead[0] = -1
+		} else if tc.alg == dining.NaiveLeftFirst {
+			t.Errorf("%s: no deadlock state; the instance no longer covers the deadlock slice", name)
+		}
+		if dead := shared.DeadRegionStates(); len(dead) > 0 {
+			dead[0] = -1
+		}
+		trap := shared.FindStarvationTrap()
+		if len(trap.CoveredPhilosophers) == 0 {
+			t.Errorf("%s: trap covers no philosopher; nothing to mutate", name)
+		} else {
+			trap.CoveredPhilosophers[0] = 99
+		}
+		if trap, err := shared.FindStarvationTrapAgainst([]dining.PhilID{0}); err == nil && len(trap.CoveredPhilosophers) > 0 {
+			trap.CoveredPhilosophers[0] = 99
+		}
+		if path, ok := shared.PathTo(shared.NumStates() - 1); ok && len(path) > 0 {
+			path[0].Phil = 99
+		}
+		if again := analyseSpace(t, eng, shared); again != want {
+			t.Errorf("%s: mutating returned slices changed the next analysis:\n got  %s\n want %s", name, again, want)
+		}
+	}
+}
+
+// TestRecheckAllocs pins what the analysis memo buys a dpserve cache hit:
+// once a space has been checked, checking the four exhaustive properties on
+// it again formats stored verdicts and builds the counterexample traces,
+// and allocates at most 64 KiB. The instance is E-T4's ring-3/GDP2 with P0
+// protected (182,951 states, two failing properties). Before the memo, the
+// re-check re-ran every analysis and allocated 8.1 MB here, mostly the
+// shortest-path search's per-state arrays.
+func TestRecheckAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool randomizes caching under the race detector, so allocation counts are meaningless")
+	}
+	eng := mustEngine(t, dining.Ring(3), dining.GDP2, dining.WithProtected(0))
+	ss, err := eng.Explore(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var props []dining.Property
+	for _, name := range dining.ExhaustiveProperties() {
+		p, err := dining.LookupProperty(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		props = append(props, p)
+	}
+	check := func() {
+		for _, p := range props {
+			if _, err := p.Check(context.Background(), dining.PropertyInput{Engine: eng, Space: ss}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check() // the first check computes and keeps every analysis
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		check()
+	}
+	runtime.ReadMemStats(&after)
+	perCheck := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("ring-3/GDP2 P0 protected, %d states: re-check allocates %d B", ss.NumStates(), perCheck)
+	if perCheck > 64<<10 {
+		t.Errorf("re-checking a checked space allocates %d B, over the 64 KiB budget — an analysis is re-running", perCheck)
 	}
 }
 

@@ -136,8 +136,11 @@
 // and options, scheduler, seed, bounds, protected set, shard count, fault
 // spec — but not the worker count, whose results are pinned bit-identical),
 // so repeated and concurrent requests about the same configuration share
-// one exploration and hot verdicts are answered from the retained space and
-// its cached predecessor index. Every response line is accountable: request
+// one exploration. A retained space also keeps every analysis it has run —
+// the predecessor index, the deadlock and dead-region states, each trap and
+// each counterexample path, computed at most once per space by
+// internal/modelcheck — so a hot request only formats stored verdicts and
+// rebuilds their traces. Every response line is accountable: request
 // id, the echoed engine configuration, the cache disposition and wall-clock
 // timing ride on each NDJSON event, and the wire format is golden-pinned.
 // See the internal/serve package documentation for the endpoints, schema

@@ -76,10 +76,10 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/graph"
-	"repro/internal/graphalg"
 	"repro/internal/sim"
 )
 
@@ -206,6 +206,11 @@ type StateSpace struct {
 	// eating[s] is the bitmask of philosophers eating in state s, backing
 	// FindStarvationTrapAgainst; nil when NumPhils > maskablePhils.
 	eating []uint64
+	// protected is the eating bitmask of the protected set behind bad (see
+	// philMask): it keys FindStarvationTrap's memoized trap, so
+	// FindStarvationTrapAgainst of the same set shares it. 0 when eating is
+	// nil.
+	protected uint64
 	// expanded[s] reports whether state s had its outgoing transitions fully
 	// computed. States discovered but not expanded (possible only when
 	// Truncated) are excluded from the safety analyses so that truncation can
@@ -229,23 +234,12 @@ type StateSpace struct {
 	// workers is the resolved exploration worker count; the lazily built
 	// predecessor index reuses it for its parallel construction.
 	workers int
-	// predOnce/pred cache the reverse-CSR predecessor index shared by every
-	// analysis of this space (see PredecessorIndex).
-	predOnce sync.Once
-	pred     *graphalg.PredecessorIndex
-}
-
-// PredecessorIndex returns the reverse-CSR predecessor index of the explored
-// MDP, building it on first use (in parallel over state chunks, with the
-// exploration's worker count) and caching it on the space — all worklist
-// analyses of one space, including every property of one Engine.Check run
-// and the per-philosopher trap checks of lockout-freedom, share the one
-// index. The index is immutable and safe for concurrent use.
-func (ss *StateSpace) PredecessorIndex() *graphalg.PredecessorIndex {
-	ss.predOnce.Do(func() {
-		ss.pred = graphalg.NewPredecessorIndex(ss, ss.workers)
-	})
-	return ss.pred
+	// memo holds the predecessor index and every exhaustive analysis of this
+	// space, each computed at most once (see analyses.go). It is nil until
+	// the first analysis, so an exploration allocates nothing for it, and
+	// it is a single word because the struct must stay in the 240-byte size
+	// class the exploration allocation pins were measured with.
+	memo atomic.Pointer[analysisMemo]
 }
 
 // NumStates returns the number of distinct states explored.
@@ -588,6 +582,7 @@ func Explore(topo *graph.Topology, prog sim.Program, opts Options) (*StateSpace,
 		NumPhils:  topo.NumPhilosophers(),
 		shards:    make([]shardStore, shards),
 		shardMask: uint32(shards - 1),
+		protected: philMask(topo.NumPhilosophers(), opts.Protected),
 		hasKeys:   opts.KeepKeys,
 		workers:   workers,
 	}

@@ -368,7 +368,9 @@ func TestFindStarvationTrapAgainstMatchesConfiguredSet(t *testing.T) {
 	}
 
 	// The empty set means everyone — equivalent to the default analysis.
-	all, err := ss.FindStarvationTrapAgainst(nil)
+	// Asked of the space configured with {0}, the eating bitmasks answer it;
+	// on ss it would share FindStarvationTrap's memoized trap.
+	all, err := configured.FindStarvationTrapAgainst(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,6 +381,29 @@ func TestFindStarvationTrapAgainstMatchesConfiguredSet(t *testing.T) {
 
 	if _, err := ss.FindStarvationTrapAgainst([]graph.PhilID{99}); err == nil {
 		t.Error("FindStarvationTrapAgainst accepted an out-of-range philosopher")
+	}
+}
+
+// TestAnalysisCellRepanics pins the failure mode of the analysis memo: a
+// cell whose computation panicked runs it only once, then panics with the
+// same value for every later caller instead of handing out a zero result
+// (a zero Trap would read as a pass).
+func TestAnalysisCellRepanics(t *testing.T) {
+	t.Parallel()
+	var c cells[uint64, Trap]
+	computed := 0
+	get := func() (recovered any) {
+		defer func() { recovered = recover() }()
+		c.get(1, func() Trap { computed++; panic("boom") })
+		return nil
+	}
+	for call := range 3 {
+		if r := get(); r != "boom" {
+			t.Errorf("call %d recovered %v, want the analysis's panic", call, r)
+		}
+	}
+	if computed != 1 {
+		t.Errorf("the panicking analysis ran %d times, want 1", computed)
 	}
 }
 

@@ -2,6 +2,7 @@ package modelcheck
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/graphalg"
@@ -26,43 +27,59 @@ type Choice struct {
 // graphalg.PathTo: it visits actions in philosopher order and outcomes in
 // outcome order, so the returned path is deterministic — the same for every
 // exploration worker and shard count, since the dense state numbering itself
-// is.
+// is. Each target is searched once per space and its path kept (the search
+// allocates per-state arrays, the path only its steps); the result is the
+// caller's copy.
 func (ss *StateSpace) PathTo(target int) ([]Choice, bool) {
-	choices, ok := graphalg.PathTo(ss, target)
-	if !ok {
-		return nil, false
+	p := ss.memoPath(target)
+	return slices.Clone(p.choices), p.ok
+}
+
+// memoPath returns the memoized PathTo result for target; its slice is
+// shared and must not be modified.
+func (ss *StateSpace) memoPath(target int) shortestPath {
+	if target < 0 || target >= ss.NumStates() {
+		return shortestPath{}
 	}
-	path := make([]Choice, len(choices))
-	for i, c := range choices {
-		path[i] = Choice{Phil: graph.PhilID(c.Action), Outcome: c.Outcome}
-	}
-	return path, true
+	return ss.analyses().paths.get(target, func() shortestPath {
+		choices, ok := graphalg.PathTo(ss, target)
+		if !ok {
+			return shortestPath{}
+		}
+		path := make([]Choice, len(choices))
+		for i, c := range choices {
+			path[i] = Choice{Phil: graph.PhilID(c.Action), Outcome: c.Outcome}
+		}
+		return shortestPath{choices: path, ok: true}
+	})
 }
 
 // CounterexampleTo builds a replayable counterexample trace from the initial
-// state to target: a shortest scheduler-choice path completed (labels,
-// probabilities, rendered final state, canonical final key) by re-executing
-// it on a fresh world. property names the property the trace refutes.
+// state to target: the memoized shortest scheduler-choice path (PathTo)
+// completed (labels, probabilities, rendered final state, canonical final
+// key) by re-executing it on a fresh world. property names the property the
+// trace refutes. The trace itself is built per call, so every caller owns
+// its copy; re-executing a path costs its length, not the space's size.
 //
 // On a symmetry-quotient space the stored path moves between orbits, not
 // concrete states, so it is first lifted to a concrete scheduler path (see
 // liftChoices); the returned trace replays on the unreduced semantics and
 // verifies on an unreduced engine.
 func (ss *StateSpace) CounterexampleTo(property string, target int) (*trace.Trace, error) {
-	choices, ok := ss.PathTo(target)
-	if !ok {
+	path := ss.memoPath(target)
+	if !path.ok {
 		return nil, fmt.Errorf("modelcheck: state %d is not reachable from the initial state", target)
 	}
 	var steps []trace.Step
 	if ss.sym != nil {
 		var err error
-		steps, err = ss.liftChoices(choices)
+		steps, err = ss.liftChoices(path.choices)
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		steps = make([]trace.Step, len(choices))
-		for i, c := range choices {
+		steps = make([]trace.Step, len(path.choices))
+		for i, c := range path.choices {
 			steps[i] = trace.Step{Phil: int(c.Phil), Outcome: c.Outcome}
 		}
 	}

@@ -54,38 +54,53 @@ type Trap struct {
 // FindStarvationTrap analyses the explored state space for a starvation trap
 // against the protected set that was configured at exploration time. The
 // three-step computation (safety game, maximal end components, philosopher
-// coverage) runs as worklist algorithms over the space's cached predecessor
-// index; see graphalg.PredecessorIndex.MaximalTrap.
+// coverage) runs as worklist algorithms over the space's predecessor index
+// (see graphalg.PredecessorIndex.MaximalTrap), once per space: later calls,
+// and FindStarvationTrapAgainst of the same set, return the stored result.
 func (ss *StateSpace) FindStarvationTrap() Trap {
-	return ss.trapFrom(ss.PredecessorIndex().MaximalTrap(ss.Bad))
+	return ss.trapAgainst(ss.protected)
 }
 
-// FindStarvationTrapAgainst re-runs the trap analysis against an arbitrary
+// FindStarvationTrapAgainst runs the trap analysis against an arbitrary
 // protected set — nil or empty means every philosopher — using the per-state
 // eating bitmasks recorded during exploration. It is what the lockout-freedom
-// property uses to test each philosopher individually without re-exploring:
-// every call shares the space's one cached predecessor index and draws its
-// mutable state from the index's scratch pool, so the per-philosopher calls
-// may run concurrently over one shared StateSpace without rebuilding any
-// per-analysis state. It returns an error on instances with more than 64
-// philosophers (which carry no masks) or an out-of-range philosopher.
+// property uses to test each philosopher individually without re-exploring.
+// Each set is analysed once per space and keyed by its eating bitmask, so a
+// repeated set, a set equal to the configured one (FindStarvationTrap) and
+// every later check of the space return the stored trap; concurrent calls
+// share the one predecessor index and draw their scratch from its pool. It
+// returns an error on instances with more than 64 philosophers (which carry
+// no masks) or an out-of-range philosopher.
 func (ss *StateSpace) FindStarvationTrapAgainst(protected []graph.PhilID) (Trap, error) {
 	if ss.eating == nil {
 		return Trap{}, fmt.Errorf("modelcheck: per-set trap analysis needs the eating bitmasks, which cover at most %d philosophers (topology has %d)", maskablePhils, ss.NumPhils)
 	}
-	var mask uint64
+	for _, p := range protected {
+		if int(p) < 0 || int(p) >= ss.NumPhils {
+			return Trap{}, fmt.Errorf("modelcheck: protected philosopher %d out of range [0, %d)", p, ss.NumPhils)
+		}
+	}
+	return ss.trapAgainst(philMask(ss.NumPhils, protected)), nil
+}
+
+// philMask returns the eating bitmask of a protected set on n philosophers:
+// every philosopher when the set is empty, else its members in [0, n) — a
+// member outside that range never eats, so dropping it leaves the labelling
+// unchanged. It is 0 when n exceeds maskablePhils, where no masks exist.
+func philMask(n int, protected []graph.PhilID) uint64 {
+	if n > maskablePhils {
+		return 0
+	}
 	if len(protected) == 0 {
-		mask = ^uint64(0) >> (maskablePhils - ss.NumPhils)
-	} else {
-		for _, p := range protected {
-			if int(p) < 0 || int(p) >= ss.NumPhils {
-				return Trap{}, fmt.Errorf("modelcheck: protected philosopher %d out of range [0, %d)", p, ss.NumPhils)
-			}
+		return ^uint64(0) >> (maskablePhils - n)
+	}
+	var mask uint64
+	for _, p := range protected {
+		if p >= 0 && int(p) < n {
 			mask |= 1 << uint(p)
 		}
 	}
-	bad := func(s int) bool { return ss.eating[s]&mask != 0 }
-	return ss.trapFrom(ss.PredecessorIndex().MaximalTrap(bad)), nil
+	return mask
 }
 
 // trapFrom converts a generic graphalg trap into the dining form, attaching

@@ -9,6 +9,7 @@ package serve
 import (
 	"container/list"
 	"context"
+	"fmt"
 	"sync"
 
 	"repro/dining"
@@ -63,11 +64,11 @@ type flight struct {
 // Cache is a bounded, fingerprint-keyed store of explored state spaces with
 // singleflight population: concurrent Gets for one key run the explore
 // function exactly once. Entries are immutable once published — a
-// dining.StateSpace never changes after exploration and builds its
-// predecessor index through a sync.Once — so any number of readers may use
-// a returned space concurrently, including while it is being evicted (an
-// evicted space stays valid for the requests still holding it; eviction
-// only stops future reuse).
+// dining.StateSpace never changes after exploration, and it computes each
+// of its analyses at most once, concurrent callers included — so any number
+// of readers may use a returned space concurrently, including while it is
+// being evicted (an evicted space stays valid for the requests still
+// holding it; eviction only stops future reuse).
 //
 // The bound is a state budget, not an entry count: the sum of NumStates
 // over retained entries stays at or below the cap, least-recently-used
@@ -105,8 +106,11 @@ func NewCache(capStates int) *Cache {
 // waits for the in-flight exploration (or its own ctx). The explore
 // function is supplied by the caller so the cache stays agnostic of engine
 // assembly; a failed exploration is not cached, and its error propagates to
-// every waiter of that flight. A cancelled waiter returns its ctx error
-// without disturbing the exploration.
+// every waiter of that flight. An exploration that panics fails the same
+// way — its waiters get an error and the key stays uncached, so the next
+// request explores again — and the panic then propagates to the caller. A
+// cancelled waiter returns its ctx error without disturbing the
+// exploration.
 func (c *Cache) Get(ctx context.Context, key string, onStatus func(Status), explore func() (*dining.StateSpace, error)) (*dining.StateSpace, Status, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
@@ -133,9 +137,34 @@ func (c *Cache) Get(ctx context.Context, key string, onStatus func(Status), expl
 	c.stats.Explorations++
 	c.mu.Unlock()
 
+	landed := false
+	defer func() {
+		// An exploration that panics (or exits its goroutine) must not leave
+		// its flight registered: the waiters would block until their own
+		// contexts end, and so would every later request for the key. Land
+		// the flight as a failure — waking the waiters with an error,
+		// caching nothing — and let the panic continue; the next request
+		// explores again.
+		if landed {
+			return
+		}
+		r := recover()
+		f.space, f.err = nil, fmt.Errorf("serve: exploration aborted: %v", r)
+		c.land(key, f)
+		if r != nil {
+			panic(r)
+		}
+	}()
 	notify(onStatus, StatusMiss)
 	f.space, f.err = explore()
+	landed = true
+	c.land(key, f)
+	return f.space, StatusMiss, f.err
+}
 
+// land retires the flight of key: it publishes a successful exploration,
+// then wakes the flight's waiters.
+func (c *Cache) land(key string, f *flight) {
 	c.mu.Lock()
 	delete(c.flights, key)
 	if f.err == nil {
@@ -143,7 +172,6 @@ func (c *Cache) Get(ctx context.Context, key string, onStatus func(Status), expl
 	}
 	c.mu.Unlock()
 	close(f.done)
-	return f.space, StatusMiss, f.err
 }
 
 // Stats returns a snapshot of the counters.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/dining"
 )
@@ -222,5 +223,53 @@ func TestCacheCancelledWaiter(t *testing.T) {
 	<-done
 	if _, status, err := c.Get(context.Background(), "k", nil, nil); err != nil || status != StatusHit {
 		t.Errorf("post-flight Get = (%q, %v), want hit — cancellation must not poison the entry", status, err)
+	}
+}
+
+// TestCachePanickingExplorationRetiresFlight checks that an exploration
+// that panics does not poison its key: a waiter sharing the flight wakes
+// with an error instead of blocking until its own deadline, the panic
+// reaches the request that explored, and the next Get explores again.
+func TestCachePanickingExplorationRetiresFlight(t *testing.T) {
+	t.Parallel()
+	ss := exploreSpace(t, dining.Ring(3), dining.LR1)
+	c := NewCache(0)
+	gate := make(chan struct{})
+	missObserved := make(chan struct{})
+	leaderPanic := make(chan any, 1)
+	go func() {
+		defer func() { leaderPanic <- recover() }()
+		c.Get(context.Background(), "k", func(Status) { close(missObserved) },
+			func() (*dining.StateSpace, error) { <-gate; panic("boom") })
+	}()
+	<-missObserved
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	sharedObserved := make(chan struct{})
+	type outcome struct {
+		status Status
+		err    error
+	}
+	waiter := make(chan outcome, 1)
+	go func() {
+		_, status, err := c.Get(ctx, "k", func(Status) { close(sharedObserved) }, nil)
+		waiter <- outcome{status, err}
+	}()
+	<-sharedObserved
+	close(gate)
+
+	if r := <-leaderPanic; r != "boom" {
+		t.Errorf("exploring Get recovered %v, want the exploration's panic", r)
+	}
+	if w := <-waiter; w.status != StatusShared || w.err == nil || ctx.Err() != nil {
+		t.Errorf("waiter = (%q, %v), want (shared, the exploration's failure) before its deadline", w.status, w.err)
+	}
+	got, status, err := c.Get(ctx, "k", nil, func() (*dining.StateSpace, error) { return ss, nil })
+	if err != nil || got != ss || status != StatusMiss {
+		t.Fatalf("next Get = (%p, %q, %v), want a fresh miss returning the space", got, status, err)
+	}
+	if st := c.Stats(); st.Explorations != 2 || st.Entries != 1 {
+		t.Errorf("stats = %+v, want 2 explorations and 1 entry", st)
 	}
 }

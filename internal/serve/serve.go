@@ -68,9 +68,15 @@
 // served from the LRU without re-exploring, and the cache is bounded by
 // total retained state count, evicting least-recently-used spaces first.
 // Cached spaces are immutable and safe for any number of concurrent
-// readers; their lazily built predecessor indexes are constructed at most
-// once and retained with the entry, so every property check after the
-// first runs against a warm index.
+// readers. Each space also keeps every analysis it has run — the
+// predecessor index, the deadlock and dead-region states, the starvation
+// trap of each protected set and the shortest path to each counterexample
+// target — computed at most once and retained with the entry, so a request
+// served from the cache re-runs no analysis: it formats the stored verdicts
+// and rebuilds each counterexample trace from its stored path. The one
+// exception is lockout-freedom on a symmetry-reduced engine, which
+// re-explores the unreduced space on every check; caching that twin would
+// hold states outside the cache's state budget.
 package serve
 
 import (
