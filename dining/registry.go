@@ -91,8 +91,9 @@ func NewFault(name string, cfg FaultConfig) (FaultModel, error) { return fault.N
 func NewFaultFromSpec(spec string) (FaultModel, error) { return fault.NewFromSpec(spec) }
 
 // NewTopology builds the named registered topology with size parameter n
-// (n <= 0 selects the constructor's default size; fixed topologies ignore
-// n). Unknown names produce a one-line error listing the registered options.
+// (n = 0 selects the constructor's default size; fixed topologies ignore n;
+// a negative n is an error). Unknown names produce a one-line error listing
+// the registered options.
 func NewTopology(name string, n int) (*Topology, error) { return graph.NewTopology(name, n) }
 
 // NewAlgorithm constructs the named registered algorithm, mainly useful for

@@ -90,11 +90,13 @@
 // every probe. The level-synchronous parallel BFS writes every shard
 // from exactly one goroutine per phase — expansion and frontier assembly are
 // parallel over chunks, interning and row-writing are parallel over shards —
-// so there are no locks and no sequential per-level merge. On top of the
-// shards sits the dense view: states renumbered in breadth-first discovery
-// order, which is provably the same numbering for every (workers, shards)
-// combination, so state counts, verdicts, witnesses and counterexample
-// traces never depend on how the exploration was parallelized.
+// so there are no locks and no sequential per-level merge; a state cap cuts
+// the final level where a search expanding one state at a time would stop,
+// and the kept prefix runs the same phases. On top of the shards sits the
+// dense view: states renumbered in breadth-first discovery order, which is
+// provably the same numbering for every (workers, shards) combination, so
+// state counts, verdicts, witnesses and counterexample traces never depend
+// on how the exploration was parallelized.
 //
 // The analyses — reachability, deadlock detection, the safety game and
 // maximal-end-component computation behind the starvation-trap theorems,
@@ -117,7 +119,7 @@
 // philosopher across the engine's workers over the one shared index. The
 // pre-worklist whole-state-space sweeps are retained verbatim in
 // internal/graphalg/graphalgtest as reference oracles; an equivalence grid
-// pins that verdicts, witness keys and counterexample traces are
+// pins that verdicts, witness states and counterexample traces are
 // byte-identical across every topology × algorithm cell, truncated runs
 // included. internal/trace turns analysis witnesses into replayable
 // counterexample traces, the dining property layer packages the analyses as
@@ -187,8 +189,8 @@
 //     sets are rebuilt every step; closures would allocate per step —
 //     programs use static funcs with the Arg field) and no fmt.* formatting
 //     on non-error hot paths.
-//   - unsafeaudit: package unsafe is confined to an explicit allowlist
-//     (the model checker's intern-key arena).
+//   - unsafeaudit: package unsafe is confined to an explicit allowlist,
+//     which names no production file.
 //   - registryname: names registered with the five open registries
 //     (topologies, algorithms, schedulers, properties, faults) are
 //     canonical lower-kebab-case and unique per registry.

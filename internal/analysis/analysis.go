@@ -1,7 +1,7 @@
 // Package analysis is a small, standard-library-only static-analysis
 // framework plus the repository's own analyzers (the "dplint" suite). The
 // repository's core guarantees — deterministic results at any worker count,
-// allocation-flat hot paths, unsafe confined to the intern arena, canonical
+// allocation-flat hot paths, no unsafe outside an audited allowlist, canonical
 // registry names — are enforced dynamically by equivalence grids and
 // allocation budgets; the analyzers in this package prove the underlying
 // mechanisms at the AST/type level on every commit, before a violation can

@@ -3,19 +3,16 @@ package analysis
 import "strings"
 
 // unsafeAllowlist are the module-relative files permitted to import unsafe.
-// Today that is exactly the model checker's explorer, whose StateSpace.KeyOf
-// returns unsafe.String views of keys in the intern store's byte arena
-// (which never moves or rewrites a stored key) instead of copying them —
-// plus the analyzer's own testdata exemplar of an allowed file. Anything
-// else importing unsafe is flagged; extending the allowlist is a reviewed
-// edit to this file, not an annotation.
+// No production file imports unsafe; the one entry is the analyzer's own
+// testdata exemplar of an allowed file. Anything else importing unsafe is
+// flagged; extending the allowlist is a reviewed edit to this file, not an
+// annotation.
 var unsafeAllowlist = []string{
-	"internal/modelcheck/explore.go",
 	"internal/analysis/testdata/unsafeaudit/allowed.go",
 }
 
 // NewUnsafeAudit returns the unsafeaudit analyzer: unsafe stays confined to
-// the intern-key arena.
+// the allowlist.
 func NewUnsafeAudit() *Analyzer {
 	a := &Analyzer{
 		Name: "unsafeaudit",
@@ -40,7 +37,7 @@ func runUnsafeAudit(pass *Pass) error {
 				}
 			}
 			if !allowed {
-				pass.Reportf(imp.Pos(), "%s imports unsafe outside the audited allowlist (%s); confine unsafe to the intern arena or extend the allowlist in internal/analysis/unsafeaudit.go", rel, strings.Join(unsafeAllowlist, ", "))
+				pass.Reportf(imp.Pos(), "%s imports unsafe outside the audited allowlist (%s); drop the import or extend the allowlist in internal/analysis/unsafeaudit.go", rel, strings.Join(unsafeAllowlist, ", "))
 			}
 		}
 	}

@@ -7,9 +7,10 @@ import (
 	"repro/internal/registry"
 )
 
-// TopologyCtor builds a topology from a size parameter n. Constructors must
-// accept any n and substitute a sensible default when n <= 0 (fixed
-// topologies such as the Figure 1 reconstructions ignore n entirely).
+// TopologyCtor builds a topology from a size parameter n >= 0. Constructors
+// must substitute a sensible default when n is 0 (fixed topologies such as
+// the Figure 1 reconstructions ignore n entirely); NewTopology refuses a
+// negative n before calling them.
 type TopologyCtor func(n int) *Topology
 
 // The topology registry maps names to constructors. The builders of this
@@ -37,16 +38,19 @@ const MaxTopologySize = 1 << 16
 var builtinSizes = map[string]func(n int) (phils, forks int){}
 
 // NewTopology builds the named registered topology with size parameter n
-// (n <= 0 selects the constructor's default size; fixed topologies ignore n).
-// A size the constructor cannot build (Ring(1) panics) or, for a sized
-// builtin, a size whose topology would exceed MaxTopologySize philosophers
-// or forks is an error naming the topology and the size, so bad input at the
-// CLI and HTTP boundaries fails with a message instead of a crash or an
-// unbounded allocation.
+// (n = 0 selects the constructor's default size; fixed topologies ignore n).
+// A negative size, a size the constructor cannot build (Ring(1) panics) or,
+// for a sized builtin, a size whose topology would exceed MaxTopologySize
+// philosophers or forks is an error naming the topology and the size, so bad
+// input at the CLI and HTTP boundaries fails with a message instead of a
+// crash, a silently substituted default or an unbounded allocation.
 func NewTopology(name string, n int) (topo *Topology, err error) {
 	ctor, err := topoReg.Lookup(name)
 	if err != nil {
 		return nil, err
+	}
+	if n < 0 {
+		return nil, fmt.Errorf("graph: topology %q cannot be built with n=%d: the size must not be negative", name, n)
 	}
 	if size := builtinSizes[name]; size != nil && n > 0 {
 		// Every sized builtin has at least n philosophers or n forks and

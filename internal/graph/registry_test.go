@@ -34,15 +34,20 @@ func TestTopologyRegistryNamesSortedAndBuildable(t *testing.T) {
 
 // TestNewTopologySmallSizes pins that NewTopology never panics on a small
 // size: every registered topology at n = 1, 2 and 3 is either built and
-// valid or an error naming the topology and the size.
+// valid or an error naming the topology and the size. A negative size is
+// always such an error, never the default size.
 func TestNewTopologySmallSizes(t *testing.T) {
 	t.Parallel()
 	for _, name := range TopologyNames() {
 		if strings.HasPrefix(name, "test-") {
 			continue // registered by other tests
 		}
-		for n := 1; n <= 3; n++ {
+		for _, n := range []int{-1, 1, 2, 3} {
 			topo, err := NewTopology(name, n)
+			if n < 0 && err == nil {
+				t.Errorf("NewTopology(%q, %d) built %s; a negative size must be refused", name, n, topo.Name())
+				continue
+			}
 			if err != nil {
 				if want := fmt.Sprintf("%q cannot be built with n=%d", name, n); !strings.Contains(err.Error(), want) {
 					t.Errorf("NewTopology(%q, %d) error = %q, want it to contain %s", name, n, err, want)

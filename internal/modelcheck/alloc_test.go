@@ -129,7 +129,7 @@ func TestExploreMemoryFollowsTheWork(t *testing.T) {
 	explore := func(workers int) (*StateSpace, uint64) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		ss, err := Explore(graph.Ring(3), prog, Options{Workers: workers, Shards: 2, KeepKeys: true})
+		ss, err := Explore(graph.Ring(3), prog, Options{Workers: workers, Shards: 2})
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)

@@ -135,7 +135,7 @@ func (ss *StateSpace) trapAgainst(mask uint64) Trap {
 		if mask != ss.protected {
 			bad = func(s int) bool { return ss.eating[s]&mask != 0 }
 		}
-		return ss.trapFrom(m.pred().MaximalTrap(bad))
+		return trapFrom(m.pred().MaximalTrap(bad))
 	})
 	t.CoveredPhilosophers = slices.Clone(t.CoveredPhilosophers)
 	return t

@@ -66,10 +66,13 @@
 //     through the intern results.
 //
 // The sequential path (workers = 1, shards = 1) is the same order executed
-// inline with no phases. A level that could cross Options.MaxStates is
-// merged by a single goroutine in global frontier order instead, so
-// truncated explorations stop at exactly the state the sequential
-// exploration stops at; this endgame runs at most once, on the final level.
+// inline with no phases; it stops after the first state whose expansion
+// takes the state count past Options.MaxStates. A level that could pass the
+// cap is cut at that state before its intern phase: replaying the level's
+// pending keys in (chunk, first-encounter) order through a throwaway table
+// counts exactly the states the intern phase would create, the records are
+// truncated after the first frontier entry whose creations pass the cap, and
+// the kept prefix runs the four phases like any other level.
 package modelcheck
 
 import (
@@ -77,7 +80,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/sim"
@@ -92,13 +94,6 @@ type Options struct {
 	// Protected is the set of philosophers whose meals count as "bad" for the
 	// starvation-trap analysis; nil or empty means all philosophers.
 	Protected []graph.PhilID
-	// KeepKeys exposes the canonical key of every state for debugging and
-	// witness extraction (StateSpace.KeyOf, Trap.WitnessKey). The store holds
-	// every key's bytes regardless — its intern table needs them — so this
-	// only decides whether KeyOf reports them; under a symmetry quotient it
-	// also retains each orbit representative's plain key
-	// (RepresentativeKeyOf), which costs one string per state.
-	KeepKeys bool
 	// Interrupt is polled periodically during exploration when non-nil; a
 	// non-nil return aborts Explore with that error. It is how context
 	// cancellation reaches the exploration loop.
@@ -216,19 +211,12 @@ type StateSpace struct {
 	// Truncated) are excluded from the safety analyses so that truncation can
 	// never fabricate a trap.
 	expanded []bool
-	// hasKeys records whether KeyOf reports canonical keys
-	// (Options.KeepKeys).
-	hasKeys bool
 	// Truncated reports whether MaxStates was hit; analyses on a truncated
-	// space are only valid for the explored fragment. It shares the padding
-	// slot of hasKeys, which keeps the struct inside the allocation size
-	// class it occupied before the symmetry surface was added.
+	// space are only valid for the explored fragment.
 	Truncated bool
-	// sym carries the symmetry-quotient surface behind one pointer, so an
-	// unreduced space pays a single word and keeps its pre-symmetry
-	// allocation size class; nil when the space is unreduced (including
-	// trivial-group requests).
-	sym *symSpace
+	// canon is the orbit canonicalizer the space was quotiented by; nil when
+	// the space is unreduced (including trivial-group requests).
+	canon *graph.OrbitCanonicalizer
 	// initial is the dense index of the initial state (always 0).
 	initial int
 	// workers is the resolved exploration worker count; the lazily built
@@ -288,59 +276,13 @@ func (ss *StateSpace) Bad(s int) bool { return ss.bad[s] }
 // graphalg.StateView.
 func (ss *StateSpace) Expanded(s int) bool { return ss.expanded[s] }
 
-// KeyOf returns the intern key of state s — under a symmetry quotient the
-// orbit-canonical key, otherwise the plain world key — or "" unless the
-// exploration set Options.KeepKeys.
-func (ss *StateSpace) KeyOf(s int) string {
-	if !ss.hasKeys {
-		return ""
-	}
-	st, l := ss.locate(s)
-	// The arena never moves or rewrites a stored key, so the string can
-	// view its bytes instead of copying them.
-	key := st.table.key(l)
-	return unsafe.String(unsafe.SliceData(key), len(key))
-}
-
-// symSpace is the symmetry-quotient surface of a StateSpace, allocated only
-// for reduced explorations so the unreduced struct layout — and with it the
-// byte-identical symmetry-off exploration — is preserved.
-type symSpace struct {
-	// canon is the orbit canonicalizer the space was quotiented by.
-	canon *graph.OrbitCanonicalizer
-	// repKeys holds, per dense state, the plain (unreduced) key of the
-	// orbit's representative world — the first-discovered concrete state.
-	// Retained only when Options.KeepKeys is also set.
-	repKeys []string
-	// repBuf is the sequential exploration path's scratch buffer for
-	// encoding representative keys; it lives here rather than on the
-	// explorer so the unreduced explorer carries no symmetry fields.
-	repBuf []byte
-}
-
 // Symmetric reports whether the space was explored under a symmetry quotient
 // (Options.Symmetry with a non-trivial group).
-func (ss *StateSpace) Symmetric() bool { return ss.sym != nil }
+func (ss *StateSpace) Symmetric() bool { return ss.canon != nil }
 
 // Canonicalizer returns the orbit canonicalizer the space was quotiented by,
 // or nil for an unreduced space.
-func (ss *StateSpace) Canonicalizer() *graph.OrbitCanonicalizer {
-	if ss.sym == nil {
-		return nil
-	}
-	return ss.sym.canon
-}
-
-// RepresentativeKeyOf returns the plain (unreduced) key of the representative
-// world of dense state s — the first concrete state of its orbit in discovery
-// order. Retained only on symmetry-quotient explorations with
-// Options.KeepKeys; "" otherwise.
-func (ss *StateSpace) RepresentativeKeyOf(s int) string {
-	if ss.sym == nil || ss.sym.repKeys == nil {
-		return ""
-	}
-	return ss.sym.repKeys[s]
-}
+func (ss *StateSpace) Canonicalizer() *graph.OrbitCanonicalizer { return ss.canon }
 
 // denseOf returns the dense id of the state interned under key, or -1 when
 // the key was never interned.
@@ -385,8 +327,8 @@ type frontEntry struct {
 }
 
 // scratch is the reusable per-worker expansion state: key and outcome
-// buffers, a world free-list, and — for the parallel path — the recorded
-// expansion of the worker's chunk awaiting the per-shard merge phases.
+// buffers, a world free-list, and — for the level loop — the record of the
+// worker's chunk awaiting the per-shard phases.
 type scratch struct {
 	keyBuf     []byte
 	obuf, sbuf []sim.Outcome
@@ -395,23 +337,35 @@ type scratch struct {
 	// next clone.
 	free []*sim.World
 
-	// Parallel expansion record, flattened in (state, action, outcome) order.
-	counts []int32   // per (state, action): number of outcomes
-	probs  []float64 // per outcome: probability
-	refs   []int32   // per outcome: >= 0 dense state id, else ^pendingIdx
-	// Pending (locally new) states, in first-encounter order. local interns
-	// their canonical keys (key -> pending index, this level only) in one
-	// reused arena; phash keeps each key's hash, so the intern phase never
-	// hashes again and local resets in time proportional to the level.
-	local   internTable
-	phash   []uint64
-	pworlds []*sim.World // successor worlds
-	created []bool       // set by the intern phase: this entry created its state
-	// resolve is the pending-index resolution scratch: the intern phase
-	// stores packed ids here; the sequential truncation endgame stores dense
-	// ids instead (only one of the two runs per level).
-	resolve []int32
-	err     error
+	// The chunk record. counts holds one entry per (state, action), its
+	// number of outcomes; outs one per outcome, in (state, action, outcome)
+	// order; pend the locally new successor states in first-encounter order.
+	// local interns the pending keys (key -> pending index, this level only)
+	// in one reused arena and resets in time proportional to the level, from
+	// the hashes pend keeps. A cut truncates the three slices.
+	counts []int32
+	outs   []outRef
+	pend   []pending
+	local  internTable
+	err    error
+}
+
+// outRef is one recorded outcome: its probability and its successor, a dense
+// state id when ref >= 0, else pending entry ^ref of the same chunk.
+type outRef struct {
+	prob float64
+	ref  int32
+}
+
+// pending is a successor state new to the shard tables when its chunk was
+// expanded. The expand phase records its world and key hash; the intern
+// phase sets packed, and created when this entry created the state rather
+// than an earlier chunk's entry for the same key.
+type pending struct {
+	world   *sim.World
+	hash    uint64
+	packed  int32
+	created bool
 }
 
 func (s *scratch) takeFree() *sim.World {
@@ -426,7 +380,7 @@ func (s *scratch) takeFree() *sim.World {
 
 func (s *scratch) putFree(w *sim.World) { s.free = append(s.free, w) }
 
-// shardScratch is the per-shard merge-phase state.
+// shardScratch is the per-shard intern-phase state.
 type shardScratch struct {
 	// newPerChunk[ci] counts the states this shard created from chunk ci's
 	// pendings in the last intern phase; the gather phase prefix-sums these
@@ -447,7 +401,7 @@ type explorer struct {
 
 	// front holds the current BFS level in discovery order (sequentially: the
 	// whole queue, consumed in place); nextFront collects the next level
-	// during the merge phases. levelStart is the dense id of front[0].
+	// in the gather phase. levelStart is the dense id of front[0].
 	front      []frontEntry
 	nextFront  []frontEntry
 	levelStart int
@@ -466,12 +420,6 @@ func (e *explorer) appendKey(w *sim.World, buf []byte) []byte {
 		return w.AppendCanonicalKey(c, buf)
 	}
 	return w.AppendKey(buf)
-}
-
-// keepRepKeys reports whether the exploration records the plain key of each
-// orbit's representative world alongside the canonical ones.
-func (e *explorer) keepRepKeys() bool {
-	return e.opts.Symmetry != nil && e.opts.KeepKeys
 }
 
 // stateFlags computes the per-state labels recorded at intern time.
@@ -493,8 +441,8 @@ func (e *explorer) stateFlags(w *sim.World) (bad, eat bool, mask uint64) {
 // internState interns key, whose hashKey is h, into its shard. A new state
 // gets its dense-view entries, with labels from its world w, and added
 // reports it; either way the state's packed and dense ids are returned. It
-// is used by the sequential path and the truncation endgame; the parallel
-// phases split the same work between internShard and gatherChunk.
+// serves the sequential loop and the initial state; the level loop splits
+// the same work between internShard and gatherChunk.
 func (e *explorer) internState(h uint64, key []byte, w *sim.World) (packed, dense int32, added bool, err error) {
 	ss := e.ss
 	g := ss.shardOfHash(h)
@@ -510,10 +458,6 @@ func (e *explorer) internState(h uint64, key []byte, w *sim.World) (packed, dens
 	dense = int32(len(ss.bad))
 	st.dense = push(st.dense, dense)
 	st.trans = grown(st.trans, ss.NumPhils)
-	if e.keepRepKeys() {
-		ss.sym.repBuf = w.AppendKey(ss.sym.repBuf[:0])
-		ss.sym.repKeys = append(ss.sym.repKeys, string(ss.sym.repBuf))
-	}
 	ss.order = push(ss.order, packed)
 	ss.expanded = push(ss.expanded, false)
 	bad, eat, mask := e.stateFlags(w)
@@ -583,11 +527,8 @@ func Explore(topo *graph.Topology, prog sim.Program, opts Options) (*StateSpace,
 		shards:    make([]shardStore, shards),
 		shardMask: uint32(shards - 1),
 		protected: philMask(topo.NumPhilosophers(), opts.Protected),
-		hasKeys:   opts.KeepKeys,
+		canon:     canon,
 		workers:   workers,
-	}
-	if canon != nil {
-		ss.sym = &symSpace{canon: canon}
 	}
 	e := &explorer{ss: ss, opts: opts}
 	if len(opts.Protected) > 0 {
@@ -639,6 +580,25 @@ func Explore(topo *graph.Topology, prog sim.Program, opts Options) (*StateSpace,
 // is polled.
 const interruptCheckInterval = 1024
 
+// successor applies outcome i of philosopher pid's action to a clone of w,
+// drawn from s's free-list, and encodes the clone's intern key into
+// s.keyBuf. n is the size of w's outcome set for pid: the clone asks for its
+// own set and applies outcome i of that, so a program whose sets differ
+// between equal worlds is refused rather than explored wrongly.
+func (e *explorer) successor(s *scratch, w *sim.World, pid graph.PhilID, i, n int) (*sim.World, error) {
+	ss := e.ss
+	succ := w.CloneProtocolInto(s.takeFree())
+	succOut := ss.prog.Outcomes(succ, pid, s.sbuf[:0])
+	s.sbuf = succOut
+	if len(succOut) != n {
+		return nil, fmt.Errorf("modelcheck: %s produced unstable outcome sets for P%d", ss.prog.Name(), pid)
+	}
+	succOut[i].Do(succ, pid)
+	succ.Step++
+	s.keyBuf = e.appendKey(succ, s.keyBuf[:0])
+	return succ, nil
+}
+
 // exploreSequential runs the BFS inline on a single shard. front doubles as
 // the FIFO queue: new states are appended in id order, so the world of state
 // id sits at front[id] until the state is expanded. With one shard the
@@ -668,15 +628,10 @@ func (e *explorer) exploreSequential() error {
 			s.obuf = outcomes
 			off := int32(len(st.succs))
 			for i := range outcomes {
-				succ := w.CloneProtocolInto(s.takeFree())
-				succOut := ss.prog.Outcomes(succ, pid, s.sbuf[:0])
-				s.sbuf = succOut
-				if len(succOut) != len(outcomes) {
-					return fmt.Errorf("modelcheck: %s produced unstable outcome sets for P%d", ss.prog.Name(), pid)
+				succ, err := e.successor(s, w, pid, i, len(outcomes))
+				if err != nil {
+					return err
 				}
-				succOut[i].Do(succ, pid)
-				succ.Step++
-				s.keyBuf = e.appendKey(succ, s.keyBuf[:0])
 				// Probing a seen state allocates nothing; a new state's key
 				// is copied into the shard's arena.
 				packed, sid, added, err := e.internState(hashKey(s.keyBuf), s.keyBuf, succ)
@@ -707,8 +662,9 @@ func (e *explorer) exploreSequential() error {
 // described in the package comment. Every phase is parallel — over chunks
 // (expand, gather) or over shards (intern, rows) — and every write target is
 // owned by exactly one goroutine, so the only synchronization is the barrier
-// between phases. A level that could cross the state cap falls back to
-// mergeLevelSequential, preserving the sequential truncation point exactly.
+// between phases. A level that could pass the state cap is first cut to the
+// prefix the sequential exploration expands (cutLevel); the prefix runs the
+// same four phases, and the exploration ends with it.
 func (e *explorer) exploreSharded(workers int) error {
 	ss := e.ss
 	// A level runs min(workers, level size) chunks; scratches are created
@@ -757,27 +713,16 @@ func (e *explorer) exploreSharded(workers int) error {
 			}
 		}
 
-		// Truncation endgame: if this level could cross the state cap
-		// (totalPending over-counts cross-chunk duplicates, so the trigger
-		// errs on the safe side), merge it in global frontier order on one
-		// goroutine so the exploration stops at exactly the state the
-		// sequential exploration stops at. This runs at most on the final
-		// level of a capped run — never on the steady-state path.
+		// The pending total over-counts cross-chunk duplicates, so a level
+		// it puts past the cap may still fit; cutLevel decides exactly.
 		totalPending := 0
 		for _, s := range scratches[:active] {
-			totalPending += len(s.pworlds)
+			totalPending += len(s.pend)
 		}
 		d0 := ss.NumStates()
+		cut := false
 		if d0+totalPending > e.opts.MaxStates {
-			if err := e.mergeLevelSequential(scratches[:active], chunkLo); err != nil {
-				return err
-			}
-			if ss.Truncated {
-				return nil
-			}
-			e.front, e.nextFront = e.nextFront, e.front[:0]
-			e.levelStart = d0
-			continue
+			active, cut = e.cutLevel(scratches[:active], d0)
 		}
 
 		// Phase 2: intern pending states, one goroutine per shard.
@@ -813,9 +758,6 @@ func (e *explorer) exploreSharded(workers int) error {
 		if ss.NumPhils <= maskablePhils {
 			ss.eating = grown(ss.eating, totalCreated)
 		}
-		if e.keepRepKeys() {
-			ss.sym.repKeys = grown(ss.sym.repKeys, totalCreated)
-		}
 		e.nextFront = grown(e.nextFront[:0], totalCreated)
 
 		// Phase 3: assign dense ids, record labels and build the next
@@ -839,26 +781,66 @@ func (e *explorer) exploreSharded(workers int) error {
 		}
 		wg.Wait()
 
+		if cut {
+			// The rest of the level stays unexpanded; its states and the
+			// ones the prefix discovered get the post-pass self-loops.
+			ss.Truncated = true
+			return nil
+		}
 		e.front, e.nextFront = e.nextFront, e.front[:0]
 		e.levelStart = d0
 	}
 	return nil
 }
 
-// expandChunk computes the outcome record of one contiguous chunk of the
-// current level. It only reads shared state (the shard intern tables, the
-// program, the frontier worlds of its own chunk) and writes the worker-local
-// scratch.
+// cutLevel truncates the level's chunk records after the frontier entry at
+// which the sequential exploration stops (see the package comment), given
+// the d0 states known before the level, and drops every later chunk. A
+// pending counts when the throwaway table first sees its key, exactly when
+// the intern phase would create it. It returns the number of chunks kept and
+// whether the level was cut; a level whose creations stay within the cap is
+// left whole.
+func (e *explorer) cutLevel(scratches []*scratch, d0 int) (active int, cut bool) {
+	np := e.ss.NumPhils
+	var seen internTable
+	count := d0
+	for ci, s := range scratches {
+		oi, pi := 0, 0
+		for k := 0; k < len(s.counts)/np; k++ {
+			for _, c := range s.counts[k*np : (k+1)*np] {
+				for _, o := range s.outs[oi : oi+int(c)] {
+					// Pendings are numbered in first-encounter order, so
+					// pending pi is first met by the outcome naming it next.
+					if o.ref != ^int32(pi) {
+						continue
+					}
+					if _, added := seen.intern(s.pend[pi].hash, s.local.key(int32(pi))); added {
+						count++
+					}
+					pi++
+				}
+				oi += int(c)
+			}
+			if count > e.opts.MaxStates {
+				s.counts = s.counts[:(k+1)*np]
+				s.outs = s.outs[:oi]
+				s.pend = s.pend[:pi]
+				return ci + 1, true
+			}
+		}
+	}
+	return len(scratches), false
+}
+
+// expandChunk computes the record of one contiguous chunk of the current
+// level. It only reads shared state (the shard intern tables, the program,
+// the frontier worlds of its own chunk) and writes the worker-local scratch.
 func (e *explorer) expandChunk(s *scratch, entries []frontEntry) {
 	ss := e.ss
+	s.local.reset(len(s.pend), func(v int) uint64 { return s.pend[v].hash })
 	s.counts = s.counts[:0]
-	s.probs = s.probs[:0]
-	s.refs = s.refs[:0]
-	s.local.reset(s.phash)
-	s.phash = s.phash[:0]
-	s.pworlds = s.pworlds[:0]
-	s.created = s.created[:0]
-	s.resolve = s.resolve[:0]
+	s.outs = s.outs[:0]
+	s.pend = s.pend[:0]
 	s.err = nil
 	for k := range entries {
 		if e.opts.Interrupt != nil && k%interruptCheckInterval == 0 {
@@ -872,34 +854,27 @@ func (e *explorer) expandChunk(s *scratch, entries []frontEntry) {
 			pid := graph.PhilID(a)
 			outcomes := ss.prog.Outcomes(w, pid, s.obuf[:0])
 			s.obuf = outcomes
-			s.counts = append(s.counts, int32(len(outcomes)))
+			s.counts = push(s.counts, int32(len(outcomes)))
 			for i := range outcomes {
-				succ := w.CloneProtocolInto(s.takeFree())
-				succOut := ss.prog.Outcomes(succ, pid, s.sbuf[:0])
-				s.sbuf = succOut
-				if len(succOut) != len(outcomes) {
-					s.err = fmt.Errorf("modelcheck: %s produced unstable outcome sets for P%d", ss.prog.Name(), pid)
+				succ, err := e.successor(s, w, pid, i, len(outcomes))
+				if err != nil {
+					s.err = err
 					return
 				}
-				succOut[i].Do(succ, pid)
-				succ.Step++
-				s.keyBuf = e.appendKey(succ, s.keyBuf[:0])
-				s.probs = append(s.probs, outcomes[i].Prob)
 				h := hashKey(s.keyBuf)
 				st := &ss.shards[ss.shardOfHash(h)]
+				var ref int32
 				if l, ok := st.table.find(h, s.keyBuf); ok {
-					s.refs = append(s.refs, st.dense[l])
+					ref = st.dense[l]
 					s.putFree(succ)
 				} else if li, added := s.local.intern(h, s.keyBuf); !added {
-					s.refs = append(s.refs, ^li)
+					ref = ^li
 					s.putFree(succ)
 				} else {
-					s.phash = append(s.phash, h)
-					s.pworlds = append(s.pworlds, succ)
-					s.created = append(s.created, false)
-					s.resolve = append(s.resolve, -1)
-					s.refs = append(s.refs, ^li)
+					ref = ^li
+					s.pend = push(s.pend, pending{world: succ, hash: h})
 				}
+				s.outs = push(s.outs, outRef{prob: outcomes[i].Prob, ref: ref})
 			}
 		}
 		s.putFree(w) // the frontier world is fully expanded
@@ -909,8 +884,8 @@ func (e *explorer) expandChunk(s *scratch, entries []frontEntry) {
 // internShard interns, into shard g, every pending state hashing to g, in
 // (chunk, first-encounter) order — the restriction of the sequential
 // discovery order to this shard, so shard-local numbering is deterministic
-// for every worker count. Dense ids are left to the gather phase; resolve
-// receives the packed id of every pending entry owned by g.
+// for every worker count. Dense ids are left to the gather phase; every
+// pending entry owned by g receives its state's packed id.
 func (e *explorer) internShard(g uint32, sc *shardScratch, scratches []*scratch) {
 	ss := e.ss
 	st := &ss.shards[g]
@@ -918,12 +893,13 @@ func (e *explorer) internShard(g uint32, sc *shardScratch, scratches []*scratch)
 	sc.err = nil
 	for ci, s := range scratches {
 		created := int32(0)
-		for li, h := range s.phash {
-			if ss.shardOfHash(h) != g {
+		for li := range s.pend {
+			p := &s.pend[li]
+			if ss.shardOfHash(p.hash) != g {
 				continue
 			}
-			local, added := st.table.intern(h, s.local.key(int32(li)))
-			s.resolve[li] = int32(g)<<localBits | local
+			local, added := st.table.intern(p.hash, s.local.key(int32(li)))
+			p.packed = int32(g)<<localBits | local
 			if !added {
 				continue
 			}
@@ -933,7 +909,7 @@ func (e *explorer) internShard(g uint32, sc *shardScratch, scratches []*scratch)
 			}
 			st.dense = push(st.dense, -1) // assigned in the gather phase
 			st.trans = grown(st.trans, ss.NumPhils)
-			s.created[li] = true
+			p.created = true
 			created++
 		}
 		sc.newPerChunk[ci] = created
@@ -950,31 +926,24 @@ func (e *explorer) gatherChunk(s *scratch, d0, base int) {
 	d := d0 + base
 	nf := e.nextFront[base:]
 	j := 0
-	for li := range s.pworlds {
-		w := s.pworlds[li]
-		s.pworlds[li] = nil
-		if !s.created[li] {
+	for li := range s.pend {
+		p := &s.pend[li]
+		w := p.world
+		p.world = nil
+		if !p.created {
 			s.putFree(w)
 			continue
 		}
-		packed := s.resolve[li]
-		st := &ss.shards[packed>>localBits]
-		st.dense[packed&localMask] = int32(d)
-		ss.order[d] = packed
-		if e.keepRepKeys() {
-			// Chunks own disjoint dense ranges, so writing repKeys here is as
-			// race-free as the other dense arrays. The creating world is the
-			// orbit representative: first encountered in discovery order.
-			s.keyBuf = w.AppendKey(s.keyBuf[:0])
-			ss.sym.repKeys[d] = string(s.keyBuf)
-		}
+		st := &ss.shards[p.packed>>localBits]
+		st.dense[p.packed&localMask] = int32(d)
+		ss.order[d] = p.packed
 		bad, eat, mask := e.stateFlags(w)
 		ss.bad[d] = bad
 		ss.anyEating[d] = eat
 		if ss.eating != nil {
 			ss.eating[d] = mask
 		}
-		nf[j] = frontEntry{w: w, packed: packed}
+		nf[j] = frontEntry{w: w, packed: p.packed}
 		j++
 		d++
 	}
@@ -988,14 +957,14 @@ func (e *explorer) writeRows(g uint32, scratches []*scratch, chunkLo []int) {
 	ss := e.ss
 	st := &ss.shards[g]
 	for ci, s := range scratches {
-		ri, kk := 0, 0
+		oi, kk := 0, 0
 		nStates := len(s.counts) / ss.NumPhils
 		for k := 0; k < nStates; k++ {
 			fe := e.front[chunkLo[ci]+k]
 			if uint32(fe.packed)>>localBits != g {
 				// Skip the state's record: it belongs to another shard.
 				for a := 0; a < ss.NumPhils; a++ {
-					ri += int(s.counts[kk])
+					oi += int(s.counts[kk])
 					kk++
 				}
 				continue
@@ -1005,82 +974,19 @@ func (e *explorer) writeRows(g uint32, scratches []*scratch, chunkLo []int) {
 				cnt := s.counts[kk]
 				kk++
 				off := int32(len(st.succs))
-				for j := int32(0); j < cnt; j++ {
-					sid := s.refs[ri]
-					prob := s.probs[ri]
-					ri++
+				for _, o := range s.outs[oi : oi+int(cnt)] {
+					sid := o.ref
 					if sid < 0 {
-						li := ^sid
-						packed := s.resolve[li]
+						packed := s.pend[^sid].packed
 						sid = ss.shards[packed>>localBits].dense[packed&localMask]
 					}
 					st.succs = push(st.succs, sid)
-					st.probs = push(st.probs, prob)
+					st.probs = push(st.probs, o.prob)
 				}
+				oi += int(cnt)
 				st.trans[base+a] = transition{off: off, n: cnt}
 			}
 			ss.expanded[e.levelStart+chunkLo[ci]+k] = true
 		}
 	}
-}
-
-// mergeLevelSequential is the truncation endgame: it replays every chunk's
-// record in global frontier order on one goroutine, interning new states
-// into their shards at first encounter — the same shard-local and dense
-// numbering the parallel phases would produce — and stops the moment the
-// state cap is crossed, exactly where the sequential exploration stops. The
-// rest of the level is dropped; discovered-but-unexpanded states keep their
-// blank rows for the post-pass self-loops.
-func (e *explorer) mergeLevelSequential(scratches []*scratch, chunkLo []int) error {
-	ss := e.ss
-	for ci, s := range scratches {
-		ri, kk := 0, 0
-		nStates := len(s.counts) / ss.NumPhils
-		for k := 0; k < nStates; k++ {
-			fe := e.front[chunkLo[ci]+k]
-			st := &ss.shards[uint32(fe.packed)>>localBits]
-			base := int(fe.packed&localMask) * ss.NumPhils
-			for a := 0; a < ss.NumPhils; a++ {
-				cnt := s.counts[kk]
-				kk++
-				off := int32(len(st.succs))
-				for j := int32(0); j < cnt; j++ {
-					sid := s.refs[ri]
-					prob := s.probs[ri]
-					ri++
-					if sid < 0 {
-						li := ^sid
-						// resolve caches dense ids on this path.
-						if s.resolve[li] >= 0 {
-							sid = s.resolve[li]
-						} else {
-							w := s.pworlds[li]
-							s.pworlds[li] = nil
-							packed, dense, added, err := e.internState(s.phash[li], s.local.key(li), w)
-							if err != nil {
-								return err
-							}
-							if added {
-								e.nextFront = push(e.nextFront, frontEntry{w: w, packed: packed})
-							} else {
-								// Interned by an earlier chunk of this level.
-								s.putFree(w)
-							}
-							sid = dense
-							s.resolve[li] = sid
-						}
-					}
-					st.succs = push(st.succs, sid)
-					st.probs = push(st.probs, prob)
-				}
-				st.trans[base+a] = transition{off: off, n: cnt}
-			}
-			ss.expanded[e.levelStart+chunkLo[ci]+k] = true
-			if ss.NumStates() > e.opts.MaxStates {
-				ss.Truncated = true
-				return nil
-			}
-		}
-	}
-	return nil
 }

@@ -130,6 +130,13 @@ func assertSameSpace(t *testing.T, label string, a, b *StateSpace) {
 	}
 }
 
+// keyOf returns the intern key of dense state s, read from its shard's
+// arena.
+func keyOf(ss *StateSpace, s int) string {
+	st, l := ss.locate(s)
+	return string(st.table.key(l))
+}
+
 // shardKeys reads every key of a shard through its arena, in local-index
 // order.
 func shardKeys(st *shardStore) []string {
@@ -155,7 +162,7 @@ func assertEquivalentSpace(t *testing.T, label string, seq, sh *StateSpace) {
 	}
 	n := seq.NumStates()
 	for s := 0; s < n; s++ {
-		if seq.KeyOf(s) != sh.KeyOf(s) {
+		if keyOf(seq, s) != keyOf(sh, s) {
 			t.Fatalf("%s: state %d has different canonical keys — the dense numbering diverged", label, s)
 		}
 		if seq.bad[s] != sh.bad[s] || seq.anyEating[s] != sh.anyEating[s] || seq.expanded[s] != sh.expanded[s] {
@@ -174,7 +181,16 @@ func assertEquivalentSpace(t *testing.T, label string, seq, sh *StateSpace) {
 			}
 		}
 	}
-	// Shard-layout invariants of the sharded space.
+	assertShardLayout(t, label, sh)
+}
+
+// assertShardLayout checks that a space's shard layout is a consistent
+// bijection onto its dense view: every state's key hashes to its owning
+// shard, packed ids round-trip through the order/dense maps, and the shard
+// sizes add up to the state count.
+func assertShardLayout(t *testing.T, label string, sh *StateSpace) {
+	t.Helper()
+	n := sh.NumStates()
 	total := 0
 	for g := range sh.shards {
 		st := &sh.shards[g]
@@ -209,12 +225,12 @@ func TestExplorationParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := Explore(graph.Theorem2Minimal(), prog, Options{Workers: 1, Shards: 1, KeepKeys: true})
+		seq, err := Explore(graph.Theorem2Minimal(), prog, Options{Workers: 1, Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 3, 7} {
-			par, err := Explore(graph.Theorem2Minimal(), prog, Options{Workers: workers, Shards: 1, KeepKeys: true})
+			par, err := Explore(graph.Theorem2Minimal(), prog, Options{Workers: workers, Shards: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,11 +242,11 @@ func TestExplorationParallelMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Explore(graph.Ring(4), prog, Options{Workers: 1, Shards: 1, MaxStates: 50, KeepKeys: true})
+	seq, err := Explore(graph.Ring(4), prog, Options{Workers: 1, Shards: 1, MaxStates: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Explore(graph.Ring(4), prog, Options{Workers: 5, Shards: 1, MaxStates: 50, KeepKeys: true})
+	par, err := Explore(graph.Ring(4), prog, Options{Workers: 5, Shards: 1, MaxStates: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +269,7 @@ func TestExplorationShardedEquivalentToSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := Explore(graph.Theorem2Minimal(), prog, Options{Workers: 1, Shards: 1, KeepKeys: true})
+		seq, err := Explore(graph.Theorem2Minimal(), prog, Options{Workers: 1, Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +277,7 @@ func TestExplorationShardedEquivalentToSequential(t *testing.T) {
 			{1, 2}, {1, 8}, {2, 2}, {3, 4}, {7, 8}, {4, 64},
 		} {
 			sh, err := Explore(graph.Theorem2Minimal(), prog, Options{
-				Workers: cfg.workers, Shards: cfg.shards, KeepKeys: true,
+				Workers: cfg.workers, Shards: cfg.shards,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -281,7 +297,7 @@ func TestExplorationShardedEquivalentToSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, maxStates := range []int{50, 500} {
-		seq, err := Explore(graph.Ring(4), prog, Options{Workers: 1, Shards: 1, MaxStates: maxStates, KeepKeys: true})
+		seq, err := Explore(graph.Ring(4), prog, Options{Workers: 1, Shards: 1, MaxStates: maxStates})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +308,7 @@ func TestExplorationShardedEquivalentToSequential(t *testing.T) {
 			{1, 4}, {3, 2}, {5, 8},
 		} {
 			sh, err := Explore(graph.Ring(4), prog, Options{
-				Workers: cfg.workers, Shards: cfg.shards, MaxStates: maxStates, KeepKeys: true,
+				Workers: cfg.workers, Shards: cfg.shards, MaxStates: maxStates,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -134,14 +134,14 @@ func (t *internTable) grow() {
 	t.slots = slots
 }
 
-// reset empties the table for reuse, keeping its allocations. hashes[v] must
-// be the hash value v was interned under. Each entry's slot is found from its
-// home, so the cost is proportional to the entries, not to the slot array a
-// larger earlier use left behind.
-func (t *internTable) reset(hashes []uint64) {
+// reset empties the table of its n values for reuse, keeping its
+// allocations. hash(v) must be the hash value v was interned under. Each
+// entry's slot is found from its home, so the cost is proportional to the
+// entries, not to the slot array a larger earlier use left behind.
+func (t *internTable) reset(n int, hash func(v int) uint64) {
 	mask := uint64(len(t.slots) - 1)
-	for v, h := range hashes {
-		i := h >> 32 & mask
+	for v := range n {
+		i := hash(v) >> 32 & mask
 		for uint32(t.slots[i]) != uint32(v+1) {
 			i = (i + 1) & mask
 		}

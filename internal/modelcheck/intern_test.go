@@ -50,7 +50,7 @@ func checkInternTable(t *testing.T, keys [][]byte, absent [][]byte, hash func([]
 				t.Fatalf("round %d: find(%q) = %d on a key never interned", round, k, got)
 			}
 		}
-		tab.reset(hashes)
+		tab.reset(len(hashes), func(v int) uint64 { return hashes[v] })
 		for i, s := range tab.slots {
 			if s != 0 {
 				t.Fatalf("round %d: slot %d = %#x survives reset", round, i, s)

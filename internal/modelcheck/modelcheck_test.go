@@ -98,7 +98,7 @@ func (p *flakyProgram) Outcomes(_ *sim.World, _ graph.PhilID, buf []sim.Outcome)
 
 // TestExploreRejectsUnstableOutcomeSets trips the explorer's guard on
 // outcome sets that change between equal worlds, on the sequential loop and
-// in the sharded loop's expandChunk, which each carry their own copy of it.
+// in the level loop's expandChunk, which share it through successor.
 func TestExploreRejectsUnstableOutcomeSets(t *testing.T) {
 	t.Parallel()
 	for _, opts := range []Options{{Workers: 1, Shards: 1}, {Workers: 2}} {
@@ -286,7 +286,7 @@ func TestPathToFindsReplayableCounterexamples(t *testing.T) {
 	// The naive hold-and-wait baseline deadlocks on the ring; the path to the
 	// deadlock state must replay to exactly that state.
 	prog := mustProg(t, "naive-left-first", algo.Options{})
-	ss, err := Explore(graph.Ring(3), prog, Options{KeepKeys: true})
+	ss, err := Explore(graph.Ring(3), prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestPathToFindsReplayableCounterexamples(t *testing.T) {
 			t.Errorf("step %d missing its outcome label", i)
 		}
 	}
-	if cx.FinalKey != hex.EncodeToString([]byte(ss.KeyOf(dead[0]))) {
+	if cx.FinalKey != hex.EncodeToString([]byte(keyOf(ss, dead[0]))) {
 		t.Errorf("trace final key %s does not match the target state's canonical key", cx.FinalKey)
 	}
 	w, err := trace.Replay(graph.Ring(3), prog, cx)

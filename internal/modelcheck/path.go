@@ -71,7 +71,7 @@ func (ss *StateSpace) CounterexampleTo(property string, target int) (*trace.Trac
 		return nil, fmt.Errorf("modelcheck: state %d is not reachable from the initial state", target)
 	}
 	var steps []trace.Step
-	if ss.sym != nil {
+	if ss.canon != nil {
 		var err error
 		steps, err = ss.liftChoices(path.choices)
 		if err != nil {
@@ -118,7 +118,7 @@ func (ss *StateSpace) liftChoices(choices []Choice) ([]trace.Step, error) {
 				succOut := ss.prog.Outcomes(succ, pid, nil)
 				succOut[o].Do(succ, pid)
 				succ.Step++
-				buf = succ.AppendCanonicalKey(ss.sym.canon, buf[:0])
+				buf = succ.AppendCanonicalKey(ss.canon, buf[:0])
 				if int(ss.denseOf(buf)) == next {
 					steps[i] = trace.Step{Phil: a, Outcome: o}
 					w = succ

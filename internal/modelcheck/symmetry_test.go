@@ -52,9 +52,9 @@ func TestSymmetryReducesStateCount(t *testing.T) {
 }
 
 // TestSymmetryDeterministicAcrossWorkersAndShards pins the quotient's dense
-// numbering, retained canonical keys, representative keys and counterexample
-// paths to be identical for every (workers, shards) configuration — the same
-// determinism contract the unreduced exploration has.
+// numbering, canonical keys and trap witnesses to be identical for every
+// (workers, shards) configuration — the same determinism contract the
+// unreduced exploration has.
 func TestSymmetryDeterministicAcrossWorkersAndShards(t *testing.T) {
 	t.Parallel()
 	topo := graph.Ring(4)
@@ -64,7 +64,7 @@ func TestSymmetryDeterministicAcrossWorkersAndShards(t *testing.T) {
 	}
 	canon := mustCanon(t, topo, graph.CanonOptions{})
 	explore := func(workers, shards int) *StateSpace {
-		ss, err := Explore(topo, prog, Options{Symmetry: canon, KeepKeys: true, Workers: workers, Shards: shards})
+		ss, err := Explore(topo, prog, Options{Symmetry: canon, Workers: workers, Shards: shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,11 +78,8 @@ func TestSymmetryDeterministicAcrossWorkersAndShards(t *testing.T) {
 			t.Fatalf("workers=%d shards=%d: %d states, want %d", cfg[0], cfg[1], ss.NumStates(), ref.NumStates())
 		}
 		for s := 0; s < ref.NumStates(); s++ {
-			if ss.KeyOf(s) != ref.KeyOf(s) {
+			if keyOf(ss, s) != keyOf(ref, s) {
 				t.Fatalf("workers=%d shards=%d: canonical key of state %d differs", cfg[0], cfg[1], s)
-			}
-			if ss.RepresentativeKeyOf(s) != ref.RepresentativeKeyOf(s) {
-				t.Fatalf("workers=%d shards=%d: representative key of state %d differs", cfg[0], cfg[1], s)
 			}
 		}
 		trap := ss.FindStarvationTrap()
@@ -92,10 +89,9 @@ func TestSymmetryDeterministicAcrossWorkersAndShards(t *testing.T) {
 	}
 }
 
-// TestSymmetryRepresentativeKeys checks the stored representative worlds:
-// each dense state's representative plain key must canonicalize to the
-// state's canonical key, and the initial state (group-invariant) must be its
-// own representative.
+// TestSymmetryRepresentativeKeys checks that the quotient stores the initial
+// state — group-invariant, so its own orbit representative — under its
+// orbit-canonical key.
 func TestSymmetryRepresentativeKeys(t *testing.T) {
 	t.Parallel()
 	topo := graph.Ring(3)
@@ -104,25 +100,14 @@ func TestSymmetryRepresentativeKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	canon := mustCanon(t, topo, graph.CanonOptions{})
-	ss, err := Explore(topo, prog, Options{Symmetry: canon, KeepKeys: true})
+	ss, err := Explore(topo, prog, Options{Symmetry: canon})
 	if err != nil {
 		t.Fatal(err)
 	}
 	w0 := sim.NewWorld(topo)
 	prog.Init(w0)
-	if got, want := ss.RepresentativeKeyOf(ss.Initial()), string(w0.AppendKey(nil)); got != want {
-		t.Errorf("initial representative is not the initial world")
-	}
-	if got, want := ss.KeyOf(ss.Initial()), string(w0.AppendCanonicalKey(canon, nil)); got != want {
+	if got, want := keyOf(ss, ss.Initial()), string(w0.AppendCanonicalKey(canon, nil)); got != want {
 		t.Errorf("initial canonical key mismatch")
-	}
-	// Without KeepKeys no representatives are retained.
-	bare, err := Explore(topo, prog, Options{Symmetry: canon})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bare.RepresentativeKeyOf(0) != "" {
-		t.Errorf("RepresentativeKeyOf without KeepKeys = %q, want \"\"", bare.RepresentativeKeyOf(0))
 	}
 }
 
@@ -150,11 +135,11 @@ func TestSymmetryTrivialGroupMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Explore(topo, prog, Options{KeepKeys: true})
+	plain, err := Explore(topo, prog, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	quot, err := Explore(topo, prog, Options{KeepKeys: true, Symmetry: mustCanon(t, topo, graph.CanonOptions{})})
+	quot, err := Explore(topo, prog, Options{Symmetry: mustCanon(t, topo, graph.CanonOptions{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +150,7 @@ func TestSymmetryTrivialGroupMatchesPlain(t *testing.T) {
 		t.Fatalf("trivial quotient has %d states, plain %d", quot.NumStates(), plain.NumStates())
 	}
 	for s := 0; s < plain.NumStates(); s++ {
-		if quot.KeyOf(s) != plain.KeyOf(s) {
+		if keyOf(quot, s) != keyOf(plain, s) {
 			t.Fatalf("trivial quotient key of state %d differs from plain", s)
 		}
 	}
@@ -183,7 +168,7 @@ func TestSymmetryTruncationDeterministic(t *testing.T) {
 	}
 	canon := mustCanon(t, topo, graph.CanonOptions{})
 	const cap = 700
-	ref, err := Explore(topo, prog, Options{Symmetry: canon, KeepKeys: true, MaxStates: cap, Workers: 1, Shards: 1})
+	ref, err := Explore(topo, prog, Options{Symmetry: canon, MaxStates: cap, Workers: 1, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +176,7 @@ func TestSymmetryTruncationDeterministic(t *testing.T) {
 		t.Fatalf("cap %d did not truncate (got %d states); the test needs a truncated run", cap, ref.NumStates())
 	}
 	for _, cfg := range [][2]int{{2, 4}, {4, 2}} {
-		ss, err := Explore(topo, prog, Options{Symmetry: canon, KeepKeys: true, MaxStates: cap, Workers: cfg[0], Shards: cfg[1]})
+		ss, err := Explore(topo, prog, Options{Symmetry: canon, MaxStates: cap, Workers: cfg[0], Shards: cfg[1]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +185,7 @@ func TestSymmetryTruncationDeterministic(t *testing.T) {
 				cfg[0], cfg[1], ss.Truncated, ss.NumStates(), ref.NumStates())
 		}
 		for s := 0; s < ref.NumStates(); s++ {
-			if ss.KeyOf(s) != ref.KeyOf(s) {
+			if keyOf(ss, s) != keyOf(ref, s) {
 				t.Fatalf("workers=%d shards=%d: truncated key sequence diverges at state %d", cfg[0], cfg[1], s)
 			}
 		}

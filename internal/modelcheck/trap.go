@@ -21,7 +21,7 @@ import (
 // structure behind Theorems 3 and 4.
 //
 // Trap is the dining-flavoured form of graphalg.Trap: actions are named as
-// philosophers and the witness carries its canonical key when available.
+// philosophers.
 type Trap struct {
 	// Exists reports whether a fully covered end component exists within the
 	// reachable safe region.
@@ -41,10 +41,6 @@ type Trap struct {
 	// extraction (StateSpace.CounterexampleTo), which therefore lifts the
 	// shortest concrete witness path.
 	WitnessState int
-	// WitnessKey is the canonical key of one state inside the trap (empty
-	// when none exists or when the exploration did not retain keys — see
-	// Options.KeepKeys); useful for debugging and for replaying the pattern.
-	WitnessKey string
 	// CoveredPhilosophers lists, for the largest candidate end component
 	// found, which philosophers have an allowed action somewhere inside it.
 	// When Exists is false this explains what was missing.
@@ -103,9 +99,8 @@ func philMask(n int, protected []graph.PhilID) uint64 {
 	return mask
 }
 
-// trapFrom converts a generic graphalg trap into the dining form, attaching
-// the witness key when the exploration retained keys.
-func (ss *StateSpace) trapFrom(t graphalg.Trap) Trap {
+// trapFrom converts a generic graphalg trap into the dining form.
+func trapFrom(t graphalg.Trap) Trap {
 	out := Trap{
 		Exists:           t.Exists,
 		Reachable:        t.Reachable,
@@ -118,9 +113,6 @@ func (ss *StateSpace) trapFrom(t graphalg.Trap) Trap {
 		for i, a := range t.CoveredActions {
 			out.CoveredPhilosophers[i] = graph.PhilID(a)
 		}
-	}
-	if t.Exists {
-		out.WitnessKey = ss.KeyOf(t.WitnessState)
 	}
 	return out
 }

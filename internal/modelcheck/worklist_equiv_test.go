@@ -16,7 +16,7 @@ import (
 // is exercised too), decided twice — by the live worklist algorithms over the
 // shared predecessor index and by the retained reference sweeps of
 // graphalgtest — and compared field by field. Deadlock and dead-region state
-// lists, trap verdicts, safe-region sizes, witness states, witness keys and
+// lists, trap verdicts, safe-region sizes, witness states and
 // covered-philosopher sets must all be byte-identical; on trap-positive cells
 // the counterexample traces extracted from the two witnesses must match too.
 //
@@ -40,7 +40,7 @@ func TestWorklistMatchesReferenceFixpoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ss, err := Explore(topo, prog, Options{MaxStates: maxStates, KeepKeys: true})
+			ss, err := Explore(topo, prog, Options{MaxStates: maxStates})
 			if err != nil {
 				t.Fatalf("%s on %s: %v", algName, topoName, err)
 			}
@@ -57,7 +57,7 @@ func TestWorklistMatchesReferenceFixpoint(t *testing.T) {
 				t.Errorf("%s: DeadRegionStates = %v, reference %v", cell, got, want)
 			}
 			got := ss.FindStarvationTrap()
-			want := ss.trapFrom(graphalgtest.MaximalTrap(ss, ss.Bad))
+			want := trapFrom(graphalgtest.MaximalTrap(ss, ss.Bad))
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: trap diverged:\n got  %+v\n want %+v", cell, got, want)
 			}
@@ -99,7 +99,7 @@ func TestWorklistMatchesReferenceFixpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss, err := Explore(tc.topo, prog, Options{KeepKeys: true})
+		ss, err := Explore(tc.topo, prog, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestWorklistMatchesReferenceFixpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			mask := uint64(1) << uint(p)
-			want := ss.trapFrom(graphalgtest.MaximalTrap(ss, func(s int) bool { return ss.eating[s]&mask != 0 }))
+			want := trapFrom(graphalgtest.MaximalTrap(ss, func(s int) bool { return ss.eating[s]&mask != 0 }))
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s on %s, philosopher %d: trap diverged:\n got  %+v\n want %+v",
 					tc.alg, tc.topo.Name(), p, got, want)

@@ -340,6 +340,9 @@ func TestBadRequests(t *testing.T) {
 		{"ring-chord at n=2", "/v1/trials", Request{Topology: "ring-chord", N: 2, Algorithm: dining.GDP2}},
 		{"grid at n=1 in a sweep", "/v1/sweep", SweepRequest{Topologies: []TopologySpec{{Name: "grid", N: 1}}, Algorithms: []string{dining.LR1}}},
 		{"grid over the topology size bound", "/v1/check", Request{Topology: "grid", N: 182, Algorithm: dining.LR1}},
+		{"negative n", "/v1/check", Request{Topology: "ring", N: -3, Algorithm: dining.LR1}},
+		{"negative n in trials", "/v1/trials", Request{Topology: "ring", N: -3, Algorithm: dining.LR1}},
+		{"negative n in a sweep", "/v1/sweep", SweepRequest{Topologies: []TopologySpec{{Name: "ring", N: -3}}, Algorithms: []string{dining.LR1}}},
 		{"protected philosopher out of range", "/v1/check", Request{Topology: "ring", N: 3, Algorithm: dining.LR1, Protected: []dining.PhilID{99}}},
 		{"protected philosopher out of range in trials", "/v1/trials", Request{Topology: "ring", N: 3, Algorithm: dining.LR1, Scheduler: dining.Adversary, Protected: []dining.PhilID{99}}},
 		{"negative max_states", "/v1/check", Request{Topology: "ring", N: 3, Algorithm: dining.LR1, MaxStates: -5}},
