@@ -471,7 +471,8 @@ func BenchmarkModelCheckerScaling(b *testing.B) {
 
 // BenchmarkAnalyses measures the worklist graph-analysis engine against the
 // retained reference sweeps on the Theorem 1 instances: the safety-game/trap
-// analysis, the dead-region analysis and the SCC decomposition, each as
+// analysis (whose end-component rounds run the SCC decomposition) and the
+// dead-region analysis, each as
 //
 //   - sweep: the pre-worklist whole-state-space fixpoint iteration
 //     (graphalgtest oracles — the PR-4 baseline),
@@ -535,38 +536,6 @@ func BenchmarkAnalyses(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				warm.DeadRegionStates(ss.Bad)
-			}
-		})
-
-		// SCC decomposition over the full reachable space with every action
-		// retained: reference (per-visited-state successor slices) versus the
-		// live in-place cursor enumeration.
-		inSet := warm.Reachable()
-		act := make([][]bool, ss.NumStates())
-		for s := range act {
-			row := make([]bool, ss.NumActions())
-			for a := range row {
-				row[a] = true
-			}
-			act[s] = row
-		}
-		comp := make([]int, ss.NumStates())
-		b.Run("scc/"+c.name+"/sweep", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				graphalgtest.StronglyConnected(ss, inSet, act, comp)
-			}
-		})
-		b.Run("scc/"+c.name+"/cold", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				graphalg.NewPredecessorIndex(ss, 1).StronglyConnected(inSet, act, comp)
-			}
-		})
-		b.Run("scc/"+c.name+"/warm", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				warm.StronglyConnected(inSet, act, comp)
 			}
 		})
 	}

@@ -9,7 +9,7 @@
 //	hotalloc      no closures in Outcome.Apply, no fmt on non-error hot paths
 //	unsafeaudit   unsafe imports confined to the audited allowlist
 //	registryname  registered built-in names canonical and unique per registry
-//	unused        exported internal identifiers referenced by non-test code
+//	unused        exported internal identifiers and methods referenced by non-test code
 //
 // Usage:
 //
@@ -19,7 +19,10 @@
 // an explicit list of package directories. The unused analyzer reads the
 // references of the whole module — cmd/, examples/ and the nested perfbench
 // module included, tests excluded — whichever packages are named, so its
-// verdict on a package does not depend on the command line. Diagnostics
+// verdict on a package does not depend on the command line. It counts a
+// method as used when non-test code calls it, or when the method matches a
+// method of an interface that non-test code mentions or that an imported
+// standard-library package declares. Diagnostics
 // print one per line as file:line:col: analyzer: message. A finding that is
 // intentional is suppressed in place with an annotated reason:
 //

@@ -86,6 +86,45 @@ func TestNewRejectsOutOfRangeProtected(t *testing.T) {
 	}
 }
 
+// TestNewBoundsM pins the bound on GDP's number range: every draw lists all
+// m outcomes, so New and Sweep.Scenarios refuse an m above the largest fork
+// count (65,536) with an error naming the bound, and accept m up to it.
+func TestNewBoundsM(t *testing.T) {
+	t.Parallel()
+	over := dining.AlgorithmOptions{M: 65_537}
+	if _, err := dining.New(dining.Ring(3), dining.GDP2, dining.WithAlgorithmOptions(over)); err == nil {
+		t.Error("New accepted M = 65537")
+	} else if !strings.Contains(err.Error(), "65536") {
+		t.Errorf("New with M = 65537: error %q does not name the bound", err)
+	}
+	if _, err := dining.New(dining.Ring(3), dining.GDP2, dining.WithAlgorithmOptions(dining.AlgorithmOptions{M: 65_536})); err != nil {
+		t.Errorf("New rejected M = 65536: %v", err)
+	}
+	sweep := dining.Sweep{Topologies: []*dining.Topology{dining.Ring(3)}, Algorithms: []string{dining.GDP1}, AlgorithmOptions: over}
+	if _, err := sweep.Scenarios(); err == nil || !strings.Contains(err.Error(), "65536") {
+		t.Errorf("Sweep.Scenarios with M = 65537: error %v, want one naming the bound", err)
+	}
+}
+
+// TestLockoutFreedomNamesLowestProtectedPhilosopher pins that the verdict
+// does not depend on how the protected set is spelled: with {1, 0} on
+// ring-3/GDP2 both philosophers can be starved, and the detail names the
+// lowest, P0, as it does for {0, 1}.
+func TestLockoutFreedomNamesLowestProtectedPhilosopher(t *testing.T) {
+	t.Parallel()
+	eng, err := dining.New(dining.Ring(3), dining.GDP2, dining.WithProtected(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := eng.CheckAll(context.Background(), dining.LockoutFreedom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := results[0]; res.Passed || !strings.Contains(res.Detail, "starve philosopher 0 ") {
+		t.Errorf("lockout-freedom with protected {1, 0}: passed %v, detail %q; want P0 starved", res.Passed, res.Detail)
+	}
+}
+
 func TestEngineAdversarialRun(t *testing.T) {
 	t.Parallel()
 	eng, err := dining.New(dining.DoubledPolygon(3), dining.GDP1,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"slices"
 	"time"
 
 	"repro/internal/algo"
@@ -42,6 +43,10 @@ type config struct {
 	faultModel   fault.Model // resolved by New from the three fields above
 }
 
+// maxM bounds AlgorithmOptions.M. GDP1 and GDP2 list all m draws in each
+// outcome set, so m is bounded like the fork count it defaults to.
+const maxM = graph.MaxTopologySize
+
 // Option configures an Engine at construction time.
 type Option func(*config)
 
@@ -71,13 +76,17 @@ func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 func WithMaxSteps(n int64) Option { return func(c *config) { c.maxSteps = n } }
 
 // WithAlgorithmOptions tunes the algorithm (number range m, courtesy
-// variants, coin bias).
+// variants, coin bias). GDP1 and GDP2 list all m draws in each outcome set,
+// so New rejects an m above graph.MaxTopologySize (65,536), the largest
+// fork count and so the largest default m.
 func WithAlgorithmOptions(opts AlgorithmOptions) Option {
 	return func(c *config) { c.algoOpts = opts }
 }
 
 // WithProtected restricts an adversary's (and the model checker's) target
-// set to the given philosophers; empty means all of them.
+// set to the given philosophers; empty means all of them. The set is
+// canonical: New sorts it and drops duplicates, so {1, 0} and {0, 1, 1}
+// configure one engine with one fingerprint.
 func WithProtected(protected ...PhilID) Option {
 	return func(c *config) { c.protected = append([]PhilID(nil), protected...) }
 }
@@ -157,8 +166,8 @@ type Engine struct {
 // invalid topology, an unknown algorithm name and an unknown scheduler name
 // are construction-time errors listing the registered options, and a
 // protected philosopher or fault target the topology does not have, a
-// negative count, bound or window and a negative AlgorithmOptions.M are
-// errors too.
+// negative count, bound or window and an AlgorithmOptions.M that is negative
+// or above graph.MaxTopologySize (65,536) are errors too.
 func New(topo *Topology, algorithm string, opts ...Option) (*Engine, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("dining: New requires a topology")
@@ -184,6 +193,8 @@ func New(topo *Topology, algorithm string, opts ...Option) (*Engine, error) {
 			return nil, fmt.Errorf("dining: protected philosopher %d out of range [0, %d) on topology %s", p, topo.NumPhilosophers(), topo.Name())
 		}
 	}
+	slices.Sort(c.protected)
+	c.protected = slices.Compact(c.protected)
 	if c.maxSteps < 0 {
 		return nil, fmt.Errorf("dining: WithMaxSteps(%d) is negative", c.maxSteps)
 	}
@@ -204,6 +215,9 @@ func New(topo *Topology, algorithm string, opts ...Option) (*Engine, error) {
 	}
 	if c.algoOpts.M < 0 {
 		return nil, fmt.Errorf("dining: AlgorithmOptions.M = %d is negative (0 means the number of forks)", c.algoOpts.M)
+	}
+	if c.algoOpts.M > maxM {
+		return nil, fmt.Errorf("dining: AlgorithmOptions.M = %d exceeds the bound %d", c.algoOpts.M, maxM)
 	}
 	if c.faultName != "" {
 		name, fcfg, err := fault.ParseSpec(c.faultName)
@@ -266,8 +280,8 @@ func (e *Engine) FairnessWindow() int64 { return e.cfg.fairnessWindow }
 // AlgorithmOptions returns the engine's algorithm options.
 func (e *Engine) AlgorithmOptions() AlgorithmOptions { return e.cfg.algoOpts }
 
-// Protected returns a copy of the engine's protected philosopher set
-// (empty = all philosophers).
+// Protected returns a copy of the engine's protected philosopher set in
+// increasing order without duplicates (empty = all philosophers).
 func (e *Engine) Protected() []PhilID { return append([]PhilID(nil), e.cfg.protected...) }
 
 // Faults returns the canonical spec of the engine's fault model

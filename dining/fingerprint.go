@@ -87,8 +87,8 @@ func (e *Engine) Fingerprint() string {
 	u64(uint64(e.cfg.maxStates))
 	u64(uint64(e.cfg.trials))
 	u64(uint64(e.cfg.fairnessWindow))
-	// Protected set (order matters: WithProtected order is part of the
-	// config, and the engine preserves it).
+	// Protected set, canonical: New sorts it and drops duplicates, so every
+	// spelling of one set shares this encoding.
 	u64(uint64(len(e.cfg.protected)))
 	for _, p := range e.cfg.protected {
 		u64(uint64(p))

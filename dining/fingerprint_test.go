@@ -2,6 +2,7 @@ package dining_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/dining"
@@ -75,6 +76,26 @@ func TestFingerprintDistinguishesConfigs(t *testing.T) {
 			t.Errorf("variants %q and %q share fingerprint %s", name, prev, fp)
 		}
 		seen[fp] = name
+	}
+}
+
+// TestFingerprintCanonicalProtectedSet pins that every spelling of one
+// protected set configures one engine: New sorts the set and drops
+// duplicates, so the fingerprint and Protected agree across spellings.
+func TestFingerprintCanonicalProtectedSet(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct{ a, b, want []dining.PhilID }{
+		{[]dining.PhilID{0, 0}, []dining.PhilID{0}, []dining.PhilID{0}},
+		{[]dining.PhilID{1, 0}, []dining.PhilID{0, 1}, []dining.PhilID{0, 1}},
+	} {
+		a := mustEngine(t, dining.Ring(3), dining.GDP2, dining.WithProtected(tc.a...))
+		b := mustEngine(t, dining.Ring(3), dining.GDP2, dining.WithProtected(tc.b...))
+		if a.Fingerprint() != b.Fingerprint() {
+			t.Errorf("protected %v and %v: fingerprints %s and %s differ", tc.a, tc.b, a.Fingerprint(), b.Fingerprint())
+		}
+		if !slices.Equal(a.Protected(), tc.want) || !slices.Equal(b.Protected(), tc.want) {
+			t.Errorf("protected %v and %v: Protected() = %v and %v, want %v", tc.a, tc.b, a.Protected(), b.Protected(), tc.want)
+		}
 	}
 }
 

@@ -439,8 +439,8 @@ func analyseSpace(t *testing.T, eng *dining.Engine, ss *dining.StateSpace) strin
 	out.Deadlocks = ss.DeadlockStates()
 	out.DeadRegion = ss.DeadRegionStates()
 	out.Trap = ss.FindStarvationTrap()
-	path, ok := ss.PathTo(ss.NumStates() - 1)
-	out.Path = []any{path, ok}
+	cx, err := ss.CounterexampleTo("path", ss.NumStates()-1)
+	out.Path = []any{cx, err == nil}
 	js, err := json.Marshal(out)
 	if err != nil {
 		t.Error(err)
@@ -512,8 +512,8 @@ func TestSharedSpaceAnalysesConcurrent(t *testing.T) {
 		if trap, err := shared.FindStarvationTrapAgainst([]dining.PhilID{0}); err == nil && len(trap.CoveredPhilosophers) > 0 {
 			trap.CoveredPhilosophers[0] = 99
 		}
-		if path, ok := shared.PathTo(shared.NumStates() - 1); ok && len(path) > 0 {
-			path[0].Phil = 99
+		if cx, err := shared.CounterexampleTo("path", shared.NumStates()-1); err == nil && len(cx.Steps) > 0 {
+			cx.Steps[0].Phil = 99
 		}
 		if again := analyseSpace(t, eng, shared); again != want {
 			t.Errorf("%s: mutating returned slices changed the next analysis:\n got  %s\n want %s", name, again, want)

@@ -84,7 +84,8 @@ type ScenarioResult struct {
 const scenarioSeedStride = 1_000_003
 
 // Scenarios expands the grid into its scenario list in grid order. It errors
-// on an empty axis and on a negative count, bound or window, so that a
+// on an empty axis, on a negative count, bound or window and on an
+// AlgorithmOptions.M above graph.MaxTopologySize, so that a
 // misconfigured sweep fails loudly before it streams anything instead of
 // streaming nothing or silently running the defaults.
 func (s Sweep) Scenarios() ([]Scenario, error) {
@@ -107,6 +108,9 @@ func (s Sweep) Scenarios() ([]Scenario, error) {
 		if f.value < 0 {
 			return nil, fmt.Errorf("dining: Sweep.%s = %d is negative", f.name, f.value)
 		}
+	}
+	if s.AlgorithmOptions.M > maxM {
+		return nil, fmt.Errorf("dining: Sweep.AlgorithmOptions.M = %d exceeds the bound %d", s.AlgorithmOptions.M, maxM)
 	}
 	schedulers := s.Schedulers
 	if len(schedulers) == 0 {

@@ -19,7 +19,11 @@
 // dining.Engine is the only code that turns a configuration into a program,
 // a scheduler and a run: Run, Trials, Check, Explore, RunConcurrent and
 // every row of the experiment suite (dining.Experiments, E-F1 … E-RT) go
-// through it.
+// through it. dining.New canonicalizes what it is given: a protected set is
+// sorted and stripped of duplicates, so every spelling of one set configures
+// one engine, and GDP's number range m is bounded by
+// graph.MaxTopologySize (65,536, the largest fork count and so the largest
+// default m), because each draw lists all m outcomes.
 //
 // The property layer is the v3 centerpiece: the paper's claims — deadlock-
 // freedom, progress, lockout-freedom, starvation traps (Theorems 1–4) — are
@@ -135,8 +139,9 @@
 // newline-delimited JSON. Its core is a fingerprint-keyed cache of explored
 // state spaces: the cache key is dining.Engine.Fingerprint(), a versioned
 // hash of the canonical engine configuration (topology structure, algorithm
-// and options, scheduler, seed, bounds, protected set, shard count, fault
-// spec — but not the worker count, whose results are pinned bit-identical),
+// and options, scheduler, seed, bounds, canonical protected set, shard
+// count, fault spec — but not the worker count, whose results are pinned
+// bit-identical),
 // so repeated and concurrent requests about the same configuration share
 // one exploration. A retained space also keeps every analysis it has run —
 // the predecessor index, the deadlock and dead-region states, each trap and
@@ -195,13 +200,18 @@
 //     (topologies, algorithms, schedulers, properties, faults) are
 //     canonical lower-kebab-case and unique per registry.
 //   - unused: every exported package-level function, type, variable and
-//     constant of an internal package has a use in non-test code outside
-//     its own declaration and methods — cmd/, examples/ and the perfbench
-//     module count, tests and test-helper packages do not — so API that only
-//     its own tests reach is deleted instead of maintained. Methods, the
-//     public dining API and test-helper packages are out of scope, and the
-//     rule reads the whole module's references, so `dplint <dir>` gives the
-//     same verdict on a package as `dplint ./...`.
+//     constant of an internal package, and every exported method of a type
+//     declared there, has a use in non-test code outside its own declaration
+//     — cmd/, examples/ and the perfbench module count, tests and test-helper
+//     packages do not — so API that only its own tests reach is deleted
+//     instead of maintained. A method also counts as used when its name and
+//     signature match a method of an interface that non-test code mentions,
+//     named or anonymous, or that a standard-library package the module
+//     imports declares (fmt.Stringer, error), because interface
+//     satisfaction hides its callers. The public dining API and test-helper
+//     packages are out of scope, and the rule reads the whole module's
+//     references, so `dplint <dir>` gives the same verdict on a package as
+//     `dplint ./...`.
 //
 // A deliberate exception is suppressed in place with a mandatory reason:
 //

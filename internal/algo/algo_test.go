@@ -162,8 +162,8 @@ func TestLR1ReleasesFirstForkWhenSecondTaken(t *testing.T) {
 		}
 	}
 	stepPhil(1, 3) // think->hungry, commit left (fork 1), take it
-	if w.HolderOf(1) != 1 {
-		t.Fatalf("setup failed: fork 1 held by %d", w.HolderOf(1))
+	if w.Forks[1].Holder != 1 {
+		t.Fatalf("setup failed: fork 1 held by %d", w.Forks[1].Holder)
 	}
 	// Now run P0: hungry, commit left (fork 0), take it, try fork 1 (held) ->
 	// must release fork 0 and go back to the choice step.
@@ -205,8 +205,8 @@ func TestLR1BusyWaitsOnHeldFirstFork(t *testing.T) {
 		}
 	}
 	step2(1, 3) // P1 commits right (fork 2) and takes it
-	if w2.HolderOf(2) != 1 {
-		t.Fatalf("setup failed: fork 2 held by %d", w2.HolderOf(2))
+	if w2.Forks[2].Holder != 1 {
+		t.Fatalf("setup failed: fork 2 held by %d", w2.Forks[2].Holder)
 	}
 	step2(0, 2) // P0 hungry, commits right (fork 1) — free, fine
 	// P2 commits right = fork 0 (free)... instead check busy wait via P0 on a
@@ -399,14 +399,11 @@ func TestColoredCanDeadlockOnOddRing(t *testing.T) {
 	// a deadlock is possible, i.e. that at some point no meals happen for a
 	// long stretch — which distinguishes this broken baseline from the paper's
 	// algorithms.
-	res := runFor(t, graph.Ring(5), NewColored(), sched.NewRoundRobin(), 8, sim.RunOptions{MaxSteps: 30000})
-	if res.TotalEats > 0 && res.Final.AnyEating() {
-		// Progress is possible depending on interleaving; nothing to assert.
-		return
-	}
-	// Either no meals at all or the system wedged eventually; both are
-	// acceptable demonstrations. The real assertion is that the run completed
-	// without invariant violations, which runFor already checked.
+	// Progress is possible depending on interleaving, and so are no meals at
+	// all or a system that wedged eventually; each is an acceptable
+	// demonstration. The real assertion is that the run completes without
+	// invariant violations, which runFor checks.
+	runFor(t, graph.Ring(5), NewColored(), sched.NewRoundRobin(), 8, sim.RunOptions{MaxSteps: 30000})
 }
 
 func TestTicketBoxPreventsDeadlockOnRing(t *testing.T) {

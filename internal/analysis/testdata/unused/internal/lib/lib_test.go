@@ -6,4 +6,5 @@ func TestOnlyTests(t *testing.T) {
 	if OnlyTests() != 1 {
 		t.Fatal("OnlyTests")
 	}
+	Svc{}.TestedOnly()
 }

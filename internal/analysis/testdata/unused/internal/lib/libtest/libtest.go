@@ -5,4 +5,7 @@ package libtest
 import "example.com/dp/internal/lib"
 
 // Helper is unused, and exempt.
-func Helper() int { return lib.OnlyHelper() }
+func Helper() int {
+	lib.Svc{}.HelperOnly()
+	return lib.OnlyHelper()
+}

@@ -3,4 +3,12 @@ package other
 
 import "example.com/dp/internal/lib"
 
-func init() { lib.UsedByInternal() }
+func init() {
+	lib.UsedByInternal()
+	var v any = lib.Svc{}
+	if s, ok := v.(interface{ FaultSpec() string }); ok {
+		_ = s.FaultSpec()
+	}
+	var r lib.Runner = lib.Svc{}
+	_ = r.Run()
+}

@@ -125,9 +125,6 @@ func (dp *delayedProgram) Name() string { return dp.base.Name() }
 // program.FaultSpec).
 func (dp *delayedProgram) FaultSpec() string { return dp.model.Spec() }
 
-// Base returns the unwrapped algorithm program.
-func (dp *delayedProgram) Base() sim.Program { return dp.base }
-
 // Init implements sim.Program. With a positive rate the world's pending-grant
 // array is materialized up front, so exploration and simulation steps never
 // allocate it mid-run; at rate zero the world is left exactly as the base

@@ -57,8 +57,8 @@ func TestDelayedGrantsLifecycle(t *testing.T) {
 	if !ok || delay != 2 {
 		t.Fatalf("PendingGrant(0) = (%d, %d, %v), want an in-flight grant with counter 2", f, delay, ok)
 	}
-	if w.HolderOf(f) != graph.NoPhil {
-		t.Fatalf("reserved fork %d has holder %d", f, w.HolderOf(f))
+	if w.Forks[f].Holder != graph.NoPhil {
+		t.Fatalf("reserved fork %d has holder %d", f, w.Forks[f].Holder)
 	}
 	if w.IsFree(f) {
 		t.Fatalf("reserved fork %d reports free", f)
@@ -123,8 +123,8 @@ func TestDelayedGrantsLifecycle(t *testing.T) {
 	if err := w.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if w.HolderOf(f) != 0 {
-		t.Fatalf("fork %d holder = %d after re-executed take, want 0", f, w.HolderOf(f))
+	if w.Forks[f].Holder != 0 {
+		t.Fatalf("fork %d holder = %d after re-executed take, want 0", f, w.Forks[f].Holder)
 	}
 }
 
@@ -155,7 +155,7 @@ func TestDelayedGrantsCertainInjection(t *testing.T) {
 // program byte for byte.
 func TestDelayedGrantsZeroRateIsByteIdentical(t *testing.T) {
 	topo, prog := wrap(t, "delayed-grants:0,3", 3)
-	base := prog.(interface{ Base() sim.Program }).Base()
+	base := baseOf(prog)
 	w := sim.NewWorld(topo)
 	prog.Init(w)
 	wb := sim.NewWorld(topo)
@@ -171,7 +171,7 @@ func TestDelayedGrantsZeroRateIsByteIdentical(t *testing.T) {
 		want[0].Do(wb, p)
 		w.Step++
 		wb.Step++
-		if w.Key() != wb.Key() {
+		if string(w.AppendKey(nil)) != string(wb.AppendKey(nil)) {
 			t.Fatalf("step %d: keys diverge", step)
 		}
 	}

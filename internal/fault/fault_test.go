@@ -138,6 +138,17 @@ func wrap(t *testing.T, spec string, n int) (*graph.Topology, sim.Program) {
 	return topo, m.Wrap(topo, base)
 }
 
+// baseOf returns the algorithm program a fault wrapper wraps.
+func baseOf(prog sim.Program) sim.Program {
+	switch p := prog.(type) {
+	case *program:
+		return p.base
+	case *delayedProgram:
+		return p.base
+	}
+	panic("fault: not a fault wrapper")
+}
+
 func TestWrappedOutcomeSets(t *testing.T) {
 	topo, prog := wrap(t, "crash-rejoin:0.25,0.5", 3)
 	w := sim.NewWorld(topo)
@@ -182,7 +193,7 @@ func TestFreezeIsAbsorbing(t *testing.T) {
 
 func TestLossyGrantsOnlyWhenHungry(t *testing.T) {
 	topo, prog := wrap(t, "lossy-grants:0.5", 3)
-	base := prog.(interface{ Base() sim.Program }).Base()
+	base := baseOf(prog)
 	w := sim.NewWorld(topo)
 	prog.Init(w)
 
@@ -214,7 +225,7 @@ func TestLossyGrantsOnlyWhenHungry(t *testing.T) {
 
 func TestUntargetedPhilosophersSeeBaseOutcomes(t *testing.T) {
 	topo, prog := wrap(t, "freeze:0.5@1", 3)
-	base := prog.(interface{ Base() sim.Program }).Base()
+	base := baseOf(prog)
 	w := sim.NewWorld(topo)
 	prog.Init(w)
 	for p := graph.PhilID(0); p < 3; p++ {

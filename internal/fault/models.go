@@ -114,9 +114,6 @@ func (fp *program) Name() string { return fp.base.Name() }
 // counterexamples.
 func (fp *program) FaultSpec() string { return fp.model.Spec() }
 
-// Base returns the unwrapped algorithm program.
-func (fp *program) Base() sim.Program { return fp.base }
-
 // Init implements sim.Program.
 func (fp *program) Init(w *sim.World) { fp.base.Init(w) }
 

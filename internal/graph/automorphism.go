@@ -43,21 +43,6 @@ func identityAutomorphism(t *Topology) Automorphism {
 	return a
 }
 
-// IsIdentity reports whether a is the identity symmetry.
-func (a Automorphism) IsIdentity() bool {
-	for p, q := range a.Phil {
-		if PhilID(p) != q {
-			return false
-		}
-	}
-	for f, g := range a.Fork {
-		if ForkID(f) != g {
-			return false
-		}
-	}
-	return true
-}
-
 // clone returns an independent copy of a.
 func (a Automorphism) clone() Automorphism {
 	return Automorphism{

@@ -17,26 +17,6 @@ type Cycle struct {
 // Len returns the number of arcs in the cycle.
 func (c Cycle) Len() int { return len(c.Phils) }
 
-// ContainsPhil reports whether the cycle uses philosopher p.
-func (c Cycle) ContainsPhil(p PhilID) bool {
-	for _, q := range c.Phils {
-		if q == p {
-			return true
-		}
-	}
-	return false
-}
-
-// ContainsFork reports whether the cycle passes through fork f.
-func (c Cycle) ContainsFork(f ForkID) bool {
-	for _, g := range c.ForkSeq {
-		if g == f {
-			return true
-		}
-	}
-	return false
-}
-
 // canonicalKey returns a rotation/direction-invariant key for deduplicating
 // cycles: the sorted philosopher-ID list. Two distinct cycles can never use
 // exactly the same arc set (in a cycle every arc appears once), so the arc set
@@ -52,34 +32,6 @@ func (c Cycle) canonicalKey() string {
 		key = append(key, byte(id>>24), byte(id>>16), byte(id>>8), byte(id))
 	}
 	return string(key)
-}
-
-// HasCycle reports whether the topology contains at least one cycle
-// (equivalently, whether the number of arcs exceeds forks − components, or a
-// pair of parallel arcs exists).
-func (t *Topology) HasCycle() bool {
-	// Union-find on forks; an arc joining two forks already in the same
-	// component closes a cycle.
-	parent := make([]int, t.numForks)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, fks := range t.phils {
-		a, b := find(int(fks[Left])), find(int(fks[Right]))
-		if a == b {
-			return true
-		}
-		parent[a] = b
-	}
-	return false
 }
 
 // EnumerateCycles returns every simple cycle of the topology (no repeated fork

@@ -105,25 +105,6 @@ func TestCycleForkSequenceConsistency(t *testing.T) {
 	}
 }
 
-func TestCycleContains(t *testing.T) {
-	t.Parallel()
-	topo := Ring(4)
-	c := topo.EnumerateCycles(0)[0]
-	for p := 0; p < 4; p++ {
-		if !c.ContainsPhil(PhilID(p)) {
-			t.Errorf("ring cycle should contain P%d", p)
-		}
-	}
-	for f := 0; f < 4; f++ {
-		if !c.ContainsFork(ForkID(f)) {
-			t.Errorf("ring cycle should contain fork %d", f)
-		}
-	}
-	if c.ContainsPhil(99) || c.ContainsFork(99) {
-		t.Error("cycle claims to contain nonexistent elements")
-	}
-}
-
 func TestRingWithHighDegreeNodeDetection(t *testing.T) {
 	t.Parallel()
 	cyc, fork, ok := RingWithChord(5, 2).RingWithHighDegreeNode()

@@ -52,14 +52,6 @@ func (s Side) String() string {
 	return "right"
 }
 
-// Other returns the opposite side.
-func (s Side) Other() Side {
-	if s == Left {
-		return Right
-	}
-	return Left
-}
-
 // Topology is an immutable generalized dining-philosopher system: a multigraph
 // with forks as nodes and philosophers as arcs. Construct one with a Builder
 // or one of the predefined constructors; a constructed Topology is safe for
@@ -168,9 +160,6 @@ func (t *Topology) NumForks() int { return t.numForks }
 // NumPhilosophers returns the number of philosophers (arcs).
 func (t *Topology) NumPhilosophers() int { return len(t.phils) }
 
-// Fork returns the fork on the given side of philosopher p.
-func (t *Topology) Fork(p PhilID, s Side) ForkID { return t.phils[p][s] }
-
 // Left returns philosopher p's left fork.
 func (t *Topology) Left(p PhilID) ForkID { return t.phils[p][Left] }
 
@@ -189,18 +178,6 @@ func (t *Topology) OtherFork(p PhilID, f ForkID) ForkID {
 		return t.phils[p][Right]
 	case t.phils[p][Right]:
 		return t.phils[p][Left]
-	}
-	panic(fmt.Sprintf("graph: fork %d is not adjacent to philosopher %d", f, p))
-}
-
-// SideOf returns which side of philosopher p fork f is on. It panics if f is
-// not adjacent to p.
-func (t *Topology) SideOf(p PhilID, f ForkID) Side {
-	switch f {
-	case t.phils[p][Left]:
-		return Left
-	case t.phils[p][Right]:
-		return Right
 	}
 	panic(fmt.Sprintf("graph: fork %d is not adjacent to philosopher %d", f, p))
 }
@@ -248,56 +225,6 @@ func (t *Topology) SlotBase(f ForkID) int { return t.slotBase[f] }
 // of philosophers).
 func (t *Topology) TotalSlots() int { return t.slotBase[t.numForks] }
 
-// Neighbors returns the philosophers that share at least one fork with p,
-// excluding p itself, in increasing order without duplicates.
-func (t *Topology) Neighbors(p PhilID) []PhilID {
-	seen := make(map[PhilID]bool)
-	for _, f := range t.phils[p] {
-		for _, q := range t.at[f] {
-			if q != p {
-				seen[q] = true
-			}
-		}
-	}
-	out := make([]PhilID, 0, len(seen))
-	for q := range seen {
-		out = append(out, q)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// SharesForkWith reports whether philosophers p and q share a fork.
-func (t *Topology) SharesForkWith(p, q PhilID) bool {
-	if p == q {
-		return false
-	}
-	for _, fp := range t.phils[p] {
-		for _, fq := range t.phils[q] {
-			if fp == fq {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// IsClassicRing reports whether the topology is the classic dining-philosopher
-// ring: equal numbers of forks and philosophers, every fork shared by exactly
-// two philosophers, and the whole graph a single cycle.
-func (t *Topology) IsClassicRing() bool {
-	if t.numForks != len(t.phils) {
-		return false
-	}
-	for f := 0; f < t.numForks; f++ {
-		if t.Degree(ForkID(f)) != 2 {
-			return false
-		}
-	}
-	comps := t.connectedForkComponents()
-	return len(comps) == 1
-}
-
 // Validate re-checks the structural invariants of Definition 1: at least two
 // forks, at least one philosopher, every philosopher adjacent to two distinct
 // in-range forks. Builders already enforce this; Validate exists so that
@@ -322,64 +249,9 @@ func (t *Topology) Validate() error {
 	return nil
 }
 
-// connectedForkComponents returns the connected components of the fork graph
-// (forks connected when some philosopher is adjacent to both) as slices of
-// fork IDs.
-func (t *Topology) connectedForkComponents() [][]ForkID {
-	visited := make([]bool, t.numForks)
-	var comps [][]ForkID
-	for start := 0; start < t.numForks; start++ {
-		if visited[start] {
-			continue
-		}
-		var comp []ForkID
-		stack := []ForkID{ForkID(start)}
-		visited[start] = true
-		for len(stack) > 0 {
-			f := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp = append(comp, f)
-			for _, p := range t.at[f] {
-				g := t.OtherFork(p, f)
-				if !visited[g] {
-					visited[g] = true
-					stack = append(stack, g)
-				}
-			}
-		}
-		sort.Slice(comp, func(i, j int) bool { return comp[i] < comp[j] })
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
-// IsConnected reports whether the fork graph is connected. Isolated forks
-// (degree zero) count as their own components.
-func (t *Topology) IsConnected() bool {
-	return len(t.connectedForkComponents()) == 1
-}
-
 // String returns a compact human-readable description.
 func (t *Topology) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %d philosophers, %d forks", t.name, len(t.phils), t.numForks)
-	return b.String()
-}
-
-// DOT returns a Graphviz representation: forks are nodes, philosophers are
-// labelled edges. Useful for inspecting generated and reconstructed
-// topologies.
-func (t *Topology) DOT() string {
-	var b strings.Builder
-	b.WriteString("graph \"")
-	b.WriteString(t.name)
-	b.WriteString("\" {\n")
-	for f := 0; f < t.numForks; f++ {
-		fmt.Fprintf(&b, "  f%d [shape=point, label=\"f%d\"];\n", f, f)
-	}
-	for p, fks := range t.phils {
-		fmt.Fprintf(&b, "  f%d -- f%d [label=\"P%d\"];\n", fks[Left], fks[Right], p)
-	}
-	b.WriteString("}\n")
 	return b.String()
 }

@@ -69,7 +69,7 @@ func index(m *mdp) *PredecessorIndex { return NewPredecessorIndex(m, 1) }
 
 func TestReachable(t *testing.T) {
 	t.Parallel()
-	got := index(fixture()).Reachable()
+	got := index(fixture()).reachable()
 	want := []bool{true, true, true, false, false}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Reachable = %v, want %v", got, want)
@@ -174,16 +174,19 @@ func TestMaximalTrapPartialCoverage(t *testing.T) {
 
 func TestStronglyConnected(t *testing.T) {
 	t.Parallel()
-	// 0 <-> 1 is one component; 2 (absorbing) another; 3, 4 excluded from
+	// 0 <-> 1 is one component; 2 (absorbing) another; 3, 4 are outside
 	// the set and must keep comp = -1.
 	m := fixture()
-	inSet := []bool{true, true, true, false, false}
-	act := make([][]bool, m.NumStates())
-	for s := range act {
-		act[s] = []bool{true, true}
+	ix := index(m)
+	in := []bool{true, true, true, false, false}
+	act := make([]bool, m.NumStates()*m.NumActions())
+	for i := range act {
+		act[i] = true
 	}
-	comp := make([]int, m.NumStates())
-	n := index(m).StronglyConnected(inSet, act, comp)
+	comp := []int32{-1, -1, -1, -1, -1}
+	sc := ix.getScratch()
+	defer ix.putScratch(sc)
+	n := ix.tarjanSCC(sc, []int32{0, 1, 2}, in, act, comp)
 	if n != 2 {
 		t.Fatalf("component count = %d, want 2 (comp %v)", n, comp)
 	}

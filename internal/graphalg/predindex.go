@@ -41,7 +41,7 @@ type PredecessorIndex struct {
 	// foff/fsucc are the forward CSR: the successor occurrences of action a
 	// in state s are fsucc[foff[s*nActions+a]:foff[s*nActions+a+1]], in
 	// outcome order — so the outcomes of all actions of one state are one
-	// contiguous range, and OutDeg is an offset difference.
+	// contiguous range, and an action's outcome count is an offset difference.
 	foff  []int32
 	fsucc []int32
 	// roff/pred/pact are the reverse CSR: the incoming edge occurrences of
@@ -165,32 +165,15 @@ func NewPredecessorIndex(v StateView, workers int) *PredecessorIndex {
 	return ix
 }
 
-// View returns the StateView the index was built from.
-func (ix *PredecessorIndex) View() StateView { return ix.v }
-
 // NumEdges returns the total number of edge occurrences (outcome slots).
 func (ix *PredecessorIndex) NumEdges() int { return len(ix.pred) }
 
 // Succs returns the successor occurrences of action a in state s, in outcome
-// order — the flattened copy of View().Succs(s, a). The slice aliases the
+// order — the flattened copy of the view's Succs(s, a). The slice aliases the
 // index and must not be modified.
 func (ix *PredecessorIndex) Succs(s, a int) []int32 {
 	o := s*ix.nActions + a
 	return ix.fsucc[ix.foff[o]:ix.foff[o+1]]
-}
-
-// PredEdges returns the incoming edge occurrences of state t: the aligned
-// source-state and action slices, ordered by (source, action, outcome). The
-// slices alias the index and must not be modified.
-func (ix *PredecessorIndex) PredEdges(t int) (preds, acts []int32) {
-	return ix.pred[ix.roff[t]:ix.roff[t+1]], ix.pact[ix.roff[t]:ix.roff[t+1]]
-}
-
-// OutDeg returns the number of outcome occurrences of action a in state s
-// (the length of View().Succs(s, a)).
-func (ix *PredecessorIndex) OutDeg(s, a int) int {
-	o := s*ix.nActions + a
-	return int(ix.foff[o+1] - ix.foff[o])
 }
 
 // scratch is the reusable per-analysis state. Every analysis draws one from

@@ -55,6 +55,12 @@ type edge struct {
 	pred, act, succ int32
 }
 
+// predEdges returns the incoming edge occurrences of state t: the aligned
+// source-state and action slices of its reverse bucket.
+func predEdges(ix *PredecessorIndex, t int) (preds, acts []int32) {
+	return ix.pred[ix.roff[t]:ix.roff[t+1]], ix.pact[ix.roff[t]:ix.roff[t+1]]
+}
+
 // FuzzPredecessorIndex pins the forward/reverse edge-set bijection of the
 // index: for any MDP, the multiset of reverse entries equals the multiset of
 // forward outcome occurrences, bucket entries appear in forward enumeration
@@ -74,8 +80,8 @@ func FuzzPredecessorIndex(f *testing.F) {
 		for s := 0; s < m.NumStates(); s++ {
 			for a := 0; a < m.NumActions(); a++ {
 				succs := m.Succs(s, a)
-				if got := ix.OutDeg(s, a); got != len(succs) {
-					t.Fatalf("OutDeg(%d, %d) = %d, want %d", s, a, got, len(succs))
+				if o := s*ix.nActions + a; int(ix.foff[o+1]-ix.foff[o]) != len(succs) {
+					t.Fatalf("(%d, %d) has %d forward slots, want %d", s, a, ix.foff[o+1]-ix.foff[o], len(succs))
 				}
 				for _, succ := range succs {
 					forward[edge{int32(s), int32(a), succ}]++
@@ -93,7 +99,7 @@ func FuzzPredecessorIndex(f *testing.F) {
 		reverse := map[edge]int{}
 		total := 0
 		for s := 0; s < m.NumStates(); s++ {
-			preds, acts := ix.PredEdges(s)
+			preds, acts := predEdges(ix, s)
 			if len(preds) != len(acts) {
 				t.Fatalf("state %d: %d preds vs %d acts", s, len(preds), len(acts))
 			}
@@ -116,8 +122,8 @@ func FuzzPredecessorIndex(f *testing.F) {
 		// A parallel build must produce the identical index.
 		ix3 := NewPredecessorIndex(m, 3)
 		for s := 0; s < m.NumStates(); s++ {
-			p1, a1 := ix.PredEdges(s)
-			p3, a3 := ix3.PredEdges(s)
+			p1, a1 := predEdges(ix, s)
+			p3, a3 := predEdges(ix3, s)
 			if !reflect.DeepEqual(p1, p3) || !reflect.DeepEqual(a1, a3) {
 				t.Fatalf("state %d: parallel build diverged from sequential", s)
 			}

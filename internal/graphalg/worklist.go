@@ -8,17 +8,8 @@ package graphalg
 // arrays — never the StateView — so the inner loops are array walks with no
 // interface dispatch.
 
-// Reachable returns the set of states reachable from the initial state using
-// any actions and any outcomes, as a boolean slice indexed by state.
-func (ix *PredecessorIndex) Reachable() []bool {
-	r := ix.reachable()
-	out := make([]bool, len(r))
-	copy(out, r)
-	return out
-}
-
-// reachable returns the cached forward-reachability set, computing it on
-// first use. Reachability depends only on the graph, so every analysis (and
+// reachable returns the cached set of states reachable from the initial
+// state using any actions and any outcomes, computing it on first use. Reachability depends only on the graph, so every analysis (and
 // every per-philosopher labelling) shares the one computation; callers must
 // treat the returned slice as read-only.
 func (ix *PredecessorIndex) reachable() []bool {
@@ -122,7 +113,7 @@ func (ix *PredecessorIndex) DeadRegionStates(goal func(s int) bool) []int {
 }
 
 // MaximalTrap analyses the view for a trap against the given bad-state
-// labelling (pass View().Bad for the default labelling). The three standard
+// labelling (pass the view's Bad for the default labelling). The three standard
 // steps of the reference oracle — safety game, maximal end components, action
 // coverage — are reformulated as worklist algorithms over the index:
 //
@@ -398,40 +389,6 @@ func (ix *PredecessorIndex) MaximalTrap(bad func(s int) bool) Trap {
 		trap.WitnessState = int(witness)
 	}
 	return trap
-}
-
-// StronglyConnected computes SCC indices (into comp) of the directed graph
-// whose nodes are the states with inSet true and whose edges are all
-// outcomes of the actions retained in act, over the warm index. It returns
-// the number of components; states not in the set get comp = -1. comp must
-// have length NumStates of the view; act must have one []bool of length
-// NumActions per state.
-//
-// The implementation is an iterative Tarjan, so deeply recurrent state
-// graphs cannot blow the goroutine stack, and it enumerates successors in
-// place through per-frame (action, outcome) cursors instead of
-// materializing a successor slice per visited state.
-func (ix *PredecessorIndex) StronglyConnected(inSet []bool, act [][]bool, comp []int) int {
-	n, nActions := ix.n, ix.nActions
-	sc := ix.getScratch()
-	defer ix.putScratch(sc)
-	sc.act = resized(sc.act, n*nActions)
-	sc.comp = sized(sc.comp, n) // assigned for every root before being read back
-	roots := sc.work[:0]
-	for s := 0; s < n; s++ {
-		comp[s] = -1
-		if !inSet[s] {
-			continue
-		}
-		roots = append(roots, int32(s))
-		copy(sc.act[s*nActions:(s+1)*nActions], act[s])
-	}
-	sc.work = roots
-	count := int(ix.tarjanSCC(sc, roots, inSet, sc.act, sc.comp))
-	for _, s := range roots {
-		comp[s] = int(sc.comp[s])
-	}
-	return count
 }
 
 // tarjanSCC runs an iterative Tarjan over the states of roots (which must be

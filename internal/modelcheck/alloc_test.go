@@ -48,7 +48,6 @@ func TestAnalysesAllocBudget(t *testing.T) {
 			name string
 			run  func()
 		}{
-			{"Reachable", func() { ix.Reachable() }},
 			{"DeadlockStates", func() { ix.DeadlockStates() }},
 			{"DeadRegionStates", func() { ix.DeadRegionStates(ss.Bad) }},
 			{"MaximalTrap", func() { ix.MaximalTrap(ss.Bad) }},

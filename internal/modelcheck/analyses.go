@@ -44,7 +44,7 @@ type analysisMemo struct {
 	paths      cells[int, shortestPath]
 }
 
-// shortestPath is PathTo's memoized result.
+// shortestPath is memoPath's memoized result.
 type shortestPath struct {
 	choices []Choice
 	ok      bool
@@ -100,12 +100,6 @@ func (ss *StateSpace) analyses() *analysisMemo {
 // concurrent use.
 func (ss *StateSpace) PredecessorIndex() *graphalg.PredecessorIndex {
 	return ss.analyses().pred()
-}
-
-// Reachable returns the set of states reachable from the initial state using
-// any actions and any outcomes, as a boolean slice indexed by state.
-func (ss *StateSpace) Reachable() []bool {
-	return ss.PredecessorIndex().Reachable()
 }
 
 // DeadRegionStates returns the reachable states from which no eating state is

@@ -240,9 +240,6 @@ func (ss *StateSpace) NumActions() int { return ss.NumPhils }
 // Initial returns the dense index of the initial state.
 func (ss *StateSpace) Initial() int { return ss.initial }
 
-// NumShards returns the number of shard stores the space is split into.
-func (ss *StateSpace) NumShards() int { return len(ss.shards) }
-
 // locate resolves a dense id to its owning shard store and local index.
 func (ss *StateSpace) locate(s int) (*shardStore, int32) {
 	p := ss.order[s]
@@ -280,10 +277,6 @@ func (ss *StateSpace) Expanded(s int) bool { return ss.expanded[s] }
 // (Options.Symmetry with a non-trivial group).
 func (ss *StateSpace) Symmetric() bool { return ss.canon != nil }
 
-// Canonicalizer returns the orbit canonicalizer the space was quotiented by,
-// or nil for an unreduced space.
-func (ss *StateSpace) Canonicalizer() *graph.OrbitCanonicalizer { return ss.canon }
-
 // denseOf returns the dense id of the state interned under key, or -1 when
 // the key was never interned.
 func (ss *StateSpace) denseOf(key []byte) int32 {
@@ -298,18 +291,6 @@ func (ss *StateSpace) denseOf(key []byte) int32 {
 
 // NumTransitions returns the total number of (state, philosopher) actions.
 func (ss *StateSpace) NumTransitions() int { return ss.NumStates() * ss.NumPhils }
-
-// NumBadStates returns the number of states in which a protected philosopher
-// is eating.
-func (ss *StateSpace) NumBadStates() int {
-	n := 0
-	for _, b := range ss.bad {
-		if b {
-			n++
-		}
-	}
-	return n
-}
 
 // shardOfHash returns the owning shard of a key with hashKey h: its low
 // bits. The hash is seedless, so the layout is the same in every process.
@@ -580,23 +561,42 @@ func Explore(topo *graph.Topology, prog sim.Program, opts Options) (*StateSpace,
 // is polled.
 const interruptCheckInterval = 1024
 
-// successor applies outcome i of philosopher pid's action to a clone of w,
-// drawn from s's free-list, and encodes the clone's intern key into
-// s.keyBuf. n is the size of w's outcome set for pid: the clone asks for its
-// own set and applies outcome i of that, so a program whose sets differ
-// between equal worlds is refused rather than explored wrongly.
-func (e *explorer) successor(s *scratch, w *sim.World, pid graph.PhilID, i, n int) (*sim.World, error) {
+// successor applies outs[i], outcome i of w's outcome set for philosopher
+// pid, to a clone of w drawn from s's free-list, and encodes the clone's
+// intern key into s.keyBuf. The clone for outcome 0 first asks for its own
+// set and compares it with outs (count, then each outcome's probability,
+// label and argument), so a program whose sets differ between equal worlds
+// is refused rather than explored wrongly. The guard runs once per (state,
+// philosopher), so an action costs two Outcomes calls however many outcomes
+// it has.
+func (e *explorer) successor(s *scratch, w *sim.World, pid graph.PhilID, outs []sim.Outcome, i int) (*sim.World, error) {
 	ss := e.ss
 	succ := w.CloneProtocolInto(s.takeFree())
-	succOut := ss.prog.Outcomes(succ, pid, s.sbuf[:0])
-	s.sbuf = succOut
-	if len(succOut) != n {
-		return nil, fmt.Errorf("modelcheck: %s produced unstable outcome sets for P%d", ss.prog.Name(), pid)
+	if i == 0 {
+		probe := ss.prog.Outcomes(succ, pid, s.sbuf[:0])
+		s.sbuf = probe
+		if !sameOutcomes(probe, outs) {
+			return nil, fmt.Errorf("modelcheck: %s produced unstable outcome sets for P%d", ss.prog.Name(), pid)
+		}
 	}
-	succOut[i].Do(succ, pid)
+	outs[i].Do(succ, pid)
 	succ.Step++
 	s.keyBuf = e.appendKey(succ, s.keyBuf[:0])
 	return succ, nil
+}
+
+// sameOutcomes reports whether two outcome sets agree in count and, outcome
+// by outcome, in probability, label and argument.
+func sameOutcomes(a, b []sim.Outcome) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for j := range a {
+		if a[j].Prob != b[j].Prob || a[j].Arg != b[j].Arg || a[j].Label != b[j].Label {
+			return false
+		}
+	}
+	return true
 }
 
 // exploreSequential runs the BFS inline on a single shard. front doubles as
@@ -628,7 +628,7 @@ func (e *explorer) exploreSequential() error {
 			s.obuf = outcomes
 			off := int32(len(st.succs))
 			for i := range outcomes {
-				succ, err := e.successor(s, w, pid, i, len(outcomes))
+				succ, err := e.successor(s, w, pid, outcomes, i)
 				if err != nil {
 					return err
 				}
@@ -856,7 +856,7 @@ func (e *explorer) expandChunk(s *scratch, entries []frontEntry) {
 			s.obuf = outcomes
 			s.counts = push(s.counts, int32(len(outcomes)))
 			for i := range outcomes {
-				succ, err := e.successor(s, w, pid, i, len(outcomes))
+				succ, err := e.successor(s, w, pid, outcomes, i)
 				if err != nil {
 					s.err = err
 					return

@@ -90,7 +90,7 @@ func TestExplorationGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		trap := ss.FindStarvationTrap()
-		got := want{ss.NumStates(), ss.NumTransitions(), ss.NumBadStates(), len(ss.DeadlockStates()),
+		got := want{ss.NumStates(), ss.NumTransitions(), numBadStates(ss), len(ss.DeadlockStates()),
 			len(ss.DeadRegionStates()), trap.SafeRegionStates, trap.States, trap.Exists}
 		if got != in.want {
 			t.Errorf("%s on %s (protected %v, opts %+v):\n got  %+v\n want %+v",
@@ -99,14 +99,25 @@ func TestExplorationGolden(t *testing.T) {
 	}
 }
 
+// numBadStates counts the states in which a protected philosopher eats.
+func numBadStates(ss *StateSpace) int {
+	n := 0
+	for _, b := range ss.bad {
+		if b {
+			n++
+		}
+	}
+	return n
+}
+
 // assertSameSpace compares two single-shard explorations field by field:
 // state numbering, transition tables, outcome probabilities, labels, masks
 // and keys must all be identical — the contract that makes the parallel
 // explorer at Shards: 1 a drop-in replacement for the sequential one.
 func assertSameSpace(t *testing.T, label string, a, b *StateSpace) {
 	t.Helper()
-	if a.NumShards() != 1 || b.NumShards() != 1 {
-		t.Fatalf("%s: assertSameSpace wants single-shard spaces, got %d and %d shards", label, a.NumShards(), b.NumShards())
+	if len(a.shards) != 1 || len(b.shards) != 1 {
+		t.Fatalf("%s: assertSameSpace wants single-shard spaces, got %d and %d shards", label, len(a.shards), len(b.shards))
 	}
 	if a.NumStates() != b.NumStates() || a.initial != b.initial || a.Truncated != b.Truncated {
 		t.Fatalf("%s: shape differs: %d vs %d states, initial %d vs %d, truncated %v vs %v",
@@ -282,8 +293,8 @@ func TestExplorationShardedEquivalentToSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := resolveShards(cfg.shards, cfg.workers); sh.NumShards() != want {
-				t.Fatalf("%s: NumShards = %d, want %d", alg, sh.NumShards(), want)
+			if want := resolveShards(cfg.shards, cfg.workers); len(sh.shards) != want {
+				t.Fatalf("%s: shard count = %d, want %d", alg, len(sh.shards), want)
 			}
 			label := alg
 			assertEquivalentSpace(t, label, seq, sh)
@@ -340,9 +351,9 @@ func TestExplorationShardsDefaultAndValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ss.NumShards() != tc.want {
-			t.Errorf("workers %d, shards %d: NumShards = %d, want %d",
-				tc.workers, tc.shards, ss.NumShards(), tc.want)
+		if len(ss.shards) != tc.want {
+			t.Errorf("workers %d, shards %d: shard count = %d, want %d",
+				tc.workers, tc.shards, len(ss.shards), tc.want)
 		}
 	}
 }

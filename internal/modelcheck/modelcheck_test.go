@@ -2,12 +2,15 @@ package modelcheck
 
 import (
 	"encoding/hex"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/algo"
 	"repro/internal/graph"
+	"repro/internal/graphalg/graphalgtest"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -54,10 +57,10 @@ func TestExploreBasicProperties(t *testing.T) {
 	if ss.NumTransitions() != ss.NumStates()*3 {
 		t.Errorf("expected 3 actions per state, got %d transitions for %d states", ss.NumTransitions(), ss.NumStates())
 	}
-	if ss.NumBadStates() == 0 {
+	if !slices.Contains(ss.bad, true) {
 		t.Error("the ring has reachable eating states")
 	}
-	reach := ss.Reachable()
+	reach := graphalgtest.Reachable(ss)
 	count := 0
 	for _, r := range reach {
 		if r {
@@ -105,6 +108,53 @@ func TestExploreRejectsUnstableOutcomeSets(t *testing.T) {
 		_, err := Explore(graph.Ring(3), &flakyProgram{}, opts)
 		if err == nil || !strings.Contains(err.Error(), "flaky produced unstable outcome sets for P0") {
 			t.Errorf("workers %d, shards %d: err = %v, want the unstable outcome sets error", opts.Workers, opts.Shards, err)
+		}
+	}
+}
+
+// countingProgram counts the Outcomes calls made on the program it wraps,
+// per (state key, philosopher).
+type countingProgram struct {
+	sim.Program
+	mu    sync.Mutex
+	calls map[string]int
+}
+
+func (p *countingProgram) Outcomes(w *sim.World, pid graph.PhilID, buf []sim.Outcome) []sim.Outcome {
+	key := string(append(w.AppendKey(nil), byte(pid)))
+	p.mu.Lock()
+	p.calls[key]++
+	p.mu.Unlock()
+	return p.Program.Outcomes(w, pid, buf)
+}
+
+// TestExploreOutcomeGuardIsLinear pins the cost of the guard against
+// unstable outcome sets: an action is asked for its outcome set by the
+// parent and by the clone of its first outcome, however many outcomes it
+// has, so no (state, philosopher) sees more than two Outcomes calls on
+// either loop. GDP2 with m = 64 draws from 64 outcomes, where a guard that
+// re-asked every clone would make 65 calls.
+func TestExploreOutcomeGuardIsLinear(t *testing.T) {
+	t.Parallel()
+	for _, opts := range []Options{{Workers: 1, Shards: 1, MaxStates: 3000}, {Workers: 2, MaxStates: 3000}} {
+		prog := &countingProgram{Program: mustProg(t, "GDP2", algo.Options{M: 64}), calls: map[string]int{}}
+		ss, err := Explore(graph.Ring(3), prog, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		widest := 0
+		for s := range ss.NumStates() {
+			for a := range ss.NumPhils {
+				widest = max(widest, len(ss.Succs(s, a)))
+			}
+		}
+		if widest != 64 {
+			t.Fatalf("workers %d: widest action has %d outcomes, want the 64 of a draw", opts.Workers, widest)
+		}
+		for key, n := range prog.calls {
+			if n > 2 {
+				t.Fatalf("workers %d: P%d asked %d times for one outcome set, want at most 2", opts.Workers, key[len(key)-1], n)
+			}
 		}
 	}
 }
@@ -291,18 +341,19 @@ func TestPathToFindsReplayableCounterexamples(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if path, ok := ss.PathTo(ss.initial); !ok || len(path) != 0 {
-		t.Errorf("PathTo(initial) = %v, %v; want an empty path", path, ok)
+	if p := ss.memoPath(ss.initial); !p.ok || len(p.choices) != 0 {
+		t.Errorf("memoPath(initial) = %v, %v; want an empty path", p.choices, p.ok)
 	}
-	if _, ok := ss.PathTo(ss.NumStates()); ok {
-		t.Error("PathTo accepted an out-of-range state")
+	if ss.memoPath(ss.NumStates()).ok {
+		t.Error("memoPath accepted an out-of-range state")
 	}
 
 	dead := ss.DeadlockStates()
 	if len(dead) == 0 {
 		t.Fatal("expected a deadlock state for the naive baseline on Ring(3)")
 	}
-	path, ok := ss.PathTo(dead[0])
+	p := ss.memoPath(dead[0])
+	path, ok := p.choices, p.ok
 	if !ok {
 		t.Fatal("deadlock state unreachable; DeadlockStates only returns reachable states")
 	}

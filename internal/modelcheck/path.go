@@ -2,7 +2,6 @@ package modelcheck
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/graphalg"
@@ -22,21 +21,14 @@ type Choice struct {
 	Outcome int
 }
 
-// PathTo returns a shortest scheduler-choice path from the initial state to
+// memoPath returns a shortest scheduler-choice path from the initial state to
 // target, and whether target is reachable. The breadth-first search lives in
 // graphalg.PathTo: it visits actions in philosopher order and outcomes in
-// outcome order, so the returned path is deterministic — the same for every
+// outcome order, so the path is deterministic — the same for every
 // exploration worker and shard count, since the dense state numbering itself
 // is. Each target is searched once per space and its path kept (the search
-// allocates per-state arrays, the path only its steps); the result is the
-// caller's copy.
-func (ss *StateSpace) PathTo(target int) ([]Choice, bool) {
-	p := ss.memoPath(target)
-	return slices.Clone(p.choices), p.ok
-}
-
-// memoPath returns the memoized PathTo result for target; its slice is
-// shared and must not be modified.
+// allocates per-state arrays, the path only its steps); the slice is shared
+// and must not be modified.
 func (ss *StateSpace) memoPath(target int) shortestPath {
 	if target < 0 || target >= ss.NumStates() {
 		return shortestPath{}
@@ -55,7 +47,7 @@ func (ss *StateSpace) memoPath(target int) shortestPath {
 }
 
 // CounterexampleTo builds a replayable counterexample trace from the initial
-// state to target: the memoized shortest scheduler-choice path (PathTo)
+// state to target: the memoized shortest scheduler-choice path (memoPath)
 // completed (labels, probabilities, rendered final state, canonical final
 // key) by re-executing it on a fresh world. property names the property the
 // trace refutes. The trace itself is built per call, so every caller owns

@@ -37,7 +37,7 @@ func TestSymmetryReducesStateCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !quot.Symmetric() || quot.Canonicalizer() == nil {
+		if !quot.Symmetric() || quot.canon == nil {
 			t.Fatalf("ring-%d: quotient space does not report Symmetric", n)
 		}
 		if plain.Symmetric() {
@@ -191,7 +191,7 @@ func TestSymmetryTruncationDeterministic(t *testing.T) {
 		}
 	}
 	// The truncated quotient is still a well-formed view: the analyses run.
-	ref.Reachable()
+	ref.DeadRegionStates()
 	ref.FindStarvationTrap()
 }
 

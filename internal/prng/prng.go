@@ -75,10 +75,6 @@ func (s *Source) Int63() int64 {
 	return int64(s.Uint64() >> 1)
 }
 
-// Seed is a no-op provided for interface compatibility; reseeding is done by
-// constructing a new Source.
-func (s *Source) Seed(uint64) {}
-
 // Intn returns a pseudo-random integer in [0, n). It panics if n <= 0.
 func (s *Source) Intn(n int) int {
 	if n <= 0 {
@@ -97,29 +93,9 @@ func (s *Source) Intn(n int) int {
 	return int(hi)
 }
 
-// IntRange returns a pseudo-random integer in [lo, hi] inclusive. It panics if
-// hi < lo.
-func (s *Source) IntRange(lo, hi int) int {
-	if hi < lo {
-		panic("prng: IntRange called with hi < lo")
-	}
-	return lo + s.Intn(hi-lo+1)
-}
-
 // Float64 returns a pseudo-random float64 in [0, 1).
 func (s *Source) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
-}
-
-// Bool returns true with probability p (clamped to [0, 1]).
-func (s *Source) Bool(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return s.Float64() < p
 }
 
 // Split returns a new Source whose stream is statistically independent of the
@@ -148,46 +124,4 @@ func (s *Source) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle randomly permutes the first n elements using the provided swap
-// function, mirroring math/rand.Shuffle.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Weighted returns an index in [0, len(weights)) chosen with probability
-// proportional to weights[i]. Negative weights are treated as zero. It panics
-// if the total weight is not positive.
-func (s *Source) Weighted(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		panic("prng: Weighted called with non-positive total weight")
-	}
-	target := s.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		acc += w
-		if target < acc {
-			return i
-		}
-	}
-	// Floating point slack: return the last positive-weight index.
-	for i := len(weights) - 1; i >= 0; i-- {
-		if weights[i] > 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

@@ -56,34 +56,6 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 	New(1).Intn(0)
 }
 
-func TestIntRange(t *testing.T) {
-	t.Parallel()
-	src := New(11)
-	counts := make(map[int]int)
-	for i := 0; i < 6000; i++ {
-		v := src.IntRange(1, 6)
-		if v < 1 || v > 6 {
-			t.Fatalf("IntRange(1,6) = %d out of range", v)
-		}
-		counts[v]++
-	}
-	for face := 1; face <= 6; face++ {
-		if counts[face] < 700 || counts[face] > 1300 {
-			t.Errorf("IntRange(1,6): face %d frequency %d far from uniform (expected ~1000)", face, counts[face])
-		}
-	}
-}
-
-func TestIntRangePanicsWhenInverted(t *testing.T) {
-	t.Parallel()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("IntRange(3,2) did not panic")
-		}
-	}()
-	New(1).IntRange(3, 2)
-}
-
 func TestFloat64Range(t *testing.T) {
 	t.Parallel()
 	src := New(3)
@@ -99,35 +71,6 @@ func TestFloat64Range(t *testing.T) {
 	mean := sum / n
 	if math.Abs(mean-0.5) > 0.02 {
 		t.Errorf("Float64 mean = %v, want about 0.5", mean)
-	}
-}
-
-func TestBoolExtremes(t *testing.T) {
-	t.Parallel()
-	src := New(5)
-	for i := 0; i < 100; i++ {
-		if src.Bool(0) {
-			t.Fatal("Bool(0) returned true")
-		}
-		if !src.Bool(1) {
-			t.Fatal("Bool(1) returned false")
-		}
-	}
-}
-
-func TestBoolProbability(t *testing.T) {
-	t.Parallel()
-	src := New(6)
-	hits := 0
-	const n = 20000
-	for i := 0; i < n; i++ {
-		if src.Bool(0.25) {
-			hits++
-		}
-	}
-	frac := float64(hits) / n
-	if math.Abs(frac-0.25) > 0.02 {
-		t.Errorf("Bool(0.25) hit fraction %v, want about 0.25", frac)
 	}
 }
 
@@ -174,59 +117,6 @@ func TestPermIsPermutation(t *testing.T) {
 			seen[v] = true
 		}
 	}
-}
-
-func TestShuffleKeepsElements(t *testing.T) {
-	t.Parallel()
-	src := New(17)
-	vals := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range vals {
-		sum += v
-	}
-	src.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	got := 0
-	for _, v := range vals {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("Shuffle changed multiset: sum %d != %d", got, sum)
-	}
-}
-
-func TestWeightedRespectsZeroWeights(t *testing.T) {
-	t.Parallel()
-	src := New(19)
-	for i := 0; i < 1000; i++ {
-		idx := src.Weighted([]float64{0, 1, 0})
-		if idx != 1 {
-			t.Fatalf("Weighted([0,1,0]) = %d, want 1", idx)
-		}
-	}
-}
-
-func TestWeightedDistribution(t *testing.T) {
-	t.Parallel()
-	src := New(23)
-	counts := [3]int{}
-	const n = 30000
-	for i := 0; i < n; i++ {
-		counts[src.Weighted([]float64{1, 2, 1})]++
-	}
-	frac1 := float64(counts[1]) / n
-	if math.Abs(frac1-0.5) > 0.02 {
-		t.Errorf("Weighted([1,2,1]) middle fraction %v, want about 0.5", frac1)
-	}
-}
-
-func TestWeightedPanicsWithoutPositiveWeight(t *testing.T) {
-	t.Parallel()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Weighted with all-zero weights did not panic")
-		}
-	}()
-	New(1).Weighted([]float64{0, 0})
 }
 
 func TestIntnUniformityProperty(t *testing.T) {

@@ -27,7 +27,6 @@ type BoundedFair struct {
 
 	lastSched []int64
 	step      int64
-	forced    int64
 }
 
 // DefaultBoundedWindow is the window used when none is configured.
@@ -42,10 +41,6 @@ func NewBoundedFair(advisor Advisor, window int64) *BoundedFair {
 func (s *BoundedFair) Name() string {
 	return fmt.Sprintf("bounded-fair(%s,w=%d)", s.Advisor.Name(), s.window())
 }
-
-// ForcedCount returns how many scheduling decisions were forced by the
-// fairness bound rather than chosen by the advisor.
-func (s *BoundedFair) ForcedCount() int64 { return s.forced }
 
 func (s *BoundedFair) window() int64 {
 	if s.Window > 0 {
@@ -84,7 +79,6 @@ func (s *BoundedFair) Next(w *sim.World) graph.PhilID {
 	var choice graph.PhilID
 	if forcedPhil != graph.NoPhil {
 		choice = forcedPhil
-		s.forced++
 	} else {
 		choice = s.Advisor.Advise(w)
 		if int(choice) < 0 || int(choice) >= n {
@@ -102,5 +96,4 @@ func (s *BoundedFair) Next(w *sim.World) graph.PhilID {
 func (s *BoundedFair) Reset() {
 	s.lastSched = s.lastSched[:0]
 	s.step = 0
-	s.forced = 0
 }

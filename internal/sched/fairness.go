@@ -16,10 +16,9 @@ import (
 type FairnessMonitor struct {
 	inner sim.Scheduler
 
-	step      int64
-	lastStep  []int64
-	maxGap    []int64
-	scheduled []int64
+	step     int64
+	lastStep []int64
+	maxGap   []int64
 }
 
 // NewFairnessMonitor wraps inner.
@@ -36,7 +35,6 @@ func (m *FairnessMonitor) Next(w *sim.World) graph.PhilID {
 		n := len(w.Phils)
 		m.lastStep = make([]int64, n)
 		m.maxGap = make([]int64, n)
-		m.scheduled = make([]int64, n)
 		for i := range m.lastStep {
 			m.lastStep[i] = -1
 		}
@@ -51,7 +49,6 @@ func (m *FairnessMonitor) Next(w *sim.World) graph.PhilID {
 			m.maxGap[p] = gap
 		}
 		m.lastStep[p] = m.step
-		m.scheduled[p]++
 	}
 	m.step++
 	return p
@@ -77,49 +74,6 @@ func (m *FairnessMonitor) MaxGap() int64 {
 		}
 	}
 	return max
-}
-
-// GapOf returns the largest gap observed for philosopher p.
-func (m *FairnessMonitor) GapOf(p graph.PhilID) int64 {
-	if m.maxGap == nil || int(p) >= len(m.maxGap) {
-		return 0
-	}
-	g := m.maxGap[p]
-	var open int64
-	if m.lastStep[p] < 0 {
-		open = m.step
-	} else {
-		open = m.step - m.lastStep[p]
-	}
-	if open > g {
-		g = open
-	}
-	return g
-}
-
-// ScheduledCount returns how many times p was scheduled.
-func (m *FairnessMonitor) ScheduledCount(p graph.PhilID) int64 {
-	if m.scheduled == nil || int(p) >= len(m.scheduled) {
-		return 0
-	}
-	return m.scheduled[p]
-}
-
-// Steps returns the number of scheduling decisions observed.
-func (m *FairnessMonitor) Steps() int64 { return m.step }
-
-// EveryoneScheduled reports whether every philosopher has been scheduled at
-// least once.
-func (m *FairnessMonitor) EveryoneScheduled() bool {
-	if m.scheduled == nil {
-		return false
-	}
-	for _, c := range m.scheduled {
-		if c == 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Report returns a one-line summary.

@@ -38,7 +38,6 @@ type Stubborn struct {
 	window    int64
 	lastSched []int64
 	step      int64
-	forced    int64
 }
 
 // DefaultWindow is the initial stubbornness bound used when none is given.
@@ -55,21 +54,6 @@ func NewStubborn(advisor Advisor) *Stubborn {
 // Name implements sim.Scheduler.
 func (s *Stubborn) Name() string {
 	return fmt.Sprintf("stubborn(%s)", s.Advisor.Name())
-}
-
-// ForcedCount returns how many scheduling decisions were forced by the
-// fairness bound rather than chosen by the advisor.
-func (s *Stubborn) ForcedCount() int64 { return s.forced }
-
-// Window returns the current stubbornness bound.
-func (s *Stubborn) Window() int64 {
-	if s.window == 0 {
-		if s.InitialWindow > 0 {
-			return s.InitialWindow
-		}
-		return DefaultWindow
-	}
-	return s.window
 }
 
 // Next implements sim.Scheduler.
@@ -109,7 +93,6 @@ func (s *Stubborn) Next(w *sim.World) graph.PhilID {
 	var choice graph.PhilID
 	if forcedPhil != graph.NoPhil {
 		choice = forcedPhil
-		s.forced++
 		next := int64(float64(s.window) * growth)
 		if next <= s.window {
 			next = s.window + 1
@@ -133,7 +116,6 @@ func (s *Stubborn) Reset() {
 	s.lastSched = s.lastSched[:0]
 	s.window = 0
 	s.step = 0
-	s.forced = 0
 }
 
 // resizeGaps returns a length-n gap table filled with the "never scheduled"

@@ -164,9 +164,6 @@ func New(opts Options) *Server {
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// CacheStats returns a snapshot of the state-space cache counters.
-func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
-
 // requestID returns the client-chosen id, or assigns "r<n>" when empty.
 func (s *Server) requestID(client string) string {
 	if client != "" {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -131,7 +132,7 @@ func TestCheckSecondRequestIsCacheHit(t *testing.T) {
 		}
 	}
 
-	if st := s.CacheStats(); st.Explorations != 1 || st.Hits != 1 || st.Misses != 1 {
+	if st := s.cache.Stats(); st.Explorations != 1 || st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("cache stats = %+v, want exactly 1 exploration, 1 miss, 1 hit", st)
 	}
 }
@@ -167,7 +168,7 @@ func TestCheckConcurrentIdenticalRequests(t *testing.T) {
 	for msg := range errs {
 		t.Error(msg)
 	}
-	if st := s.CacheStats(); st.Explorations != 1 {
+	if st := s.cache.Stats(); st.Explorations != 1 {
 		t.Errorf("%d identical concurrent requests ran %d explorations, want exactly 1 (stats %+v)",
 			clients, st.Explorations, st)
 	}
@@ -205,7 +206,7 @@ func TestCheckDistinctConfigsDistinctEntries(t *testing.T) {
 	if got := dEvents[0].Config.Faults; got != "delayed-grants:0.5,2" {
 		t.Errorf("echoed fault spec %q, want the canonical delayed-grants spec", got)
 	}
-	if st := s.CacheStats(); st.Explorations != 3 || st.Entries != 3 {
+	if st := s.cache.Stats(); st.Explorations != 3 || st.Entries != 3 {
 		t.Errorf("stats = %+v, want 3 explorations and 3 entries", st)
 	}
 }
@@ -226,7 +227,7 @@ func TestCheckStatisticalOnlySkipsExploration(t *testing.T) {
 			t.Errorf("event %d carries cache %q, want none for statistical-only checks", i, ev.Cache)
 		}
 	}
-	if st := s.CacheStats(); st.Explorations != 0 {
+	if st := s.cache.Stats(); st.Explorations != 0 {
 		t.Errorf("statistical-only request ran %d explorations, want 0", st.Explorations)
 	}
 }
@@ -320,6 +321,36 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 }
 
+// TestCheckProtectedSpellingsShareOneEntry pins that every spelling of one
+// protected set is one configuration: [1, 0] explores, then [0, 1] is a
+// cache hit, and both responses echo the canonical [0, 1].
+func TestCheckProtectedSpellingsShareOneEntry(t *testing.T) {
+	t.Parallel()
+	s, ts := newTestServer(t, Options{})
+	var fingerprints []string
+	for i, protected := range [][]dining.PhilID{{1, 0}, {0, 1}} {
+		req := Request{Topology: "ring", N: 3, Algorithm: dining.LR1, Protected: protected, Props: []string{dining.DeadlockFreedom}}
+		code, events := post(t, ts, "/v1/check", req)
+		if code != http.StatusOK || len(events) == 0 {
+			t.Fatalf("protected %v: status %d, %d events", protected, code, len(events))
+		}
+		want := StatusMiss
+		if i > 0 {
+			want = StatusHit
+		}
+		if ev := events[0]; ev.Cache != want || !slices.Equal(ev.Config.Protected, []dining.PhilID{0, 1}) {
+			t.Errorf("protected %v: cache %q, echoed protected %v; want %q and [0 1]", protected, ev.Cache, ev.Config.Protected, want)
+		}
+		fingerprints = append(fingerprints, events[0].Config.Fingerprint)
+	}
+	if fingerprints[0] != fingerprints[1] {
+		t.Errorf("spellings of one protected set echoed fingerprints %s and %s", fingerprints[0], fingerprints[1])
+	}
+	if st := s.cache.Stats(); st.Explorations != 1 {
+		t.Errorf("explorations = %d, want 1", st.Explorations)
+	}
+}
+
 // TestBadRequests checks the validation path: every malformed request gets
 // a 400 with a single NDJSON error event carrying a request id.
 func TestBadRequests(t *testing.T) {
@@ -356,6 +387,9 @@ func TestBadRequests(t *testing.T) {
 		{"negative max_steps in a sweep", "/v1/sweep", SweepRequest{Topologies: []TopologySpec{{Name: "ring", N: 3}}, Algorithms: []string{dining.LR1}, MaxSteps: -1}},
 		{"negative m in a sweep", "/v1/sweep", SweepRequest{Topologies: []TopologySpec{{Name: "ring", N: 3}}, Algorithms: []string{dining.GDP1}, M: -1}},
 		{"negative fairness_window in a sweep", "/v1/sweep", SweepRequest{Topologies: []TopologySpec{{Name: "ring", N: 3}}, Algorithms: []string{dining.LR1}, FairnessWindow: -1}},
+		{"m over the bound", "/v1/check", Request{Topology: "ring", N: 3, Algorithm: dining.GDP2, M: 1_000_000_000}},
+		{"m over the bound in trials", "/v1/trials", Request{Topology: "ring", N: 3, Algorithm: dining.GDP2, M: 1_000_000_000}},
+		{"m over the bound in a sweep", "/v1/sweep", SweepRequest{Topologies: []TopologySpec{{Name: "ring", N: 3}}, Algorithms: []string{dining.GDP1}, M: 1_000_000_000}},
 	}
 	for _, tc := range cases {
 		code, events := post(t, ts, tc.path, tc.body)
@@ -457,7 +491,7 @@ func TestAdmissionCapRejectsOversizedChecks(t *testing.T) {
 			t.Errorf("%s: error %q, want it to mention %q", tc.name, events[0].Error, tc.want)
 		}
 	}
-	if st := s.CacheStats(); st.Explorations != 1 {
+	if st := s.cache.Stats(); st.Explorations != 1 {
 		t.Errorf("rejected requests changed the exploration count: stats %+v, want exactly the admitted one", st)
 	}
 
@@ -512,7 +546,7 @@ func TestCheckSymmetryRequest(t *testing.T) {
 		t.Errorf("quotient explored %d states, unreduced %d — expected a strict reduction on ring-3",
 			symDone.States, plainDone.States)
 	}
-	if st := s.CacheStats(); st.Entries != 2 {
+	if st := s.cache.Stats(); st.Entries != 2 {
 		t.Errorf("stats = %+v, want 2 cache entries (quotient and unreduced)", st)
 	}
 }

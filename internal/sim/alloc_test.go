@@ -71,7 +71,7 @@ func TestCloneProtocolAllocationBudget(t *testing.T) {
 
 func TestCloneProtocolMatchesCloneKey(t *testing.T) {
 	w := dirtyWorld(t)
-	if got, want := w.CloneProtocol().Key(), w.Clone().Key(); got != want {
+	if got, want := string(w.CloneProtocol().AppendKey(nil)), string(w.Clone().AppendKey(nil)); got != want {
 		t.Error("CloneProtocol and Clone disagree on the protocol state key")
 	}
 }

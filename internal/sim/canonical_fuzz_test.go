@@ -72,7 +72,7 @@ func mutateCanonWorld(topo *graph.Topology, w *sim.World, data []byte) {
 			}
 			f.NR = int(v % 6)
 		case 5:
-			req := w.ForkReq(graph.ForkID(x % k))
+			req := w.ForkReqForTest(graph.ForkID(x % k))
 			req[int(v)%len(req)] = !req[int(v)%len(req)]
 		case 6:
 			used := w.ForkUsed(graph.ForkID(x % k))
@@ -113,8 +113,8 @@ func applyAutomorphism(topo *graph.Topology, a graph.Automorphism, w *sim.World)
 	for f := 0; f < topo.NumForks(); f++ {
 		src := graph.ForkID(f)
 		dst := a.Fork[f]
-		sreq, sused := w.ForkReq(src), w.ForkUsed(src)
-		dreq, dused := out.ForkReq(dst), out.ForkUsed(dst)
+		sreq, sused := w.ForkReqForTest(src), w.ForkUsed(src)
+		dreq, dused := out.ForkReqForTest(dst), out.ForkUsed(dst)
 		for i, p := range topo.PhilosophersAt(src) {
 			j := topo.Slot(dst, a.Phil[p])
 			dreq[j] = sreq[i]

@@ -27,3 +27,11 @@ func (w *World) PendingAtForTest(f graph.ForkID, p graph.PhilID) (uint8, bool) {
 	v := w.pending.slots[w.slotIndex(f, p)]
 	return v & pendingDelayMask, v&pendingInFlight != 0
 }
+
+// ForkReqForTest returns the request-list entries of fork f, indexed by
+// adjacency slot (graph.Topology.Slot). The returned slice aliases the
+// world's state.
+func (w *World) ForkReqForTest(f graph.ForkID) []bool {
+	base := w.Topo.SlotBase(f)
+	return w.req[base : base+w.Topo.Degree(f)]
+}

@@ -98,7 +98,7 @@ func observablyEqual(a, b *sim.World) bool {
 	}
 	for f := 0; f < a.Topo.NumForks(); f++ {
 		fid := graph.ForkID(f)
-		if !slices.Equal(a.ForkReq(fid), b.ForkReq(fid)) {
+		if !slices.Equal(a.ForkReqForTest(fid), b.ForkReqForTest(fid)) {
 			return false
 		}
 		if !slices.Equal(guestRanks(a.ForkUsed(fid)), guestRanks(b.ForkUsed(fid))) {

@@ -117,9 +117,9 @@ func SampleOutcome(outcomes []Outcome, rng *prng.Source) *Outcome {
 	case 1:
 		return &outcomes[0]
 	}
-	// Mirrors prng.Source.Weighted so seeded runs keep their exact draws:
-	// negative weights count as zero, and floating-point slack falls back to
-	// the last positive-probability outcome.
+	// A weighted draw, pinned by seeded runs: negative probabilities count
+	// as zero, and floating-point slack falls back to the last
+	// positive-probability outcome.
 	total := 0.0
 	for i := range outcomes {
 		if outcomes[i].Prob > 0 {

@@ -137,10 +137,6 @@ type Result struct {
 // Progress reports whether at least one meal completed.
 func (r *Result) Progress() bool { return r.TotalEats > 0 }
 
-// LockoutFree reports whether every philosopher that was ever hungry ate at
-// least once during the run.
-func (r *Result) LockoutFree() bool { return len(r.Starved) == 0 }
-
 // Run executes the step engine: repeatedly asks the scheduler for a
 // philosopher, asks the program for that philosopher's possible next actions,
 // samples one according to its probability and applies it, until a stop

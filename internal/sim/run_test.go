@@ -140,7 +140,7 @@ func TestRunStopsWhenAllHaveEaten(t *testing.T) {
 			t.Errorf("philosopher %d has not eaten at stop", p)
 		}
 	}
-	if !res.LockoutFree() {
+	if len(res.Starved) != 0 {
 		t.Errorf("run that fed everyone reports starvation: %v", res.Starved)
 	}
 }
@@ -262,7 +262,7 @@ func TestThinkOutcomes(t *testing.T) {
 	// The outcome applies the standard bookkeeping and jumps to the
 	// requested PC.
 	hungry[0].Do(w, 0)
-	if !w.IsHungry(0) || w.Phils[0].PC != 7 {
+	if w.PhaseOf(0) != Hungry || w.Phils[0].PC != 7 {
 		t.Errorf("hungry outcome did not apply: phase %v pc %d", w.PhaseOf(0), w.Phils[0].PC)
 	}
 }

@@ -127,8 +127,8 @@ type PhilState struct {
 
 // ForkState is the per-fork protocol state. The request-list and guest-book
 // entries of the fork live in the World's flat req/used arrays at the fork's
-// slot offsets (see graph.Topology.SlotBase); use World.ForkReq and
-// World.ForkUsed to view them.
+// slot offsets (see graph.Topology.SlotBase); World.HasRequest reads a
+// request-list entry and World.ForkUsed views the guest book.
 type ForkState struct {
 	// Holder is the philosopher currently holding the fork, or graph.NoPhil.
 	Holder graph.PhilID
@@ -286,13 +286,6 @@ func (w *World) EnsurePending() {
 	}
 }
 
-// ForkReq returns the request-list entries of fork f, indexed by adjacency
-// slot (graph.Topology.Slot). The returned slice aliases the world's state.
-func (w *World) ForkReq(f graph.ForkID) []bool {
-	base := w.Topo.SlotBase(f)
-	return w.req[base : base+w.Topo.Degree(f)]
-}
-
 // ForkUsed returns the guest-book entries of fork f, indexed by adjacency
 // slot: the step of each philosopher's last signature, or -1. The returned
 // slice aliases the world's state.
@@ -303,9 +296,6 @@ func (w *World) ForkUsed(f graph.ForkID) []int64 {
 
 // SetRecorder installs an event recorder (may be nil to disable recording).
 func (w *World) SetRecorder(r Recorder) { w.rec = r }
-
-// Recorder returns the installed event recorder, or nil.
-func (w *World) Recorder() Recorder { return w.rec }
 
 // Clone returns a deep copy of the world sharing only the immutable topology
 // and dropping the event recorder.
@@ -438,14 +428,6 @@ func (w *World) CloneLocalInto(dst *World, p graph.PhilID) *World {
 	return dst
 }
 
-// Key returns the canonical encoding of the protocol-relevant state as a
-// string. Two worlds with equal keys are indistinguishable to every
-// philosopher program. Key allocates; hot paths should use AppendKey with a
-// reused scratch buffer.
-func (w *World) Key() string {
-	return string(w.AppendKey(nil))
-}
-
 // AppendKey appends the canonical binary encoding of the protocol-relevant
 // state (see the package comment for the format) to buf and returns the
 // extended buffer. It performs no allocations beyond growing buf, so a caller
@@ -562,37 +544,11 @@ func (w *World) IsFree(f graph.ForkID) bool {
 	return w.Forks[f].Holder == graph.NoPhil && (w.pending == nil || !w.forkReserved(f))
 }
 
-// HolderOf returns the philosopher holding fork f, or graph.NoPhil.
-func (w *World) HolderOf(f graph.ForkID) graph.PhilID { return w.Forks[f].Holder }
-
 // PhaseOf returns the phase of philosopher p.
 func (w *World) PhaseOf(p graph.PhilID) Phase { return w.Phils[p].Phase }
 
-// IsHungry reports whether philosopher p is in the trying section.
-func (w *World) IsHungry(p graph.PhilID) bool { return w.Phils[p].Phase == Hungry }
-
 // IsEating reports whether philosopher p is eating.
 func (w *World) IsEating(p graph.PhilID) bool { return w.Phils[p].Phase == Eating }
-
-// AnyEating reports whether some philosopher is eating.
-func (w *World) AnyEating() bool {
-	for p := range w.Phils {
-		if w.Phils[p].Phase == Eating {
-			return true
-		}
-	}
-	return false
-}
-
-// AnyHungry reports whether some philosopher is in the trying section.
-func (w *World) AnyHungry() bool {
-	for p := range w.Phils {
-		if w.Phils[p].Phase == Hungry {
-			return true
-		}
-	}
-	return false
-}
 
 // FirstForkOf returns the fork currently selected as first fork by p, or
 // graph.NoFork.
@@ -629,30 +585,6 @@ func (w *World) CouldEatNext(p graph.PhilID) bool {
 	}
 	second := w.SecondForkOf(p)
 	return second != graph.NoFork && w.IsFree(second)
-}
-
-// HeldForks returns the forks currently held by p (0, 1 or 2 forks).
-func (w *World) HeldForks(p graph.PhilID) []graph.ForkID {
-	st := &w.Phils[p]
-	var out []graph.ForkID
-	if st.HasFirst {
-		out = append(out, st.First)
-	}
-	if st.HasSecond {
-		out = append(out, w.Topo.OtherFork(p, st.First))
-	}
-	return out
-}
-
-// NumHungry returns the number of philosophers in the trying section.
-func (w *World) NumHungry() int {
-	n := 0
-	for p := range w.Phils {
-		if w.Phils[p].Phase == Hungry {
-			n++
-		}
-	}
-	return n
 }
 
 // CheckInvariants verifies the structural invariants that every algorithm must

@@ -23,15 +23,17 @@ func TestNewWorldInitialSymmetry(t *testing.T) {
 			t.Errorf("fork %d not in initial state: %+v", f, fs)
 		}
 		fid := graph.ForkID(f)
-		req, used := w.ForkReq(fid), w.ForkUsed(fid)
+		req, used := w.ForkReqForTest(fid), w.ForkUsed(fid)
 		for slot := range req {
 			if req[slot] || used[slot] != -1 {
 				t.Errorf("fork %d slot %d has non-initial request/guest-book state", f, slot)
 			}
 		}
 	}
-	if w.AnyHungry() || w.AnyEating() {
-		t.Error("fresh world should have no hungry or eating philosophers")
+	for p := range w.Phils {
+		if w.Phils[p].Phase != Thinking {
+			t.Errorf("fresh world has philosopher %d in phase %v", p, w.Phils[p].Phase)
+		}
 	}
 	if err := w.CheckInvariants(); err != nil {
 		t.Errorf("fresh world violates invariants: %v", err)
@@ -46,7 +48,7 @@ func TestTakeReleaseCycle(t *testing.T) {
 	f := topo.Left(p)
 
 	w.BecomeHungry(p)
-	if !w.IsHungry(p) {
+	if w.PhaseOf(p) != Hungry {
 		t.Fatal("BecomeHungry did not set phase")
 	}
 	w.Commit(p, f)
@@ -57,7 +59,7 @@ func TestTakeReleaseCycle(t *testing.T) {
 		t.Fatal("TryTake on a free fork failed")
 	}
 	w.MarkHoldingFirst(p)
-	if w.IsFree(f) || w.HolderOf(f) != p {
+	if w.IsFree(f) || w.Forks[f].Holder != p {
 		t.Error("fork not recorded as held")
 	}
 	if w.IsCommitted(p) {
@@ -114,7 +116,7 @@ func TestEatingLifecycleMetrics(t *testing.T) {
 	w.MarkHoldingSecond(p)
 	w.StartEating(p)
 
-	if !w.IsEating(p) || !w.AnyEating() {
+	if !w.IsEating(p) {
 		t.Fatal("StartEating did not set phase")
 	}
 	if w.FirstEatStep != 25 || w.FirstEatBy[p] != 25 {
@@ -239,7 +241,7 @@ func TestCloneIndependence(t *testing.T) {
 	w.SetNR(0, topo.Left(0), 3)
 
 	c := w.Clone()
-	if c.Key() != w.Key() {
+	if string(c.AppendKey(nil)) != string(w.AppendKey(nil)) {
 		t.Fatal("clone has different key than original")
 	}
 
@@ -253,7 +255,7 @@ func TestCloneIndependence(t *testing.T) {
 	if w.NR(topo.Left(0)) != 3 {
 		t.Error("mutating clone changed the original's nr")
 	}
-	if c.Key() == w.Key() {
+	if string(c.AppendKey(nil)) == string(w.AppendKey(nil)) {
 		t.Error("diverged clone still has equal key")
 	}
 }
@@ -283,7 +285,7 @@ func TestViewSharesProtocolState(t *testing.T) {
 	b.MarkHoldingSecond(1)
 	b.StartEating(1)
 	b.FinishEating(1)
-	if w.HolderOf(topo.Left(1)) != 1 || !w.HasRequest(0, topo.Left(0)) || w.Phils[0].Phase != Hungry {
+	if w.Forks[topo.Left(1)].Holder != 1 || !w.HasRequest(0, topo.Left(0)) || w.Phils[0].Phase != Hungry {
 		t.Errorf("views' writes missing from the shared world: %s", w)
 	}
 	if got := w.ForkUsed(topo.Left(0))[topo.Slot(topo.Left(0), 0)]; got != 5 {
@@ -292,7 +294,7 @@ func TestViewSharesProtocolState(t *testing.T) {
 	if b.TotalEats != 1 || a.TotalEats != 0 || w.TotalEats != 0 || w.Step != 0 {
 		t.Errorf("meals a/b/world = %d/%d/%d, world step %d: want 0/1/0 and 0", a.TotalEats, b.TotalEats, w.TotalEats, w.Step)
 	}
-	if b.EatsBy != nil || b.Recorder() != nil {
+	if b.EatsBy != nil || b.rec != nil {
 		t.Error("a view carries metrics or a recorder")
 	}
 }
@@ -347,7 +349,7 @@ func TestKeyIgnoresStepAndMetrics(t *testing.T) {
 	b.Step = 400
 	b.TotalEats = 7
 	b.EatsBy[0] = 7
-	if a.Key() != b.Key() {
+	if string(a.AppendKey(nil)) != string(b.AppendKey(nil)) {
 		t.Error("Key should not depend on the step counter or metrics")
 	}
 }
@@ -366,7 +368,7 @@ func TestKeyGuestBookRankNormalization(t *testing.T) {
 	b.SignGuestBook(0, 0)
 	b.Step = 2000
 	b.SignGuestBook(2, 0)
-	if a.Key() != b.Key() {
+	if string(a.AppendKey(nil)) != string(b.AppendKey(nil)) {
 		t.Error("keys should agree when guest-book orders agree")
 	}
 	// Different relative order must give different keys.
@@ -375,7 +377,7 @@ func TestKeyGuestBookRankNormalization(t *testing.T) {
 	c.SignGuestBook(2, 0)
 	c.Step = 50
 	c.SignGuestBook(0, 0)
-	if a.Key() == c.Key() {
+	if string(a.AppendKey(nil)) == string(c.AppendKey(nil)) {
 		t.Error("keys should differ when guest-book orders differ")
 	}
 }
@@ -383,29 +385,29 @@ func TestKeyGuestBookRankNormalization(t *testing.T) {
 func TestKeyDistinguishesProtocolState(t *testing.T) {
 	t.Parallel()
 	topo := graph.Ring(3)
-	base := NewWorld(topo).Key()
+	base := string(NewWorld(topo).AppendKey(nil))
 
 	w1 := NewWorld(topo)
 	w1.BecomeHungry(1)
-	if w1.Key() == base {
+	if string(w1.AppendKey(nil)) == base {
 		t.Error("key should reflect phase changes")
 	}
 
 	w2 := NewWorld(topo)
 	w2.SetNR(0, 1, 2)
-	if w2.Key() == base {
+	if string(w2.AppendKey(nil)) == base {
 		t.Error("key should reflect nr changes")
 	}
 
 	w3 := NewWorld(topo)
 	w3.Request(0, topo.Left(0))
-	if w3.Key() == base {
+	if string(w3.AppendKey(nil)) == base {
 		t.Error("key should reflect request-list changes")
 	}
 
 	w4 := NewWorld(topo)
 	w4.SetGlobal(0, 5)
-	if w4.Key() == base {
+	if string(w4.AppendKey(nil)) == base {
 		t.Error("key should reflect globals")
 	}
 }
@@ -425,8 +427,8 @@ func TestCouldEatNextAndHeldForks(t *testing.T) {
 	if !w.CouldEatNext(p) {
 		t.Error("philosopher holding first fork with free second fork should be CouldEatNext")
 	}
-	if got := w.HeldForks(p); len(got) != 1 || got[0] != topo.Left(p) {
-		t.Errorf("HeldForks = %v, want [%d]", got, topo.Left(p))
+	if !w.HoldsOnlyFirst(p) || w.FirstForkOf(p) != topo.Left(p) {
+		t.Errorf("P%d holds %+v, want only its left fork %d", p, w.Phils[p], topo.Left(p))
 	}
 	// Occupy the second fork with the neighbour: no longer dangerous.
 	q := graph.PhilID(1)
@@ -440,8 +442,8 @@ func TestCouldEatNextAndHeldForks(t *testing.T) {
 	if w.SecondForkOf(p) != topo.Right(p) {
 		t.Error("SecondForkOf wrong")
 	}
-	if w.NumHungry() != 2 {
-		t.Errorf("NumHungry = %d, want 2", w.NumHungry())
+	if w.PhaseOf(p) != Hungry || w.PhaseOf(q) != Hungry || w.PhaseOf(2) != Thinking {
+		t.Errorf("phases %v, %v, %v; want P0 and P1 hungry, P2 thinking", w.PhaseOf(p), w.PhaseOf(q), w.PhaseOf(2))
 	}
 }
 

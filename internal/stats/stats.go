@@ -10,36 +10,21 @@ import (
 )
 
 // Running accumulates a stream of float64 observations with Welford's
-// algorithm, providing mean, variance and extrema without storing the stream.
+// algorithm, providing mean and variance without storing the stream.
 // The zero value is ready to use.
 type Running struct {
 	n    int64
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add records one observation.
 func (r *Running) Add(x float64) {
 	r.n++
-	if r.n == 1 {
-		r.min, r.max = x, x
-	} else {
-		if x < r.min {
-			r.min = x
-		}
-		if x > r.max {
-			r.max = x
-		}
-	}
 	delta := x - r.mean
 	r.mean += delta / float64(r.n)
 	r.m2 += delta * (x - r.mean)
 }
-
-// Count returns the number of observations.
-func (r *Running) Count() int64 { return r.n }
 
 // Mean returns the sample mean (0 with no observations).
 func (r *Running) Mean() float64 { return r.mean }
@@ -55,12 +40,6 @@ func (r *Running) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (r *Running) StdDev() float64 { return math.Sqrt(r.Variance()) }
-
-// Min returns the smallest observation (0 with none).
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the largest observation (0 with none).
-func (r *Running) Max() float64 { return r.max }
 
 // CI95 returns the half-width of a normal-approximation 95% confidence
 // interval for the mean.
@@ -88,12 +67,6 @@ func (p *Proportion) Add(success bool) {
 	if success {
 		p.successes++
 	}
-}
-
-// AddN records a batch of trials.
-func (p *Proportion) AddN(successes, trials int64) {
-	p.successes += successes
-	p.trials += trials
 }
 
 // Successes returns the number of successes.

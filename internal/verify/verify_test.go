@@ -83,7 +83,7 @@ func TestDistinctNumberBoundMatchesSimulation(t *testing.T) {
 			seen := make([]bool, tc.m+1)
 			distinct := true
 			for range tc.k {
-				v := rng.IntRange(1, tc.m)
+				v := 1 + rng.Intn(tc.m)
 				distinct = distinct && !seen[v]
 				seen[v] = true
 			}
