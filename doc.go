@@ -207,8 +207,10 @@
 //     instead of maintained. A method also counts as used when its name and
 //     signature match a method of an interface that non-test code mentions,
 //     named or anonymous, or that a standard-library package the module
-//     imports declares (fmt.Stringer, error), because interface
-//     satisfaction hides its callers. The public dining API and test-helper
+//     imports declares (fmt.Stringer, error), and its type T or *T
+//     implements that interface, because interface satisfaction hides its
+//     callers; a Len() int on a type that is no sort.Interface stays
+//     flagged. The public dining API and test-helper
 //     packages are out of scope, and the rule reads the whole module's
 //     references, so `dplint <dir>` gives the same verdict on a package as
 //     `dplint ./...`.

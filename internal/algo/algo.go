@@ -12,101 +12,45 @@
 // the introduction (ordered forks, colored philosophers, central monitor,
 // ticket box), which are useful as comparison points in the benchmarks.
 //
-// Every program is a state machine over the philosopher's program counter
-// (PhilState.PC), with PC values matching the line numbers of the paper's
-// pseudo-code tables. Each atomic action of the pseudo-code is one sim.Outcome,
-// so an adversarial scheduler can interleave the philosophers at exactly the
-// granularity assumed by the paper.
+// The four tables are one skeleton with two switches: GDP1 replaces LR1's
+// coin with fork numbers, and LR2 and GDP2 add request lists and guest books
+// to LR1 and GDP1. So each paper algorithm is the list of its table's lines
+// (tables.go), run by one step machine, and a philosopher's program counter
+// (PhilState.PC) is the line number of the pseudo-code it executes next. A
+// variant of the paper's algorithms is one more table. Each atomic action of
+// the pseudo-code is one sim.Outcome, so an adversarial scheduler can
+// interleave the philosophers at exactly the granularity assumed by the
+// paper. The baselines number their steps the same way and share the
+// machine's eat and release steps.
 package algo
 
 import (
-	"fmt"
-
 	"repro/internal/graph"
 	"repro/internal/registry"
 	"repro/internal/sim"
 )
 
-// The outcome constructors below append to a caller-provided scratch buffer
-// and build outcomes from static Apply functions plus an Arg, so that a
-// steady-state simulation step performs no heap allocations (see
-// sim.Outcome).
-
-// one appends a single deterministic action with probability 1.
+// one appends a single deterministic action with probability 1. Outcome sets
+// are appended to a caller-provided scratch buffer and built from static
+// Apply functions plus an Arg, so that a steady-state simulation step
+// performs no heap allocations (see sim.Outcome).
 func one(buf []sim.Outcome, label string, arg int64, apply func(*sim.World, graph.PhilID, int64)) []sim.Outcome {
 	return append(buf, sim.Outcome{Prob: 1, Label: label, Arg: arg, Apply: apply})
 }
 
-// coinFlip appends the two-outcome set of the algorithms' random_choice(left,
-// right) draw. pLeft is the probability of choosing the left fork; the paper
-// uses 1/2 but notes the negative results do not depend on the value.
-func coinFlip(buf []sim.Outcome, pLeft float64, left, right sim.Outcome) []sim.Outcome {
-	if pLeft <= 0 {
-		right.Prob = 1
-		return append(buf, right)
-	}
-	if pLeft >= 1 {
-		left.Prob = 1
-		return append(buf, left)
-	}
-	left.Prob = pLeft
-	right.Prob = 1 - pLeft
-	return append(buf, left, right)
-}
-
-// uniformNR appends the outcome set of the GDP step "fork.nr := random[1, m]":
-// one outcome per value in [1, m], each with probability 1/m. apply receives
-// the drawn value as arg.
-func uniformNR(buf []sim.Outcome, m int, apply func(*sim.World, graph.PhilID, int64)) []sim.Outcome {
-	p := 1.0 / float64(m)
-	for v := 1; v <= m; v++ {
-		buf = append(buf, sim.Outcome{
-			Prob:  p,
-			Label: nrLabel(v),
-			Arg:   int64(v),
-			Apply: apply,
-		})
-	}
-	return buf
-}
-
-// nrLabels precomputes the labels of the common nr draws so that building the
-// uniformNR outcome set allocates nothing; draws beyond the table (m beyond
-// 256 forks, only reachable through explicit Options.M or very large
-// topologies) fall back to fmt.
-var nrLabels = func() [257]string {
-	var labels [257]string
-	for v := range labels {
-		labels[v] = fmt.Sprintf("nr := %d", v)
-	}
-	return labels
-}()
-
-func nrLabel(v int) string {
-	if v >= 0 && v < len(nrLabels) {
-		return nrLabels[v]
-	}
-	//dplint:ok hotalloc cold fallback: only reachable for m beyond the 256-entry precomputed label table
-	return fmt.Sprintf("nr := %d", v)
-}
-
-// applySetPC is the generic "nothing to do but advance" action: it sets the
-// philosopher's program counter to arg.
-func applySetPC(w *sim.World, p graph.PhilID, arg int64) {
-	w.Phils[p].PC = uint8(arg)
-}
-
-// Options configures the tunable parameters shared by the algorithms.
+// Options configures the tunable parameters of the paper's algorithms; the
+// baselines have none.
 type Options struct {
 	// LeftBias is the probability that random_choice(left, right) returns the
-	// left fork (LR1, LR2). Zero means the default of 0.5.
+	// left fork (LR1, LR2). Zero, or any value outside (0, 1), means the
+	// default of 0.5.
 	LeftBias float64
 	// M is the upper bound of the random fork numbers drawn by GDP1/GDP2
 	// (the paper requires m >= k, the number of forks). Zero means "use the
 	// number of forks of the topology".
 	M int
 	// DisableCourtesy turns off the Cond(fork) test in GDP2, reducing it to
-	// GDP1 plus bookkeeping; used by ablation benchmarks.
+	// GDP1 plus bookkeeping; used by ablation benchmarks. LR2 ignores it.
 	DisableCourtesy bool
 	// CourtesyOnBothForks extends the Cond(fork) test of LR2 and GDP2 to the
 	// second fork as well (the paper's Tables 2 and 4 check it only when
@@ -116,26 +60,6 @@ type Options struct {
 	// shared fork second; checking the condition on both forks removes that
 	// trap. See experiment E-T4 of the suite (dpbench -experiment E-T4).
 	CourtesyOnBothForks bool
-}
-
-// Courtesy option bits passed to the static Apply functions through
-// Outcome.Arg (the Apply functions are shared across program instances, so
-// per-instance options must travel with the outcome).
-const (
-	flagCourtesyOnBoth int64 = 1 << iota
-	flagDisableCourtesy
-)
-
-// courtesyFlags encodes the courtesy options as Outcome.Arg bits.
-func (o Options) courtesyFlags() int64 {
-	var flags int64
-	if o.CourtesyOnBothForks {
-		flags |= flagCourtesyOnBoth
-	}
-	if o.DisableCourtesy {
-		flags |= flagDisableCourtesy
-	}
-	return flags
 }
 
 // leftBias returns the configured or default probability of picking left.
@@ -192,13 +116,16 @@ func New(name string, opts Options) (sim.Program, error) {
 func Names() []string { return reg.Names() }
 
 func init() {
-	Register("LR1", func(o Options) sim.Program { return NewLR1(o) })
-	Register("LR2", func(o Options) sim.Program { return NewLR2(o) })
-	Register("GDP1", func(o Options) sim.Program { return NewGDP1(o) })
-	Register("GDP2", func(o Options) sim.Program { return NewGDP2(o) })
+	Register("LR1", func(o Options) sim.Program { return newTable("LR1", lr1, o) })
+	Register("LR2", func(o Options) sim.Program {
+		o.DisableCourtesy = false // GDP2's ablation switch
+		return newTable("LR2", lr2, o)
+	})
+	Register("GDP1", func(o Options) sim.Program { return newTable("GDP1", gdp1, o) })
+	Register("GDP2", func(o Options) sim.Program { return newTable("GDP2", gdp2, o) })
 	Register("ordered-forks", func(Options) sim.Program { return NewOrderedForks() })
 	Register("colored", func(Options) sim.Program { return NewColored() })
 	Register("naive-left-first", func(Options) sim.Program { return NewNaive() })
 	Register("central-monitor", func(Options) sim.Program { return NewCentralMonitor() })
-	Register("ticket-box", func(Options) sim.Program { return NewTicketBox(0) })
+	Register("ticket-box", func(Options) sim.Program { return NewTicketBox() })
 }

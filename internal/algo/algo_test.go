@@ -1,6 +1,8 @@
 package algo
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -22,6 +24,16 @@ func runFor(t *testing.T, topo *graph.Topology, prog sim.Program, scheduler sim.
 	return res
 }
 
+// mustNew returns the registered algorithm name configured with opts.
+func mustNew(t testing.TB, name string, opts Options) sim.Program {
+	t.Helper()
+	prog, err := New(name, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
 func TestRegistry(t *testing.T) {
 	t.Parallel()
 	names := Names()
@@ -40,6 +52,49 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, err := New("no-such-algorithm", Options{}); err == nil {
 		t.Error("New accepted an unknown algorithm name")
+	}
+}
+
+// TestPaperAlgorithmPCsAreTableLines pins each paper algorithm's program
+// counter to the line numbers of its pseudo-code table: a random walk visits
+// every line and no other PC, and the first outcome offered at line i is the
+// action of line i.
+func TestPaperAlgorithmPCsAreTableLines(t *testing.T) {
+	t.Parallel()
+	const renumber = "numbers already distinct|nr := 1"
+	tables := map[string][]string{
+		"LR1": {"become hungry", "commit left", "take first fork", "try second fork", "eat", "release forks"},
+		"LR2": {"become hungry", "insert requests", "commit left", "take first fork (courteous)", "try second fork",
+			"eat", "remove requests", "sign guest books", "release forks"},
+		"GDP1": {"become hungry", "select higher-numbered fork", "take first fork", renumber, "try second fork",
+			"eat", "release forks"},
+		"GDP2": {"become hungry", "insert requests", "select higher-numbered fork", "take first fork (courteous)", renumber,
+			"try second fork", "eat", "remove requests", "sign guest books", "release forks"},
+	}
+	for name, labels := range tables {
+		prog := mustNew(t, name, Options{})
+		topo := graph.Figure1A()
+		w := sim.NewWorld(topo)
+		prog.Init(w)
+		rng := prng.New(5)
+		seen := map[uint8]bool{}
+		for i := 0; i < 5000; i++ {
+			p := graph.PhilID(rng.Intn(topo.NumPhilosophers()))
+			pc := w.Phils[p].PC
+			if pc < 1 || int(pc) > len(labels) {
+				t.Fatalf("%s: philosopher %d at pc %d, outside its table's lines 1-%d", name, p, pc, len(labels))
+			}
+			seen[pc] = true
+			outcomes := prog.Outcomes(w, p, nil)
+			if want := strings.Split(labels[pc-1], "|"); !slices.Contains(want, outcomes[0].Label) {
+				t.Fatalf("%s: line %d offers %q, want %q", name, pc, outcomes[0].Label, labels[pc-1])
+			}
+			sim.SampleOutcome(outcomes, rng).Do(w, p)
+			w.Step++
+		}
+		if len(seen) != len(labels) {
+			t.Errorf("%s: the walk visited lines %v, want all of 1-%d", name, seen, len(labels))
+		}
 	}
 }
 
@@ -136,7 +191,7 @@ func TestGDPAlgorithmsLockoutFreeOnRingUnderRoundRobin(t *testing.T) {
 
 func TestGDP2LockoutFreeOnFigure1AUnderRandomScheduler(t *testing.T) {
 	t.Parallel()
-	prog := NewGDP2(Options{})
+	prog := mustNew(t, "GDP2", Options{})
 	res := runFor(t, graph.Figure1A(), prog, sched.NewUniformRandom(prng.New(9)), 13, sim.RunOptions{
 		MaxSteps:             200000,
 		StopWhenAllHaveEaten: true,
@@ -149,7 +204,7 @@ func TestGDP2LockoutFreeOnFigure1AUnderRandomScheduler(t *testing.T) {
 func TestLR1ReleasesFirstForkWhenSecondTaken(t *testing.T) {
 	t.Parallel()
 	topo := graph.Ring(3)
-	prog := NewLR1(Options{LeftBias: 0.999999}) // force committing to the left fork
+	prog := mustNew(t, "LR1", Options{LeftBias: 0.999999}) // force committing to the left fork
 	w := sim.NewWorld(topo)
 	prog.Init(w)
 	rng := prng.New(1)
@@ -171,8 +226,8 @@ func TestLR1ReleasesFirstForkWhenSecondTaken(t *testing.T) {
 	if !w.IsFree(0) {
 		t.Error("LR1 did not release its first fork after failing to take the second")
 	}
-	if w.Phils[0].PC != lr1Choose {
-		t.Errorf("LR1 pc after failed second take = %d, want %d (line 2)", w.Phils[0].PC, lr1Choose)
+	if w.Phils[0].PC != 2 {
+		t.Errorf("LR1 pc after failed second take = %d, want line 2, the coin", w.Phils[0].PC)
 	}
 	if got := w.EatsBy[0]; got != 0 {
 		t.Errorf("philosopher 0 should not have eaten, got %d meals", got)
@@ -182,7 +237,7 @@ func TestLR1ReleasesFirstForkWhenSecondTaken(t *testing.T) {
 func TestLR1BusyWaitsOnHeldFirstFork(t *testing.T) {
 	t.Parallel()
 	topo := graph.Ring(3)
-	prog := NewLR1(Options{LeftBias: 0.999999})
+	prog := mustNew(t, "LR1", Options{LeftBias: 0.999999})
 	w := sim.NewWorld(topo)
 	rng := prng.New(1)
 	step := func(p graph.PhilID, times int) {
@@ -196,7 +251,7 @@ func TestLR1BusyWaitsOnHeldFirstFork(t *testing.T) {
 
 	// Make P0 commit to a held fork instead: P2's left fork is 2; P0's right is 1.
 	// Simpler: drive P2 to hold fork 2, then P0 with right bias.
-	prog2 := NewLR1(Options{LeftBias: 0.000001}) // commit right
+	prog2 := mustNew(t, "LR1", Options{LeftBias: 0.000001}) // commit right
 	w2 := sim.NewWorld(topo)
 	step2 := func(p graph.PhilID, times int) {
 		for i := 0; i < times; i++ {
@@ -217,13 +272,13 @@ func TestLR1BusyWaitsOnHeldFirstFork(t *testing.T) {
 	w3.Commit(2, 2)
 	w3.TryTake(2, 2)
 	w3.MarkHoldingFirst(2)
-	w3.Phils[2].PC = lr1TrySecond
+	w3.Phils[2].PC = 4 // try second
 	w3.BecomeHungry(0)
-	w3.Commit(0, 2) // fork 2 is held by P2
-	w3.Phils[0].PC = lr1TakeFirst
+	w3.Commit(0, 2)    // fork 2 is held by P2
+	w3.Phils[0].PC = 3 // take first
 	for i := 0; i < 5; i++ {
 		sim.SampleOutcome(prog.Outcomes(w3, 0, nil), rng).Do(w3, 0)
-		if w3.Phils[0].PC != lr1TakeFirst {
+		if w3.Phils[0].PC != 3 {
 			t.Fatalf("LR1 left the busy-wait loop although the fork is held")
 		}
 	}
@@ -232,7 +287,7 @@ func TestLR1BusyWaitsOnHeldFirstFork(t *testing.T) {
 func TestGDP1SelectsHigherNumberedFork(t *testing.T) {
 	t.Parallel()
 	topo := graph.Ring(3)
-	prog := NewGDP1(Options{})
+	prog := mustNew(t, "GDP1", Options{})
 	w := sim.NewWorld(topo)
 	rng := prng.New(1)
 	// P0: left fork 0, right fork 1. Give fork 0 a higher nr.
@@ -255,7 +310,7 @@ func TestGDP1SelectsHigherNumberedFork(t *testing.T) {
 func TestGDP1RenumbersOnTie(t *testing.T) {
 	t.Parallel()
 	topo := graph.Ring(4)
-	prog := NewGDP1(Options{})
+	prog := mustNew(t, "GDP1", Options{})
 	w := sim.NewWorld(topo)
 	rng := prng.New(2)
 	step := func(p graph.PhilID, times int) {
@@ -284,7 +339,7 @@ func TestGDP1RenumbersOnTie(t *testing.T) {
 func TestGDP1RenumberOutcomeDistribution(t *testing.T) {
 	t.Parallel()
 	topo := graph.Ring(4)
-	prog := NewGDP1(Options{M: 7})
+	prog := mustNew(t, "GDP1", Options{M: 7})
 	w := sim.NewWorld(topo)
 	rng := prng.New(3)
 	for i := 0; i < 3; i++ { // hungry, select, take
@@ -315,7 +370,7 @@ func TestGDPOptionsEnforceMinimumM(t *testing.T) {
 func TestLR2InsertsAndClearsRequests(t *testing.T) {
 	t.Parallel()
 	topo := graph.Ring(3)
-	prog := NewLR2(Options{})
+	prog := mustNew(t, "LR2", Options{})
 	res := runFor(t, topo, prog, sched.NewRoundRobin(), 21, sim.RunOptions{
 		MaxSteps:           100000,
 		StopAfterTotalEats: 9,
@@ -343,7 +398,7 @@ func TestLR2InsertsAndClearsRequests(t *testing.T) {
 func TestLR2SignsGuestBookAfterEating(t *testing.T) {
 	t.Parallel()
 	topo := graph.Ring(3)
-	prog := NewLR2(Options{})
+	prog := mustNew(t, "LR2", Options{})
 	res := runFor(t, topo, prog, sched.NewRoundRobin(), 22, sim.RunOptions{
 		MaxSteps:           100000,
 		StopAfterTotalEats: 3,
@@ -364,7 +419,7 @@ func TestGDP2CourtesyCanBeDisabled(t *testing.T) {
 	t.Parallel()
 	// Smoke test for the ablation flag: both variants progress on the ring.
 	for _, disable := range []bool{false, true} {
-		prog := NewGDP2(Options{DisableCourtesy: disable})
+		prog := mustNew(t, "GDP2", Options{DisableCourtesy: disable})
 		res := runFor(t, graph.Ring(4), prog, sched.NewRoundRobin(), 4, sim.RunOptions{MaxSteps: 30000})
 		if !res.Progress() {
 			t.Errorf("GDP2 (courtesy disabled=%t) made no progress", disable)
@@ -408,7 +463,7 @@ func TestColoredCanDeadlockOnOddRing(t *testing.T) {
 
 func TestTicketBoxPreventsDeadlockOnRing(t *testing.T) {
 	t.Parallel()
-	res := runFor(t, graph.Ring(5), NewTicketBox(0), sched.NewRoundRobin(), 9, sim.RunOptions{
+	res := runFor(t, graph.Ring(5), NewTicketBox(), sched.NewRoundRobin(), 9, sim.RunOptions{
 		MaxSteps:             200000,
 		StopWhenAllHaveEaten: true,
 	})
@@ -446,7 +501,7 @@ func TestGDP1ProgressOnRandomTopologiesProperty(t *testing.T) {
 		numForks := int(fRaw%6) + 2
 		numPhils := int(pRaw%12) + numForks
 		topo := graph.RandomMultigraph(numPhils, numForks, seed)
-		prog := NewGDP1(Options{})
+		prog := mustNew(t, "GDP1", Options{})
 		res, err := sim.Run(topo, prog, sched.NewUniformRandom(prng.New(seed^0x5bd1e995)), prng.New(seed), sim.RunOptions{
 			MaxSteps: 80000,
 		})

@@ -59,7 +59,7 @@ func TestSimulationStepDoesNotAllocate(t *testing.T) {
 func TestRunWorldSteadyStateAllocations(t *testing.T) {
 	run := func(steps int64) func() {
 		return func() {
-			prog := NewGDP2(Options{})
+			prog := mustNew(t, "GDP2", Options{})
 			topo := graph.Ring(7)
 			if _, err := sim.Run(topo, prog, sched.NewRoundRobin(), prng.New(7), sim.RunOptions{MaxSteps: steps}); err != nil {
 				t.Fatal(err)
@@ -78,7 +78,7 @@ func TestRunWorldSteadyStateAllocations(t *testing.T) {
 // TestOutcomeBufferReuse checks that Outcomes actually appends into the
 // provided buffer instead of allocating a new one when capacity suffices.
 func TestOutcomeBufferReuse(t *testing.T) {
-	prog := NewLR1(Options{})
+	prog := mustNew(t, "LR1", Options{})
 	w := sim.NewWorld(graph.Ring(3))
 	prog.Init(w)
 	buf := make([]sim.Outcome, 0, 8)

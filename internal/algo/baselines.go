@@ -17,14 +17,6 @@ import (
 
 // --- Ordered forks (hierarchical resource allocation) ---
 
-const (
-	ordThink    = 1
-	ordTakeLow  = 2
-	ordTakeHigh = 3
-	ordEat      = 4
-	ordRelease  = 5
-)
-
 // OrderedForks is the classical deterministic solution via a global total
 // order on forks: every philosopher first acquires its lower-numbered fork,
 // holding it while waiting for the higher-numbered one. It is deadlock-free on
@@ -47,60 +39,8 @@ func (*OrderedForks) Init(*sim.World) {}
 
 // Outcomes implements sim.Program.
 func (*OrderedForks) Outcomes(w *sim.World, p graph.PhilID, buf []sim.Outcome) []sim.Outcome {
-	st := &w.Phils[p]
-	switch st.PC {
-	case ordThink:
-		return sim.ThinkOutcomes(w, p, buf, ordTakeLow)
-	case ordTakeLow:
-		return one(buf, "take low fork", 0, ordApplyTakeLow)
-	case ordTakeHigh:
-		return one(buf, "take high fork", 0, ordApplyTakeHigh)
-	case ordEat:
-		return one(buf, "eat", 0, ordApplyEat)
-	case ordRelease:
-		return one(buf, "release forks", 0, ordApplyRelease)
-	default:
-		panic(fmt.Sprintf("algo: ordered-forks philosopher %d has invalid pc %d", p, st.PC))
-	}
-}
-
-// orderedForksOf returns p's forks as (low, high) in the global fork order.
-func orderedForksOf(w *sim.World, p graph.PhilID) (graph.ForkID, graph.ForkID) {
-	low, high := w.Topo.Left(p), w.Topo.Right(p)
-	if low > high {
-		low, high = high, low
-	}
-	return low, high
-}
-
-func ordApplyTakeLow(w *sim.World, p graph.PhilID, _ int64) {
-	low, _ := orderedForksOf(w, p)
-	w.Commit(p, low)
-	if w.TryTake(p, low) {
-		w.MarkHoldingFirst(p)
-		w.Phils[p].PC = ordTakeHigh
-	}
-}
-
-func ordApplyTakeHigh(w *sim.World, p graph.PhilID, _ int64) {
-	_, high := orderedForksOf(w, p)
-	if w.TryTake(p, high) {
-		w.MarkHoldingSecond(p)
-		w.StartEating(p)
-		w.Phils[p].PC = ordEat
-	}
-	// else: hold the low fork and busy wait (hierarchical allocation never
-	// releases while waiting).
-}
-
-func ordApplyEat(w *sim.World, p graph.PhilID, _ int64) {
-	w.FinishEating(p)
-	w.Phils[p].PC = ordRelease
-}
-
-func ordApplyRelease(w *sim.World, p graph.PhilID, _ int64) {
-	w.ReleaseAll(p)
-	w.BackToThinking(p, ordThink)
+	low := min(w.Topo.Left(p), w.Topo.Right(p))
+	return holdAndWait("ordered-forks", w, p, buf, low, "take low fork", "take high fork")
 }
 
 // --- Naive left-first philosophers ---
@@ -129,64 +69,10 @@ func (*Naive) Init(*sim.World) {}
 
 // Outcomes implements sim.Program.
 func (*Naive) Outcomes(w *sim.World, p graph.PhilID, buf []sim.Outcome) []sim.Outcome {
-	st := &w.Phils[p]
-	switch st.PC {
-	case colThink:
-		return sim.ThinkOutcomes(w, p, buf, colTakeA)
-	case colTakeA:
-		return one(buf, "take left fork", int64(w.Topo.Left(p)), holdWaitApplyTakeFirst)
-	case colTakeB:
-		return one(buf, "take right fork", 0, holdWaitApplyTakeSecond)
-	case colEat:
-		return one(buf, "eat", 0, holdWaitApplyEat)
-	case colRelease:
-		return one(buf, "release forks", 0, holdWaitApplyRelease)
-	default:
-		panic(fmt.Sprintf("algo: naive philosopher %d has invalid pc %d", p, st.PC))
-	}
-}
-
-// The hold-and-wait apply functions are shared by the naive and colored
-// baselines: both commit to a rule-determined first fork (passed as arg) and
-// hold it while busy-waiting for the second.
-
-func holdWaitApplyTakeFirst(w *sim.World, p graph.PhilID, arg int64) {
-	f := graph.ForkID(arg)
-	w.Commit(p, f)
-	if w.TryTake(p, f) {
-		w.MarkHoldingFirst(p)
-		w.Phils[p].PC = colTakeB
-	}
-}
-
-func holdWaitApplyTakeSecond(w *sim.World, p graph.PhilID, _ int64) {
-	second := w.Topo.OtherFork(p, w.Phils[p].First)
-	if w.TryTake(p, second) {
-		w.MarkHoldingSecond(p)
-		w.StartEating(p)
-		w.Phils[p].PC = colEat
-	}
-}
-
-func holdWaitApplyEat(w *sim.World, p graph.PhilID, _ int64) {
-	w.FinishEating(p)
-	w.Phils[p].PC = colRelease
-}
-
-func holdWaitApplyRelease(w *sim.World, p graph.PhilID, _ int64) {
-	w.ReleaseAll(p)
-	w.BackToThinking(p, colThink)
+	return holdAndWait("naive", w, p, buf, w.Topo.Left(p), "take left fork", "take right fork")
 }
 
 // --- Colored philosophers ---
-
-const (
-	colThink   = 1
-	colTakeA   = 2
-	colTakeB   = 3
-	colEat     = 4
-	colRelease = 5
-)
 
 // Colored is the classical two-coloring solution: "yellow" philosophers (even
 // IDs) take their left fork first, "blue" philosophers (odd IDs) take their
@@ -212,36 +98,66 @@ func (*Colored) Init(*sim.World) {}
 
 // Outcomes implements sim.Program.
 func (*Colored) Outcomes(w *sim.World, p graph.PhilID, buf []sim.Outcome) []sim.Outcome {
-	st := &w.Phils[p]
 	first := w.Topo.Left(p)
 	if p%2 == 1 {
 		first = w.Topo.Right(p)
 	}
-	switch st.PC {
-	case colThink:
-		return sim.ThinkOutcomes(w, p, buf, colTakeA)
-	case colTakeA:
-		return one(buf, "take first fork (by color)", int64(first), holdWaitApplyTakeFirst)
-	case colTakeB:
-		return one(buf, "take second fork (by color)", 0, holdWaitApplyTakeSecond)
-	case colEat:
-		return one(buf, "eat", 0, holdWaitApplyEat)
-	case colRelease:
-		return one(buf, "release forks", 0, holdWaitApplyRelease)
+	return holdAndWait("colored", w, p, buf, first, "take first fork (by color)", "take second fork (by color)")
+}
+
+// holdAndWait appends the outcome set of the ordered-forks, naive and
+// colored baselines, which differ only in their first fork and labels:
+//
+//  1. think
+//  2. fork := first; if isFree(fork) then take(fork) else goto 2
+//  3. if isFree(other(fork)) then take(other(fork)) else goto 3
+//  4. eat
+//  5. release(fork); release(other(fork)); goto 1
+func holdAndWait(name string, w *sim.World, p graph.PhilID, buf []sim.Outcome, first graph.ForkID, takeFirst, takeSecond string) []sim.Outcome {
+	switch pc := w.Phils[p].PC; pc {
+	case 1:
+		return sim.ThinkOutcomes(w, p, buf, 2)
+	case 2:
+		return one(buf, takeFirst, int64(first), applyHoldFirst)
+	case 3:
+		return one(buf, takeSecond, 0, applyHoldSecond)
+	case 4:
+		return one(buf, "eat", 0, applyEat)
+	case 5:
+		return one(buf, "release forks", 0, applyRelease)
 	default:
-		panic(fmt.Sprintf("algo: colored philosopher %d has invalid pc %d", p, st.PC))
+		panic(fmt.Sprintf("algo: %s philosopher %d has invalid pc %d", name, p, pc))
 	}
 }
 
-// --- Central monitor ---
+// The hold-and-wait steps take the first fork, given as arg, and then the
+// other one, holding the first while busy-waiting for the second. They serve
+// every baseline that takes its forks one at a time: ordered-forks, naive,
+// colored and ticket-box.
 
-const (
-	monThink   = 1
-	monAcquire = 2
-	monGrab    = 3
-	monEat     = 4
-	monRelease = 5
-)
+func applyHoldFirst(w *sim.World, p graph.PhilID, arg int64) {
+	f := graph.ForkID(arg)
+	w.Commit(p, f)
+	if w.TryTake(p, f) {
+		w.MarkHoldingFirst(p)
+		w.Phils[p].PC++
+	}
+}
+
+func applyHoldSecond(w *sim.World, p graph.PhilID, _ int64) {
+	if w.TryTake(p, w.Topo.OtherFork(p, w.Phils[p].First)) {
+		w.MarkHoldingSecond(p)
+		w.StartEating(p)
+		w.Phils[p].PC++
+	}
+	// else: hold the first fork and busy wait. Hierarchical allocation never
+	// releases while waiting: under ordered-forks every philosopher holding a
+	// fork waits for a higher-numbered one, so the wait-for relation follows
+	// the fork order and cannot close a cycle. Naive's and colored's first
+	// forks follow no global order, and the same wait deadlocks them.
+}
+
+// --- Central monitor ---
 
 // monitorTokenGlobal is the index of the global register holding the monitor
 // token: 0 when free, p+1 when philosopher p holds it.
@@ -267,29 +183,29 @@ func (*CentralMonitor) Symmetric() bool { return false }
 // Init implements sim.Program.
 func (*CentralMonitor) Init(w *sim.World) { w.EnsureGlobals(1) }
 
-// Outcomes implements sim.Program.
+// Outcomes implements sim.Program: think, acquire the monitor, take both
+// forks under it, eat, release.
 func (*CentralMonitor) Outcomes(w *sim.World, p graph.PhilID, buf []sim.Outcome) []sim.Outcome {
-	st := &w.Phils[p]
-	switch st.PC {
-	case monThink:
-		return sim.ThinkOutcomes(w, p, buf, monAcquire)
-	case monAcquire:
+	switch pc := w.Phils[p].PC; pc {
+	case 1:
+		return sim.ThinkOutcomes(w, p, buf, 2)
+	case 2:
 		return one(buf, "acquire monitor", 0, monApplyAcquire)
-	case monGrab:
+	case 3:
 		return one(buf, "take both forks under monitor", 0, monApplyGrab)
-	case monEat:
-		return one(buf, "eat", 0, monApplyEat)
-	case monRelease:
-		return one(buf, "release forks", 0, monApplyRelease)
+	case 4:
+		return one(buf, "eat", 0, applyEat)
+	case 5:
+		return one(buf, "release forks", 0, applyRelease)
 	default:
-		panic(fmt.Sprintf("algo: central-monitor philosopher %d has invalid pc %d", p, st.PC))
+		panic(fmt.Sprintf("algo: central-monitor philosopher %d has invalid pc %d", p, pc))
 	}
 }
 
 func monApplyAcquire(w *sim.World, p graph.PhilID, _ int64) {
 	if w.Global(monitorTokenGlobal) == 0 {
 		w.SetGlobal(monitorTokenGlobal, int64(p)+1)
-		w.Phils[p].PC = monGrab
+		w.Phils[p].PC++
 	}
 }
 
@@ -303,33 +219,14 @@ func monApplyGrab(w *sim.World, p graph.PhilID, _ int64) {
 		w.MarkHoldingSecond(p)
 		w.StartEating(p)
 		w.SetGlobal(monitorTokenGlobal, 0)
-		w.Phils[p].PC = monEat
+		w.Phils[p].PC++
 	} else {
 		w.SetGlobal(monitorTokenGlobal, 0)
-		w.Phils[p].PC = monAcquire
+		w.Phils[p].PC-- // back to acquiring the monitor
 	}
 }
 
-func monApplyEat(w *sim.World, p graph.PhilID, _ int64) {
-	w.FinishEating(p)
-	w.Phils[p].PC = monRelease
-}
-
-func monApplyRelease(w *sim.World, p graph.PhilID, _ int64) {
-	w.ReleaseAll(p)
-	w.BackToThinking(p, monThink)
-}
-
 // --- Ticket box ---
-
-const (
-	tktThink     = 1
-	tktAcquire   = 2
-	tktTakeLeft  = 3
-	tktTakeRight = 4
-	tktEat       = 5
-	tktRelease   = 6
-)
 
 // ticketsGlobal is the index of the global register holding the number of
 // available tickets.
@@ -341,15 +238,10 @@ const ticketsGlobal = 0
 // classic ring, limiting the number of simultaneous contenders to n−1
 // prevents the circular wait; the bound does not generalize to arbitrary
 // topologies. It breaks full distribution (the ticket box is shared).
-type TicketBox struct {
-	// Tickets is the number of tickets in the box; 0 means "one fewer than
-	// the number of philosophers", the paper's formulation.
-	Tickets int
-}
+type TicketBox struct{}
 
-// NewTicketBox returns the ticket-box baseline with the given number of
-// tickets (0 = philosophers − 1).
-func NewTicketBox(tickets int) *TicketBox { return &TicketBox{Tickets: tickets} }
+// NewTicketBox returns the ticket-box baseline.
+func NewTicketBox() *TicketBox { return &TicketBox{} }
 
 // Name implements sim.Program.
 func (*TicketBox) Name() string { return "ticket-box" }
@@ -357,34 +249,32 @@ func (*TicketBox) Name() string { return "ticket-box" }
 // Symmetric implements sim.Program.
 func (*TicketBox) Symmetric() bool { return false }
 
-// Init implements sim.Program.
-func (t *TicketBox) Init(w *sim.World) {
-	tickets := t.Tickets
-	if tickets <= 0 {
-		tickets = w.Topo.NumPhilosophers() - 1
-	}
+// Init implements sim.Program: the box starts with one ticket fewer than
+// there are philosophers.
+func (*TicketBox) Init(w *sim.World) {
 	w.EnsureGlobals(1)
-	w.SetGlobal(ticketsGlobal, int64(tickets))
+	w.SetGlobal(ticketsGlobal, int64(w.Topo.NumPhilosophers()-1))
 }
 
-// Outcomes implements sim.Program.
+// Outcomes implements sim.Program: think, acquire a ticket, take the left
+// fork and then the right one through the hold-and-wait steps, eat, release
+// the forks and return the ticket.
 func (*TicketBox) Outcomes(w *sim.World, p graph.PhilID, buf []sim.Outcome) []sim.Outcome {
-	st := &w.Phils[p]
-	switch st.PC {
-	case tktThink:
-		return sim.ThinkOutcomes(w, p, buf, tktAcquire)
-	case tktAcquire:
+	switch pc := w.Phils[p].PC; pc {
+	case 1:
+		return sim.ThinkOutcomes(w, p, buf, 2)
+	case 2:
 		return one(buf, "acquire ticket", 0, tktApplyAcquire)
-	case tktTakeLeft:
-		return one(buf, "take left fork", 0, tktApplyTakeLeft)
-	case tktTakeRight:
-		return one(buf, "take right fork", 0, tktApplyTakeRight)
-	case tktEat:
-		return one(buf, "eat", 0, tktApplyEat)
-	case tktRelease:
+	case 3:
+		return one(buf, "take left fork", int64(w.Topo.Left(p)), applyHoldFirst)
+	case 4:
+		return one(buf, "take right fork", 0, applyHoldSecond)
+	case 5:
+		return one(buf, "eat", 0, applyEat)
+	case 6:
 		return one(buf, "release forks and ticket", 0, tktApplyRelease)
 	default:
-		panic(fmt.Sprintf("algo: ticket-box philosopher %d has invalid pc %d", p, st.PC))
+		panic(fmt.Sprintf("algo: ticket-box philosopher %d has invalid pc %d", p, pc))
 	}
 }
 
@@ -392,35 +282,13 @@ func tktApplyAcquire(w *sim.World, p graph.PhilID, _ int64) {
 	if w.Global(ticketsGlobal) > 0 {
 		w.SetGlobal(ticketsGlobal, w.Global(ticketsGlobal)-1)
 		w.Phils[p].Aux[0] = 1
-		w.Phils[p].PC = tktTakeLeft
+		w.Phils[p].PC++
 	}
 }
 
-func tktApplyTakeLeft(w *sim.World, p graph.PhilID, _ int64) {
-	left := w.Topo.Left(p)
-	w.Commit(p, left)
-	if w.TryTake(p, left) {
-		w.MarkHoldingFirst(p)
-		w.Phils[p].PC = tktTakeRight
-	}
-}
-
-func tktApplyTakeRight(w *sim.World, p graph.PhilID, _ int64) {
-	if w.TryTake(p, w.Topo.Right(p)) {
-		w.MarkHoldingSecond(p)
-		w.StartEating(p)
-		w.Phils[p].PC = tktEat
-	}
-}
-
-func tktApplyEat(w *sim.World, p graph.PhilID, _ int64) {
-	w.FinishEating(p)
-	w.Phils[p].PC = tktRelease
-}
-
-func tktApplyRelease(w *sim.World, p graph.PhilID, _ int64) {
-	w.ReleaseAll(p)
+// tktApplyRelease is the shared release followed by returning the ticket.
+func tktApplyRelease(w *sim.World, p graph.PhilID, arg int64) {
+	applyRelease(w, p, arg)
 	w.SetGlobal(ticketsGlobal, w.Global(ticketsGlobal)+1)
 	w.Phils[p].Aux[0] = 0
-	w.BackToThinking(p, tktThink)
 }

@@ -4,8 +4,8 @@
 // perfbench module — other than its own declaration and methods. So must an
 // exported method of a type declared here, unless its name and signature
 // match a method of an interface that shipping code mentions or that the
-// standard library declares. Uses from tests and from test-helper packages
-// do not count.
+// standard library declares, and the type implements that interface. Uses
+// from tests and from test-helper packages do not count.
 package lib
 
 // Unused is referenced by nothing.
@@ -93,6 +93,28 @@ func (Svc) Run() int { return 1 }
 
 // Runner is a module interface that shipping code uses.
 type Runner interface{ Run() int }
+
+// Sizer is a module interface that shipping code uses.
+type Sizer interface {
+	Len() int
+	Cap() int
+}
+
+// Partial has Sizer's Len but no Cap: it is no Sizer, so the interface does
+// not keep its Len alive.
+type Partial struct{}
+
+// Len is referenced by nothing.
+func (Partial) Len() int { return 0 } // want `exported method Partial.Len has no non-test use`
+
+// Full is a Sizer through its pointer, which keeps both methods alive.
+type Full struct{}
+
+// Len satisfies Sizer.
+func (*Full) Len() int { return 0 }
+
+// Cap satisfies Sizer.
+func (*Full) Cap() int { return 0 }
 
 // Base is embedded in Wrapper.
 type Base struct{}

@@ -11,4 +11,6 @@ func init() {
 	}
 	var r lib.Runner = lib.Svc{}
 	_ = r.Run()
+	var sz lib.Sizer = &lib.Full{}
+	_, _ = sz, lib.Partial{}
 }

@@ -16,13 +16,16 @@ import (
 // examples/, dining and perfbench/ (a module of its own nested in the tree,
 // which LoadAll walks like any other directory) are. A method is also used
 // when its name and signature are identical to a method of an interface that
-// counts as used, because interface satisfaction hides its callers: an
-// interface non-test module code mentions, named or anonymous (a type
-// assertion to interface{ FaultSpec() string } keeps every FaultSpec alive),
-// or one a standard-library package of the module's import closure declares
-// (fmt.Stringer, error, types.Importer). The public dining API (the
-// library's surface) and test-helper packages (a last import-path element
-// ending in "test", or a testdata tree) are out of scope. Each pass reports
+// counts as used and its type T, or *T, implements that interface, because
+// interface satisfaction hides its callers: an interface non-test module
+// code mentions, named or anonymous (a type assertion to interface{
+// FaultSpec() string } keeps every FaultSpec alive), or one a
+// standard-library package of the module's import closure declares
+// (fmt.Stringer, error, types.Importer). A method that merely shares a name
+// and signature with an interface its type does not implement (a Len() int
+// on a type that is no sort.Interface) is not kept alive. The public dining
+// API (the library's surface) and test-helper packages (a last import-path
+// element ending in "test", or a testdata tree) are out of scope. Each pass reports
 // one layer of dead API: an identifier used only by another flagged one is
 // flagged once that one is gone.
 //
@@ -66,7 +69,7 @@ func NewUnused() *Analyzer {
 				continue
 			}
 			for m := range named.Methods() {
-				if m.Exported() && !u.methodUsed(m) {
+				if m.Exported() && !u.methodUsed(named, m) {
 					pass.Reportf(m.Pos(), "exported method %s.%s has no non-test use outside its own declaration and matches no used interface; delete it, and give tests that need it an unexported helper", name, m.Name())
 				}
 			}
@@ -81,15 +84,23 @@ func NewUnused() *Analyzer {
 // name, of every interface that counts as used.
 type moduleUse struct {
 	objs   map[types.Object]bool
-	ifaces map[string][]*types.Func
+	ifaces map[string][]ifaceMethod
 	seen   map[*types.Interface]bool
 }
 
-// methodUsed reports whether m is referenced, or shares its name and
-// signature with a method of a used interface.
-func (u *moduleUse) methodUsed(m *types.Func) bool {
-	return u.objs[m] || slices.ContainsFunc(u.ifaces[m.Name()], func(im *types.Func) bool {
-		return types.Identical(im.Type(), m.Type())
+// ifaceMethod is one method of a used interface.
+type ifaceMethod struct {
+	fn    *types.Func
+	iface *types.Interface
+}
+
+// methodUsed reports whether m, a method of named, is referenced, or shares
+// its name and signature with a method of a used interface that named or
+// *named implements.
+func (u *moduleUse) methodUsed(named *types.Named, m *types.Func) bool {
+	return u.objs[m] || slices.ContainsFunc(u.ifaces[m.Name()], func(im ifaceMethod) bool {
+		return types.Identical(im.fn.Type(), m.Type()) &&
+			(types.Implements(named, im.iface) || types.Implements(types.NewPointer(named), im.iface))
 	})
 }
 
@@ -105,7 +116,7 @@ func (u *moduleUse) addInterface(t types.Type) {
 	}
 	u.seen[iface] = true
 	for m := range iface.Methods() {
-		u.ifaces[m.Name()] = append(u.ifaces[m.Name()], m)
+		u.ifaces[m.Name()] = append(u.ifaces[m.Name()], ifaceMethod{m, iface})
 	}
 }
 
@@ -134,7 +145,7 @@ func moduleUses(l *Loader) (*moduleUse, error) {
 	if err != nil {
 		return nil, err
 	}
-	u := &moduleUse{objs: map[types.Object]bool{}, ifaces: map[string][]*types.Func{}, seen: map[*types.Interface]bool{}}
+	u := &moduleUse{objs: map[types.Object]bool{}, ifaces: map[string][]ifaceMethod{}, seen: map[*types.Interface]bool{}}
 	u.addScopeInterfaces(types.Universe)
 	imported := map[*types.Package]bool{}
 	var addStd func(p *types.Package)

@@ -343,10 +343,6 @@ func buildPerm(t *Topology, a Automorphism) AutPerm {
 // Topology returns the topology the canonicalizer was built for.
 func (c *OrbitCanonicalizer) Topology() *Topology { return c.topo }
 
-// Size returns the number of enumerated group elements (including the
-// identity).
-func (c *OrbitCanonicalizer) Size() int { return len(c.perms) }
-
 // Trivial reports whether the group is just the identity, in which case
 // canonical keys equal plain keys.
 func (c *OrbitCanonicalizer) Trivial() bool { return len(c.perms) <= 1 }

@@ -43,8 +43,8 @@ func TestRingAutomorphismGroupIsDihedral(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.Size() != 2*n {
-			t.Errorf("Ring(%d): group order %d, want dihedral order %d", n, c.Size(), 2*n)
+		if len(c.perms) != 2*n {
+			t.Errorf("Ring(%d): group order %d, want dihedral order %d", n, len(c.perms), 2*n)
 		}
 		if c.Trivial() {
 			t.Errorf("Ring(%d): canonicalizer reports trivial", n)
@@ -55,8 +55,8 @@ func TestRingAutomorphismGroupIsDihedral(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cp.Size() != n {
-			t.Errorf("Ring(%d) orientation-preserving: order %d, want %d", n, cp.Size(), n)
+		if len(cp.perms) != n {
+			t.Errorf("Ring(%d) orientation-preserving: order %d, want %d", n, len(cp.perms), n)
 		}
 	}
 }
@@ -77,8 +77,8 @@ func TestStarAutomorphismGroupIsLeafPermutations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.Size() != tc.want {
-			t.Errorf("Star(%d): group order %d, want %d", tc.n, c.Size(), tc.want)
+		if len(c.perms) != tc.want {
+			t.Errorf("Star(%d): group order %d, want %d", tc.n, len(c.perms), tc.want)
 		}
 		// Every leaf permutation keeps the hub on the left of every
 		// philosopher, so the orientation filter changes nothing.
@@ -86,8 +86,8 @@ func TestStarAutomorphismGroupIsLeafPermutations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cp.Size() != c.Size() {
-			t.Errorf("Star(%d): orientation filter shrank %d to %d, want no change", tc.n, c.Size(), cp.Size())
+		if len(cp.perms) != len(c.perms) {
+			t.Errorf("Star(%d): orientation filter shrank %d to %d, want no change", tc.n, len(c.perms), len(cp.perms))
 		}
 	}
 }
@@ -100,16 +100,16 @@ func TestGroupSizeCapFallsBackToGeneratorPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Size() != 6 {
-		t.Errorf("Star(6) capped at %d: group order %d, want the rotation subgroup of order 6", DefaultMaxGroupSize, c.Size())
+	if len(c.perms) != 6 {
+		t.Errorf("Star(6) capped at %d: group order %d, want the rotation subgroup of order 6", DefaultMaxGroupSize, len(c.perms))
 	}
 	// An explicit generous cap admits the full group.
 	cf, err := NewOrbitCanonicalizer(Star(6), CanonOptions{MaxGroupSize: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cf.Size() != 720 {
-		t.Errorf("Star(6) with cap 1000: group order %d, want 720", cf.Size())
+	if len(cf.perms) != 720 {
+		t.Errorf("Star(6) with cap 1000: group order %d, want 720", len(cf.perms))
 	}
 }
 
@@ -135,19 +135,19 @@ func TestStabilizerRestriction(t *testing.T) {
 			want++
 		}
 	}
-	if stab.Size() != want {
-		t.Errorf("stabilizer of {0}: order %d, want %d (of full %d)", stab.Size(), want, full.Size())
+	if len(stab.perms) != want {
+		t.Errorf("stabilizer of {0}: order %d, want %d (of full %d)", len(stab.perms), want, len(full.perms))
 	}
-	if stab.Size() >= full.Size() {
-		t.Errorf("stabilizer did not shrink the group: %d vs %d", stab.Size(), full.Size())
+	if len(stab.perms) >= len(full.perms) {
+		t.Errorf("stabilizer did not shrink the group: %d vs %d", len(stab.perms), len(full.perms))
 	}
 	// Stabilizing every philosopher is no restriction at all.
 	all, err := NewOrbitCanonicalizer(topo, CanonOptions{Stabilize: []PhilID{0, 1, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if all.Size() != full.Size() {
-		t.Errorf("stabilizer of the full set: order %d, want %d", all.Size(), full.Size())
+	if len(all.perms) != len(full.perms) {
+		t.Errorf("stabilizer of the full set: order %d, want %d", len(all.perms), len(full.perms))
 	}
 }
 
@@ -164,8 +164,8 @@ func TestAsymmetricBuildersDeclareNoAutomorphisms(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !c.Trivial() || c.Size() != 1 {
-			t.Errorf("%s: canonicalizer not trivial (order %d)", topo.Name(), c.Size())
+		if !c.Trivial() || len(c.perms) != 1 {
+			t.Errorf("%s: canonicalizer not trivial (order %d)", topo.Name(), len(c.perms))
 		}
 	}
 }

@@ -14,9 +14,6 @@ type Cycle struct {
 	ForkSeq []ForkID
 }
 
-// Len returns the number of arcs in the cycle.
-func (c Cycle) Len() int { return len(c.Phils) }
-
 // canonicalKey returns a rotation/direction-invariant key for deduplicating
 // cycles: the sorted philosopher-ID list. Two distinct cycles can never use
 // exactly the same arc set (in a cycle every arc appears once), so the arc set

@@ -10,8 +10,8 @@ func TestEnumerateCyclesRing(t *testing.T) {
 		if len(cycles) != 1 {
 			t.Fatalf("Ring(%d): found %d cycles, want 1", n, len(cycles))
 		}
-		if cycles[0].Len() != n {
-			t.Errorf("Ring(%d): cycle length %d, want %d", n, cycles[0].Len(), n)
+		if len(cycles[0].Phils) != n {
+			t.Errorf("Ring(%d): cycle length %d, want %d", n, len(cycles[0].Phils), n)
 		}
 	}
 }
@@ -25,8 +25,8 @@ func TestEnumerateCyclesParallelArcs(t *testing.T) {
 		t.Fatalf("Theta(1,1,1): found %d cycles, want 3", len(cycles))
 	}
 	for _, c := range cycles {
-		if c.Len() != 2 {
-			t.Errorf("Theta(1,1,1): cycle length %d, want 2", c.Len())
+		if len(c.Phils) != 2 {
+			t.Errorf("Theta(1,1,1): cycle length %d, want 2", len(c.Phils))
 		}
 	}
 }
@@ -41,13 +41,13 @@ func TestEnumerateCyclesDoubledTriangle(t *testing.T) {
 	cycles := topo.EnumerateCycles(0)
 	digons, triangles := 0, 0
 	for _, c := range cycles {
-		switch c.Len() {
+		switch len(c.Phils) {
 		case 2:
 			digons++
 		case 3:
 			triangles++
 		default:
-			t.Errorf("unexpected cycle length %d", c.Len())
+			t.Errorf("unexpected cycle length %d", len(c.Phils))
 		}
 	}
 	if digons != 3 || triangles != 8 {
@@ -114,8 +114,8 @@ func TestRingWithHighDegreeNodeDetection(t *testing.T) {
 	if fork != 0 && fork != 2 {
 		t.Errorf("high-degree fork = %d, want 0 or 2", fork)
 	}
-	if cyc.Len() < 2 {
-		t.Errorf("witness cycle too short: %d", cyc.Len())
+	if len(cyc.Phils) < 2 {
+		t.Errorf("witness cycle too short: %d", len(cyc.Phils))
 	}
 
 	if _, _, ok := Ring(6).RingWithHighDegreeNode(); ok {

@@ -168,14 +168,6 @@ func NewPredecessorIndex(v StateView, workers int) *PredecessorIndex {
 // NumEdges returns the total number of edge occurrences (outcome slots).
 func (ix *PredecessorIndex) NumEdges() int { return len(ix.pred) }
 
-// Succs returns the successor occurrences of action a in state s, in outcome
-// order — the flattened copy of the view's Succs(s, a). The slice aliases the
-// index and must not be modified.
-func (ix *PredecessorIndex) Succs(s, a int) []int32 {
-	o := s*ix.nActions + a
-	return ix.fsucc[ix.foff[o]:ix.foff[o+1]]
-}
-
 // scratch is the reusable per-analysis state. Every analysis draws one from
 // the index's pool, sizes the fields it needs and returns it, so concurrent
 // analyses over one index never contend and a warm pool serves every analysis

@@ -68,13 +68,6 @@ func (s *Source) Uint64() uint64 {
 	return result
 }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer. It satisfies the
-// math/rand Source interface shape so a Source can back a rand.Rand if ever
-// needed.
-func (s *Source) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // Intn returns a pseudo-random integer in [0, n). It panics if n <= 0.
 func (s *Source) Intn(n int) int {
 	if n <= 0 {

@@ -39,7 +39,7 @@ func program(t testing.TB, topo *graph.Topology, name, spec string, opts algo.Op
 
 func TestRunRejectsBadConfig(t *testing.T) {
 	t.Parallel()
-	if _, err := Run(context.Background(), Config{Program: algo.NewGDP1(algo.Options{})}); err == nil {
+	if _, err := Run(context.Background(), Config{Program: program(t, graph.Ring(3), "GDP1", "", algo.Options{})}); err == nil {
 		t.Error("Run accepted a missing topology")
 	}
 	if _, err := Run(context.Background(), Config{Topology: graph.Ring(3)}); err == nil {

@@ -64,7 +64,7 @@ func newStreamWriter(w io.Writer) *streamWriter {
 
 // emit numbers and writes one event. The first write error sticks and turns
 // later emits into no-ops: once the client is gone there is nothing useful
-// left to send, and handlers check Err once at the end.
+// left to send.
 func (sw *streamWriter) emit(ev Event) {
 	if sw.err != nil {
 		return
@@ -79,6 +79,3 @@ func (sw *streamWriter) emit(ev Event) {
 		sw.fl.Flush()
 	}
 }
-
-// Err reports the first write error, if any.
-func (sw *streamWriter) Err() error { return sw.err }

@@ -80,7 +80,7 @@ type Program interface {
 // left and right fork — the gate for quotienting by orientation-reversing
 // topology automorphisms (ring reflections). An unbiased coin flip between
 // left and right is side-symmetric; a biased one, or a deterministic
-// tie-break toward one side (GDP1's "prefer left on equal NR", Naive's
+// tie-break toward one side (GDP's right fork on equal nr, Naive's
 // left-first order), is not. Programs that do not implement the interface
 // are conservatively treated as side-asymmetric.
 type SideSymmetricProgram interface {

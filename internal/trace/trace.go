@@ -43,13 +43,6 @@ func (l *Log) Events() []sim.Event {
 	return append([]sim.Event(nil), l.events...)
 }
 
-// Len returns the number of recorded events.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
-}
-
 // String renders the full event list, one event per line.
 func (l *Log) String() string {
 	var b strings.Builder

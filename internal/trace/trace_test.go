@@ -26,7 +26,7 @@ func TestLogRecordsAndFilters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if log.Len() == 0 {
+	if len(log.events) == 0 {
 		t.Fatal("no events recorded")
 	}
 	if !slices.ContainsFunc(log.Events(), func(e sim.Event) bool { return e.Kind == sim.EventDoneEat }) {
@@ -43,8 +43,8 @@ func TestLogLimit(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		log.Record(sim.Event{Step: int64(i), Kind: sim.EventScheduled})
 	}
-	if log.Len() != 5 {
-		t.Errorf("limited log kept %d events, want 5", log.Len())
+	if len(log.events) != 5 {
+		t.Errorf("limited log kept %d events, want 5", len(log.events))
 	}
 }
 
