@@ -301,8 +301,43 @@ func BenchmarkRuntimeGoroutines(b *testing.B) {
 }
 
 // BenchmarkAdversaryOverhead compares the cost of the adversarial scheduler
-// against round-robin (the price of full-information scheduling).
+// against round-robin (the price of full-information scheduling). The
+// per-decision cases run the way a trial batch does: one 10,000-step run per
+// op on a recycled world, with one scheduler Reset between runs. Their
+// ns/decision is the adversary's decision plus the step it drives; the
+// round-robin case, also 10,000 steps per op, prices steps without the
+// adversary. ring-70 needs two words per philosopher set.
 func BenchmarkAdversaryOverhead(b *testing.B) {
+	for _, c := range []struct {
+		topo      *graph.Topology
+		algorithm string
+	}{{graph.Figure1A(), "LR1"}, {graph.Figure1A(), "GDP2"}, {graph.Ring(70), "LR1"}} {
+		b.Run(fmt.Sprintf("per-decision/%s/%s", c.topo.Name(), c.algorithm), func(b *testing.B) {
+			const steps = 10_000
+			prog, err := algo.New(c.algorithm, algo.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			proto := sim.NewWorld(c.topo)
+			prog.Init(proto)
+			adv := sched.NewBoundedFair(sched.NewGreedyLivelock(), 512)
+			rng := prng.New(1)
+			var w *sim.World
+			var res sim.Result
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				w = proto.CloneProtocolInto(w)
+				w.ResetMetrics()
+				adv.Reset()
+				rng.Reseed(uint64(i) + 1)
+				if err := sim.RunWorldInto(&res, w, prog, adv, rng, sim.RunOptions{MaxSteps: steps}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/decision")
+		})
+	}
+
 	topo := graph.Figure1A()
 	prog, err := algo.New("LR1", algo.Options{})
 	if err != nil {

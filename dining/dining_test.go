@@ -2,6 +2,7 @@ package dining_test
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -103,6 +104,28 @@ func TestNewBoundsM(t *testing.T) {
 	sweep := dining.Sweep{Topologies: []*dining.Topology{dining.Ring(3)}, Algorithms: []string{dining.GDP1}, AlgorithmOptions: over}
 	if _, err := sweep.Scenarios(); err == nil || !strings.Contains(err.Error(), "65536") {
 		t.Errorf("Sweep.Scenarios with M = 65537: error %v, want one naming the bound", err)
+	}
+}
+
+// TestNewRejectsBadLeftBias pins the coin bias's range: New and
+// Sweep.Scenarios refuse NaN and every value outside [0, 1) with an error
+// naming the field, and accept 0 (the fair coin) and a bias inside (0, 1).
+func TestNewRejectsBadLeftBias(t *testing.T) {
+	t.Parallel()
+	for _, lb := range []float64{math.NaN(), -0.25, 1, 1.5, math.Inf(1), math.Inf(-1)} {
+		opts := dining.WithAlgorithmOptions(dining.AlgorithmOptions{LeftBias: lb})
+		if _, err := dining.New(dining.Ring(3), dining.LR1, opts); err == nil || !strings.Contains(err.Error(), "LeftBias") {
+			t.Errorf("New with LeftBias %v: error %v, want one naming LeftBias", lb, err)
+		}
+		sweep := dining.Sweep{Topologies: []*dining.Topology{dining.Ring(3)}, Algorithms: []string{dining.LR1}, AlgorithmOptions: dining.AlgorithmOptions{LeftBias: lb}}
+		if _, err := sweep.Scenarios(); err == nil || !strings.Contains(err.Error(), "LeftBias") {
+			t.Errorf("Sweep.Scenarios with LeftBias %v: error %v, want one naming LeftBias", lb, err)
+		}
+	}
+	for _, lb := range []float64{0, 0.25, 0.999} {
+		if _, err := dining.New(dining.Ring(3), dining.LR1, dining.WithAlgorithmOptions(dining.AlgorithmOptions{LeftBias: lb})); err != nil {
+			t.Errorf("New rejected LeftBias %v: %v", lb, err)
+		}
 	}
 }
 

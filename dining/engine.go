@@ -78,7 +78,8 @@ func WithMaxSteps(n int64) Option { return func(c *config) { c.maxSteps = n } }
 // WithAlgorithmOptions tunes the algorithm (number range m, courtesy
 // variants, coin bias). GDP1 and GDP2 list all m draws in each outcome set,
 // so New rejects an m above graph.MaxTopologySize (65,536), the largest
-// fork count and so the largest default m.
+// fork count and so the largest default m. New also rejects a coin bias
+// that is NaN or outside [0, 1); 0 is the fair coin.
 func WithAlgorithmOptions(opts AlgorithmOptions) Option {
 	return func(c *config) { c.algoOpts = opts }
 }
@@ -166,8 +167,9 @@ type Engine struct {
 // invalid topology, an unknown algorithm name and an unknown scheduler name
 // are construction-time errors listing the registered options, and a
 // protected philosopher or fault target the topology does not have, a
-// negative count, bound or window and an AlgorithmOptions.M that is negative
-// or above graph.MaxTopologySize (65,536) are errors too.
+// negative count, bound or window, an AlgorithmOptions.M that is negative
+// or above graph.MaxTopologySize (65,536) and an AlgorithmOptions.LeftBias
+// that is NaN or outside [0, 1) are errors too.
 func New(topo *Topology, algorithm string, opts ...Option) (*Engine, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("dining: New requires a topology")
@@ -218,6 +220,9 @@ func New(topo *Topology, algorithm string, opts ...Option) (*Engine, error) {
 	}
 	if c.algoOpts.M > maxM {
 		return nil, fmt.Errorf("dining: AlgorithmOptions.M = %d exceeds the bound %d", c.algoOpts.M, maxM)
+	}
+	if lb := c.algoOpts.LeftBias; !(lb >= 0 && lb < 1) {
+		return nil, fmt.Errorf("dining: AlgorithmOptions.LeftBias = %v is outside [0, 1) (0 means the fair coin)", lb)
 	}
 	if c.faultName != "" {
 		name, fcfg, err := fault.ParseSpec(c.faultName)

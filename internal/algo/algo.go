@@ -42,8 +42,9 @@ func one(buf []sim.Outcome, label string, arg int64, apply func(*sim.World, grap
 // baselines have none.
 type Options struct {
 	// LeftBias is the probability that random_choice(left, right) returns the
-	// left fork (LR1, LR2). Zero, or any value outside (0, 1), means the
-	// default of 0.5.
+	// left fork (LR1, LR2). Zero means the fair coin, 0.5. dining.New rejects
+	// NaN and every value outside [0, 1); New accepts them and flips the fair
+	// coin for every value outside (0, 1), NaN included.
 	LeftBias float64
 	// M is the upper bound of the random fork numbers drawn by GDP1/GDP2
 	// (the paper requires m >= k, the number of forks). Zero means "use the
@@ -64,7 +65,7 @@ type Options struct {
 
 // leftBias returns the configured or default probability of picking left.
 func (o Options) leftBias() float64 {
-	if o.LeftBias <= 0 || o.LeftBias >= 1 {
+	if !(o.LeftBias > 0 && o.LeftBias < 1) { // NaN fails both comparisons
 		return 0.5
 	}
 	return o.LeftBias

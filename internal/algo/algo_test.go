@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -231,6 +232,25 @@ func TestLR1ReleasesFirstForkWhenSecondTaken(t *testing.T) {
 	}
 	if got := w.EatsBy[0]; got != 0 {
 		t.Errorf("philosopher 0 should not have eaten, got %d meals", got)
+	}
+}
+
+// TestLeftBiasOutsideOpenIntervalIsFairCoin pins that New accepts any
+// LeftBias and that LR1's coin is fair for every value outside (0, 1), NaN
+// included, and biased inside it.
+func TestLeftBiasOutsideOpenIntervalIsFairCoin(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct{ bias, left float64 }{
+		{0, 0.5}, {math.NaN(), 0.5}, {-1, 0.5}, {1, 0.5}, {math.Inf(1), 0.5}, {0.25, 0.25},
+	} {
+		prog := mustNew(t, "LR1", Options{LeftBias: c.bias})
+		w := sim.NewWorld(graph.Ring(3))
+		prog.Init(w)
+		sim.SampleOutcome(prog.Outcomes(w, 0, nil), prng.New(1)).Do(w, 0) // think, then line 2: the coin
+		outs := prog.Outcomes(w, 0, nil)
+		if w.Phils[0].PC != 2 || len(outs) != 2 || outs[0].Prob != c.left || outs[1].Prob != 1-c.left {
+			t.Errorf("LeftBias %v: PC %d, coin outcomes %+v, want line 2 with left %v", c.bias, w.Phils[0].PC, outs, c.left)
+		}
 	}
 }
 

@@ -57,24 +57,10 @@ func (s *BoundedFair) Next(w *sim.World) graph.PhilID {
 		// keeping its capacity for reuse across pooled trials).
 		s.lastSched = resizeGaps(s.lastSched, n)
 	}
-	window := s.window()
 
 	// Fairness: schedule the philosopher with the largest gap if it has
 	// reached the window.
-	forcedPhil := graph.NoPhil
-	var worstGap int64 = -1
-	for p := 0; p < n; p++ {
-		var gap int64
-		if s.lastSched[p] < 0 {
-			gap = s.step + 1
-		} else {
-			gap = s.step - s.lastSched[p]
-		}
-		if gap >= window && gap > worstGap {
-			worstGap = gap
-			forcedPhil = graph.PhilID(p)
-		}
-	}
+	forcedPhil := forced(s.lastSched, s.step, s.window())
 
 	var choice graph.PhilID
 	if forcedPhil != graph.NoPhil {

@@ -75,20 +75,7 @@ func (s *Stubborn) Next(w *sim.World) graph.PhilID {
 
 	// Fairness pressure: if some philosopher has waited at least the current
 	// window, schedule the longest-waiting one and grow the window.
-	forcedPhil := graph.NoPhil
-	var worstGap int64 = -1
-	for p := 0; p < n; p++ {
-		var gap int64
-		if s.lastSched[p] < 0 {
-			gap = s.step + 1
-		} else {
-			gap = s.step - s.lastSched[p]
-		}
-		if gap >= s.window && gap > worstGap {
-			worstGap = gap
-			forcedPhil = graph.PhilID(p)
-		}
-	}
+	forcedPhil := forced(s.lastSched, s.step, s.window)
 
 	var choice graph.PhilID
 	if forcedPhil != graph.NoPhil {
@@ -116,6 +103,21 @@ func (s *Stubborn) Reset() {
 	s.lastSched = s.lastSched[:0]
 	s.window = 0
 	s.step = 0
+}
+
+// forced returns the philosopher whose scheduling gap is the largest one at
+// or past window (the lowest index on ties), or graph.NoPhil when every gap
+// is shorter. lastSched holds each philosopher's last scheduled step, or −1
+// before its first, so a never-scheduled philosopher's gap is step+1.
+func forced(lastSched []int64, step, window int64) graph.PhilID {
+	p := graph.NoPhil
+	worst := window - 1
+	for q, last := range lastSched {
+		if gap := step - last; gap > worst {
+			p, worst = graph.PhilID(q), gap
+		}
+	}
+	return p
 }
 
 // resizeGaps returns a length-n gap table filled with the "never scheduled"
