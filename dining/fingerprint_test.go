@@ -1,11 +1,17 @@
 package dining_test
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/dining"
+	"repro/internal/trace"
 )
 
 // TestFingerprintStableAcrossProcesses pins the exact fingerprint of a known
@@ -141,5 +147,88 @@ func TestExploreMatchesCheck(t *testing.T) {
 	if res.Passed != results[0].Passed || res.Detail != results[0].Detail {
 		t.Errorf("check on cached space = (%v, %q), want (%v, %q)",
 			res.Passed, res.Detail, results[0].Passed, results[0].Detail)
+	}
+}
+
+// TestFingerprintGolden pins the fingerprint of a grid of configurations in
+// testdata/fingerprints.golden, one "name fingerprint" line each: every
+// With* option on ring-3/LR1, every fault model with rates and targets given
+// through its spec, and every algorithm on ring-3 at its default options and
+// with M 3, M 7 and CourtesyOnBothForks. A change to the canonical encoding
+// or to what New stores shows up as a changed line. Regenerate it only for a
+// deliberate change:
+//
+//	go test ./dining -run TestFingerprintGolden -update-golden
+func TestFingerprintGolden(t *testing.T) {
+	t.Parallel()
+	type row struct {
+		name string
+		topo *dining.Topology
+		alg  string
+		opts []dining.Option
+	}
+	ring3 := dining.Ring(3)
+	rows := []row{
+		{"default", ring3, dining.LR1, nil},
+		{"scheduler-adversary", ring3, dining.LR1, []dining.Option{dining.WithScheduler(dining.Adversary)}},
+		{"seed-7", ring3, dining.LR1, []dining.Option{dining.WithSeed(7)}},
+		{"workers-8", ring3, dining.LR1, []dining.Option{dining.WithWorkers(8)}},
+		{"shards-8", ring3, dining.LR1, []dining.Option{dining.WithShards(8)}},
+		{"max-steps-123", ring3, dining.LR1, []dining.Option{dining.WithMaxSteps(123)}},
+		{"protected-2,0,2", ring3, dining.LR1, []dining.Option{dining.WithProtected(2, 0, 2)}},
+		{"fairness-window-64", ring3, dining.LR1, []dining.Option{dining.WithFairnessWindow(64)}},
+		{"max-states-99", ring3, dining.LR1, []dining.Option{dining.WithMaxStates(99)}},
+		{"trials-17", ring3, dining.LR1, []dining.Option{dining.WithTrials(17)}},
+		{"symmetry", ring3, dining.LR1, []dining.Option{dining.WithSymmetry()}},
+		{"recorder", ring3, dining.LR1, []dining.Option{dining.WithRecorder(trace.NewLog(0))}},
+		{"gdp2-theta-combined", dining.Theorem2Minimal(), dining.GDP2, []dining.Option{
+			dining.WithProtected(0, 2), dining.WithShards(4), dining.WithFaults("crash-rejoin:0.1,0.5@1"),
+			dining.WithAlgorithmOptions(dining.AlgorithmOptions{M: 9, CourtesyOnBothForks: true}),
+		}},
+	}
+	// Explicit lists: registry tests register further names at run time.
+	for _, model := range []string{"crash-rejoin", "delayed-grants", "freeze", "lossy-grants"} {
+		for _, suffix := range []string{"", ":0.2", "@1", ":0.2@2,0"} {
+			spec := model + suffix
+			rows = append(rows, row{"faults-" + spec, ring3, dining.LR1, []dining.Option{dining.WithFaults(spec)}})
+		}
+	}
+	for _, alg := range []string{dining.GDP1, dining.GDP2, dining.LR1, dining.LR2, dining.CentralMonitor, dining.Colored, dining.NaiveLeftFirst, dining.OrderedForks, dining.TicketBox} {
+		for _, set := range []struct {
+			name string
+			opts dining.AlgorithmOptions
+		}{
+			{"default", dining.AlgorithmOptions{}},
+			{"m-3", dining.AlgorithmOptions{M: 3}},
+			{"m-7", dining.AlgorithmOptions{M: 7}},
+			{"courtesy-both", dining.AlgorithmOptions{CourtesyOnBothForks: true}},
+		} {
+			rows = append(rows, row{alg + "-" + set.name, ring3, alg, []dining.Option{dining.WithAlgorithmOptions(set.opts)}})
+		}
+	}
+
+	var out bytes.Buffer
+	for _, r := range rows {
+		fmt.Fprintf(&out, "%s %s\n", r.name, mustEngine(t, r.topo, r.alg, r.opts...).Fingerprint())
+	}
+	path := filepath.Join("testdata", "fingerprints.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run go test ./dining -run TestFingerprintGolden -update-golden): %v", err)
+	}
+	gotLines, wantLines := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Errorf("fingerprint grid has %d lines, golden %d", len(gotLines), len(wantLines))
+	}
+	for i := range min(len(gotLines), len(wantLines)) {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("line %d:\n got: %s\nwant: %s", i+1, gotLines[i], wantLines[i])
+		}
 	}
 }
