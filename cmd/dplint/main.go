@@ -9,7 +9,7 @@
 //	hotalloc      no closures in Outcome.Apply, no fmt on non-error hot paths
 //	unsafeaudit   unsafe imports confined to the audited allowlist
 //	registryname  registered built-in names canonical and unique per registry
-//	unused        exported internal identifiers and methods referenced by non-test code
+//	unused        exported internal identifiers and methods referenced, and exported struct fields set, by non-test code
 //
 // Usage:
 //
@@ -22,7 +22,11 @@
 // verdict on a package does not depend on the command line. It counts a
 // method as used when non-test code calls it, or when the method matches a
 // method of an interface that non-test code mentions or that an imported
-// standard-library package declares. Diagnostics
+// standard-library package declares. It counts an exported struct field as
+// used only when non-test code sets it — a composite-literal element, an
+// assignment or ++/-- of anything but a constant zero or nil, &x.F, or a
+// pointer-receiver method call on x.F — and exempts embedded and tagged
+// fields. Diagnostics
 // print one per line as file:line:col: analyzer: message. A finding that is
 // intentional is suppressed in place with an annotated reason:
 //

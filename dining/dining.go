@@ -9,7 +9,7 @@
 // Topologies, algorithms, schedulers, properties and fault models are open,
 // name-indexed registries. The nine built-in algorithms, the six built-in
 // schedulers/adversaries, every builder topology, the built-in properties
-// and the three built-in fault models self-register at init time; new
+// and the four built-in fault models self-register at init time; new
 // implementations plug in with [RegisterAlgorithm], [RegisterScheduler],
 // [RegisterTopology], [RegisterProperty] and [RegisterFault] and immediately
 // become available to every consumer — the engine, the sweep matrix, the
@@ -68,15 +68,16 @@
 //
 // [WithFaults] injects a registered fault model into the engine's
 // transition system — crash-rejoin (crash, drop forks, later rejoin),
-// freeze (permanent crash) or lossy-grants (a hungry philosopher's acquire
-// step probabilistically no-ops):
+// freeze (permanent crash), lossy-grants (a hungry philosopher's acquire
+// step probabilistically no-ops) or delayed-grants (a fork grant stays in
+// flight for up to k of the philosopher's steps) — given by its spec:
 //
 //	eng, _ := dining.New(dining.Ring(5), dining.GDP2,
-//		dining.WithFaults("crash-rejoin", 0.05, 0.5))
+//		dining.WithFaults("crash-rejoin:0.05,0.5"))
 //
 // The model wraps the algorithm's program, so the simulator and the model
-// checker see the same perturbed MDP; [WithFaultTargets] restricts the
-// faults to named philosophers, the recoverable properties
+// checker see the same perturbed MDP; a spec's @ suffix ("freeze:0.1@0,2")
+// restricts the faults to named philosophers, the recoverable properties
 // ([ProgressUnderFaults], [LockoutFreedomUnderFaults]) check the paper's
 // guarantees on the perturbed space exhaustively, fault branches appear as
 // "fault: "-labelled steps in counterexample traces, and the [Sweep] Faults
@@ -214,8 +215,8 @@ const (
 	StubbornAdversary = "stubborn-adversary"
 )
 
-// AlgorithmOptions tunes an algorithm (number range m, courtesy variants,
-// coin bias).
+// AlgorithmOptions tunes an algorithm (number range m, courtesy on both
+// forks).
 type AlgorithmOptions = algo.Options
 
 // Program is a philosopher algorithm as a state machine over the simulation

@@ -36,11 +36,8 @@ type config struct {
 	trials         int
 	symmetry       bool
 	recorder       sim.Recorder
-
-	faultName    string
-	faultRates   []float64
-	faultTargets []graph.PhilID
-	faultModel   fault.Model // resolved by New from the three fields above
+	faultSpec      string
+	faultModel     fault.Model // resolved by New from faultSpec
 }
 
 // maxM bounds AlgorithmOptions.M. GDP1 and GDP2 list all m draws in each
@@ -75,11 +72,15 @@ func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 // (0 = the simulator default).
 func WithMaxSteps(n int64) Option { return func(c *config) { c.maxSteps = n } }
 
-// WithAlgorithmOptions tunes the algorithm (number range m, courtesy
-// variants, coin bias). GDP1 and GDP2 list all m draws in each outcome set,
-// so New rejects an m above graph.MaxTopologySize (65,536), the largest
-// fork count and so the largest default m. New also rejects a coin bias
-// that is NaN or outside [0, 1); 0 is the fair coin.
+// WithAlgorithmOptions tunes the algorithm (number range m, courtesy on both
+// forks). GDP1 and GDP2 list all m draws in each outcome set, so New rejects
+// an m above graph.MaxTopologySize (65,536), the largest fork count and so
+// the largest default m. New keeps only the options the algorithm reads
+// (algo.Canonical): m only for GDP1 and GDP2 and only above the fork count,
+// courtesy on both forks only for LR2 and GDP2, nothing for a baseline. So
+// every spelling of one program has one fingerprint, one dpserve cache entry
+// and one echo; an algorithm registered through RegisterAlgorithm keeps its
+// options as given.
 func WithAlgorithmOptions(opts AlgorithmOptions) Option {
 	return func(c *config) { c.algoOpts = opts }
 }
@@ -121,29 +122,18 @@ func WithTrials(n int) Option { return func(c *config) { c.trials = n } }
 // state and transition counts are per orbit, so they differ.
 func WithSymmetry() Option { return func(c *config) { c.symmetry = true } }
 
-// WithFaults injects the named fault model into the engine's transition
-// system. The name may be a full fault spec ("crash-rejoin:0.1,0.5@2", see
-// the grammar in internal/fault); explicit rates append after the spec's.
-// Missing rates take the model's documented defaults. New validates
-// everything eagerly — an unknown model name, a rate outside [0, 1], too
-// many rates and a target philosopher the topology does not have are all
-// construction-time errors. The Monte-Carlo simulator and the exhaustive
-// model checker both run the wrapped program, so Run, Trials, Check and
-// Explore all see the same perturbed MDP, and RunConcurrent runs it on
-// goroutines: every model, and every rate per step, as in the checker.
-func WithFaults(name string, rates ...float64) Option {
-	return func(c *config) {
-		c.faultName = name
-		c.faultRates = append([]float64(nil), rates...)
-	}
-}
-
-// WithFaultTargets restricts the engine's fault model to the given
-// philosophers (default: all of them). It requires WithFaults; targeting
-// without a model is a construction-time error.
-func WithFaultTargets(phils ...PhilID) Option {
-	return func(c *config) { c.faultTargets = append([]PhilID(nil), phils...) }
-}
+// WithFaults injects a fault model into the engine's transition system,
+// given by its spec: the model name, optional rates after a colon and
+// optional target philosophers after an at sign ("crash-rejoin:0.1,0.5@2",
+// see the grammar in internal/fault). Missing rates take the model's
+// documented defaults, and no targets means every philosopher. New
+// validates everything eagerly — an unknown model name, a rate outside
+// [0, 1], too many rates and a target philosopher the topology does not
+// have are all construction-time errors. The Monte-Carlo simulator and the
+// exhaustive model checker both run the wrapped program, so Run, Trials,
+// Check and Explore all see the same perturbed MDP, and RunConcurrent runs
+// it on goroutines: every model, and every rate per step, as in the checker.
+func WithFaults(spec string) Option { return func(c *config) { c.faultSpec = spec } }
 
 // WithRecorder attaches an event recorder to Run and Trials. A recorder
 // observes a single event stream, so Trials rejects engines that have one
@@ -167,9 +157,8 @@ type Engine struct {
 // invalid topology, an unknown algorithm name and an unknown scheduler name
 // are construction-time errors listing the registered options, and a
 // protected philosopher or fault target the topology does not have, a
-// negative count, bound or window, an AlgorithmOptions.M that is negative
-// or above graph.MaxTopologySize (65,536) and an AlgorithmOptions.LeftBias
-// that is NaN or outside [0, 1) are errors too.
+// negative count, bound or window and an AlgorithmOptions.M that is
+// negative or above graph.MaxTopologySize (65,536) are errors too.
 func New(topo *Topology, algorithm string, opts ...Option) (*Engine, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("dining: New requires a topology")
@@ -221,17 +210,9 @@ func New(topo *Topology, algorithm string, opts ...Option) (*Engine, error) {
 	if c.algoOpts.M > maxM {
 		return nil, fmt.Errorf("dining: AlgorithmOptions.M = %d exceeds the bound %d", c.algoOpts.M, maxM)
 	}
-	if lb := c.algoOpts.LeftBias; !(lb >= 0 && lb < 1) {
-		return nil, fmt.Errorf("dining: AlgorithmOptions.LeftBias = %v is outside [0, 1) (0 means the fair coin)", lb)
-	}
-	if c.faultName != "" {
-		name, fcfg, err := fault.ParseSpec(c.faultName)
-		if err != nil {
-			return nil, err
-		}
-		fcfg.Rates = append(fcfg.Rates, c.faultRates...)
-		fcfg.Phils = append(fcfg.Phils, c.faultTargets...)
-		m, err := fault.New(name, fcfg)
+	c.algoOpts = algo.Canonical(algorithm, c.algoOpts, topo)
+	if c.faultSpec != "" {
+		m, err := fault.NewFromSpec(c.faultSpec)
 		if err != nil {
 			return nil, err
 		}
@@ -239,8 +220,6 @@ func New(topo *Topology, algorithm string, opts ...Option) (*Engine, error) {
 			return nil, err
 		}
 		c.faultModel = m
-	} else if len(c.faultRates) > 0 || len(c.faultTargets) > 0 {
-		return nil, fmt.Errorf("dining: fault rates and WithFaultTargets require WithFaults")
 	}
 	return &Engine{topo: topo, alg: algorithm, cfg: c}, nil
 }
@@ -282,7 +261,8 @@ func (e *Engine) Symmetry() bool { return e.cfg.symmetry }
 // (0 = default).
 func (e *Engine) FairnessWindow() int64 { return e.cfg.fairnessWindow }
 
-// AlgorithmOptions returns the engine's algorithm options.
+// AlgorithmOptions returns the engine's algorithm options: the ones its
+// algorithm reads, every other field zero (see WithAlgorithmOptions).
 func (e *Engine) AlgorithmOptions() AlgorithmOptions { return e.cfg.algoOpts }
 
 // Protected returns a copy of the engine's protected philosopher set in

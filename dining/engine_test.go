@@ -334,7 +334,7 @@ func TestEngineSchedulers(t *testing.T) {
 // counted, and a message-level model runs too.
 func TestEngineRunConcurrentFaults(t *testing.T) {
 	t.Parallel()
-	eng, err := dining.New(dining.Ring(5), dining.LR1, dining.WithSeed(7), dining.WithFaults("crash-rejoin", 0.2, 0.5))
+	eng, err := dining.New(dining.Ring(5), dining.LR1, dining.WithSeed(7), dining.WithFaults("crash-rejoin:0.2,0.5"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestEngineRunConcurrentFaults(t *testing.T) {
 		t.Errorf("starved philosophers under crash-rejoin: %v", metrics.Starved)
 	}
 
-	delayed, err := dining.New(dining.Ring(5), dining.LR1, dining.WithSeed(7), dining.WithFaults("delayed-grants", 0.1, 2))
+	delayed, err := dining.New(dining.Ring(5), dining.LR1, dining.WithSeed(7), dining.WithFaults("delayed-grants:0.1,2"))
 	if err != nil {
 		t.Fatal(err)
 	}

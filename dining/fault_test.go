@@ -25,15 +25,13 @@ func TestNewRejectsMalformedFaults(t *testing.T) {
 		want string // substring of the error
 	}{
 		{"unknown model", []dining.Option{dining.WithFaults("meteor-strike")}, `unknown fault model "meteor-strike"`},
-		{"negative rate", []dining.Option{dining.WithFaults("crash-rejoin", -0.1)}, "want a probability"},
-		{"rate above one", []dining.Option{dining.WithFaults("freeze", 1.5)}, "want a probability"},
-		{"too many rates", []dining.Option{dining.WithFaults("freeze", 0.1, 0.2)}, "at most 1 rate"},
+		{"negative rate", []dining.Option{dining.WithFaults("crash-rejoin:-0.1")}, "want a probability"},
+		{"rate above one", []dining.Option{dining.WithFaults("freeze:1.5")}, "want a probability"},
+		{"too many rates", []dining.Option{dining.WithFaults("freeze:0.1,0.2")}, "at most 1 rate"},
 		{"bad spec rate", []dining.Option{dining.WithFaults("lossy-grants:zero")}, "bad rate"},
-		{"negative target", []dining.Option{dining.WithFaults("freeze"), dining.WithFaultTargets(-1)}, "negative philosopher"},
-		{"duplicate target", []dining.Option{dining.WithFaults("freeze"), dining.WithFaultTargets(1, 1)}, "twice"},
-		{"unknown target", []dining.Option{dining.WithFaults("freeze"), dining.WithFaultTargets(99)}, "unknown philosopher 99"},
-		{"targets without model", []dining.Option{dining.WithFaultTargets(0)}, "require WithFaults"},
-		{"rates without model", []dining.Option{dining.WithFaults("", 0.5)}, "require WithFaults"},
+		{"negative target", []dining.Option{dining.WithFaults("freeze@-1")}, "negative philosopher"},
+		{"duplicate target", []dining.Option{dining.WithFaults("freeze@1,1")}, "twice"},
+		{"unknown target", []dining.Option{dining.WithFaults("freeze@99")}, "unknown philosopher 99"},
 	}
 	for _, c := range cases {
 		_, err := dining.New(dining.Ring(5), dining.GDP1, c.opts...)
@@ -64,7 +62,7 @@ func TestNilFaultEquivalenceGrid(t *testing.T) {
 				t.Fatal(err)
 			}
 			zero, err := dining.New(topo, alg, dining.WithSeed(7), dining.WithMaxSteps(4_000),
-				dining.WithFaults("crash-rejoin", 0))
+				dining.WithFaults("crash-rejoin:0"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,7 +128,7 @@ func TestDelayedGrantsNilFaultEquivalenceGrid(t *testing.T) {
 				t.Fatal(err)
 			}
 			zero, err := dining.New(topo, alg, dining.WithSeed(7), dining.WithMaxSteps(4_000),
-				dining.WithFaults("delayed-grants", 0, 3))
+				dining.WithFaults("delayed-grants:0,3"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,7 +187,7 @@ func TestFaultTrialsDeterministicAcrossWorkers(t *testing.T) {
 			dining.WithSeed(42),
 			dining.WithMaxSteps(6_000),
 			dining.WithWorkers(workers),
-			dining.WithFaults("crash-rejoin", 0.05, 0.5))
+			dining.WithFaults("crash-rejoin:0.05,0.5"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +218,7 @@ func TestFaultEventSequenceDeterministic(t *testing.T) {
 			dining.WithMaxSteps(3_000),
 			dining.WithWorkers(1),
 			dining.WithRecorder(log),
-			dining.WithFaults("crash-rejoin", 0.1, 0.5))
+			dining.WithFaults("crash-rejoin:0.1,0.5"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +254,7 @@ func TestFaultCheckDeterministicAcrossWorkersAndShards(t *testing.T) {
 		eng, err := dining.New(dining.Theorem2Minimal(), dining.LR2,
 			dining.WithWorkers(workers),
 			dining.WithShards(shards),
-			dining.WithFaults("crash-rejoin", 0.1, 0.5))
+			dining.WithFaults("crash-rejoin:0.1,0.5"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,7 +287,7 @@ func TestFaultCheckDeterministicAcrossWorkersAndShards(t *testing.T) {
 // different faults refuses to replay it.
 func TestProgressUnderFaultsCounterexampleReplay(t *testing.T) {
 	t.Parallel()
-	eng, err := dining.New(dining.Ring(3), dining.GDP1, dining.WithFaults("freeze", 0.5))
+	eng, err := dining.New(dining.Ring(3), dining.GDP1, dining.WithFaults("freeze:0.5"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"math"
 
 	"repro/internal/graph"
 )
@@ -74,11 +73,13 @@ func (e *Engine) Fingerprint() string {
 		u64(uint64(forks[0]))
 		u64(uint64(forks[1]))
 	}
-	// Algorithm and options.
+	// Algorithm and options, as New canonicalized them. A zero word and a
+	// false word stand where two retired options (a coin bias and a
+	// courtesy-off switch) were, so no fingerprint moved when they went.
 	str(e.alg)
-	u64(math.Float64bits(e.cfg.algoOpts.LeftBias))
+	u64(0)
 	u64(uint64(e.cfg.algoOpts.M))
-	b(e.cfg.algoOpts.DisableCourtesy)
+	b(false)
 	b(e.cfg.algoOpts.CourtesyOnBothForks)
 	// Scheduler, seed, bounds.
 	str(e.cfg.scheduler)

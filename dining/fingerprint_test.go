@@ -38,7 +38,7 @@ func TestFingerprintEqualForEqualConfigs(t *testing.T) {
 		dining.WithMaxStates(5000),
 		dining.WithShards(4),
 		dining.WithProtected(0, 2),
-		dining.WithFaults("crash-rejoin", 0.1, 0.5),
+		dining.WithFaults("crash-rejoin:0.1,0.5"),
 	}
 	a := mustEngine(t, dining.Theorem2Minimal(), dining.GDP2, opts...)
 	b := mustEngine(t, dining.Theorem2Minimal(), dining.GDP2, opts...)
@@ -50,6 +50,7 @@ func TestFingerprintEqualForEqualConfigs(t *testing.T) {
 // TestFingerprintDistinguishesConfigs builds one variant per configuration
 // axis and checks that every fingerprint is unique — in particular the
 // distinct-fault-spec and distinct-shard cases the serve cache relies on.
+// The m variant runs GDP1, which reads m (LR1 does not).
 func TestFingerprintDistinguishesConfigs(t *testing.T) {
 	t.Parallel()
 	base := func(extra ...dining.Option) *dining.Engine {
@@ -68,11 +69,12 @@ func TestFingerprintDistinguishesConfigs(t *testing.T) {
 		"fairness-window": base(dining.WithFairnessWindow(64)),
 		"protected":       base(dining.WithProtected(1)),
 		"shards":          base(dining.WithShards(8)),
-		"algo-m":          base(dining.WithAlgorithmOptions(dining.AlgorithmOptions{M: 9})),
-		"fault-crash":     base(dining.WithFaults("crash-rejoin", 0.1)),
-		"fault-freeze":    base(dining.WithFaults("freeze", 0.1)),
-		"fault-rate":      base(dining.WithFaults("crash-rejoin", 0.2)),
-		"fault-target":    base(dining.WithFaults("crash-rejoin", 0.1), dining.WithFaultTargets(1)),
+		"algo-gdp1":       mustEngine(t, dining.Ring(3), dining.GDP1),
+		"algo-m":          mustEngine(t, dining.Ring(3), dining.GDP1, dining.WithAlgorithmOptions(dining.AlgorithmOptions{M: 9})),
+		"fault-crash":     base(dining.WithFaults("crash-rejoin:0.1")),
+		"fault-freeze":    base(dining.WithFaults("freeze:0.1")),
+		"fault-rate":      base(dining.WithFaults("crash-rejoin:0.2")),
+		"fault-target":    base(dining.WithFaults("crash-rejoin:0.1@1")),
 		"symmetry":        base(dining.WithSymmetry()),
 	}
 	seen := make(map[string]string, len(variants))
@@ -102,6 +104,52 @@ func TestFingerprintCanonicalProtectedSet(t *testing.T) {
 		if !slices.Equal(a.Protected(), tc.want) || !slices.Equal(b.Protected(), tc.want) {
 			t.Errorf("protected %v and %v: Protected() = %v and %v, want %v", tc.a, tc.b, a.Protected(), b.Protected(), tc.want)
 		}
+	}
+}
+
+// TestFingerprintCanonicalAlgorithmOptions pins that New keeps only the
+// algorithm options the algorithm reads: an ignored option leaves the
+// fingerprint and AlgorithmOptions as without it, a read one changes the
+// fingerprint, and an algorithm registered outside the built-ins keeps its
+// options as given.
+func TestFingerprintCanonicalAlgorithmOptions(t *testing.T) {
+	t.Parallel()
+	with := func(alg string, opts dining.AlgorithmOptions) *dining.Engine {
+		return mustEngine(t, dining.Ring(3), alg, dining.WithAlgorithmOptions(opts))
+	}
+	for _, c := range []struct {
+		alg  string
+		opts dining.AlgorithmOptions
+		same bool
+	}{
+		{dining.LR1, dining.AlgorithmOptions{M: 7}, true},
+		{dining.GDP1, dining.AlgorithmOptions{CourtesyOnBothForks: true}, true},
+		{dining.OrderedForks, dining.AlgorithmOptions{M: 7}, true},
+		{dining.GDP1, dining.AlgorithmOptions{M: 3}, true}, // ring-3 has three forks
+		{dining.GDP1, dining.AlgorithmOptions{M: 7}, false},
+		{dining.LR2, dining.AlgorithmOptions{CourtesyOnBothForks: true}, false},
+	} {
+		plain, tuned := with(c.alg, dining.AlgorithmOptions{}), with(c.alg, c.opts)
+		if same := plain.Fingerprint() == tuned.Fingerprint(); same != c.same {
+			t.Errorf("%s %+v: fingerprint %s, plain %s; want equal %t", c.alg, c.opts, tuned.Fingerprint(), plain.Fingerprint(), c.same)
+		}
+		if want := c.opts; c.same && tuned.AlgorithmOptions() != (dining.AlgorithmOptions{}) || !c.same && tuned.AlgorithmOptions() != want {
+			t.Errorf("%s %+v: AlgorithmOptions() = %+v", c.alg, c.opts, tuned.AlgorithmOptions())
+		}
+	}
+	const alias = "test-canonical-alias"
+	if !slices.Contains(dining.Algorithms(), alias) {
+		dining.RegisterAlgorithm(alias, func(o dining.AlgorithmOptions) dining.Program {
+			p, err := dining.NewAlgorithm(dining.LR1, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		})
+	}
+	opts := dining.AlgorithmOptions{M: 7, CourtesyOnBothForks: true}
+	if got := with(alias, opts).AlgorithmOptions(); got != opts {
+		t.Errorf("registered algorithm: AlgorithmOptions() = %+v, want %+v as given", got, opts)
 	}
 }
 

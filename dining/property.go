@@ -488,7 +488,7 @@ func checkStarvationTrap(_ context.Context, in PropertyInput) (PropertyResult, e
 	if !trapped(trap) {
 		res.Passed = true
 		res.Detail = fmt.Sprintf("no fair starvation trap (safe region %d states, best coverage %d/%d philosophers)",
-			trap.SafeRegionStates, len(trap.CoveredPhilosophers), phils)
+			trap.SafeRegionStates, len(trap.CoveredActions), phils)
 		return res, nil
 	}
 	res.TrapStates = trap.States

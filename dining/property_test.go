@@ -504,13 +504,13 @@ func TestSharedSpaceAnalysesConcurrent(t *testing.T) {
 			dead[0] = -1
 		}
 		trap := shared.FindStarvationTrap()
-		if len(trap.CoveredPhilosophers) == 0 {
+		if len(trap.CoveredActions) == 0 {
 			t.Errorf("%s: trap covers no philosopher; nothing to mutate", name)
 		} else {
-			trap.CoveredPhilosophers[0] = 99
+			trap.CoveredActions[0] = 99
 		}
-		if trap, err := shared.FindStarvationTrapAgainst([]dining.PhilID{0}); err == nil && len(trap.CoveredPhilosophers) > 0 {
-			trap.CoveredPhilosophers[0] = 99
+		if trap, err := shared.FindStarvationTrapAgainst([]dining.PhilID{0}); err == nil && len(trap.CoveredActions) > 0 {
+			trap.CoveredActions[0] = 99
 		}
 		if cx, err := shared.CounterexampleTo("path", shared.NumStates()-1); err == nil && len(cx.Steps) > 0 {
 			cx.Steps[0].Phil = 99

@@ -112,9 +112,6 @@ func (s Sweep) Scenarios() ([]Scenario, error) {
 	if s.AlgorithmOptions.M > maxM {
 		return nil, fmt.Errorf("dining: Sweep.AlgorithmOptions.M = %d exceeds the bound %d", s.AlgorithmOptions.M, maxM)
 	}
-	if lb := s.AlgorithmOptions.LeftBias; !(lb >= 0 && lb < 1) {
-		return nil, fmt.Errorf("dining: Sweep.AlgorithmOptions.LeftBias = %v is outside [0, 1) (0 means the fair coin)", lb)
-	}
 	schedulers := s.Schedulers
 	if len(schedulers) == 0 {
 		schedulers = []string{Random}

@@ -35,7 +35,7 @@ func TestSymmetryQuotientMatchesUnreduced(t *testing.T) {
 		{dining.Theorem2Minimal(), []string{dining.LR1}, nil, false},
 		// Fault-injected transition systems quotient too (the crashed bit
 		// rides along in the permuted image).
-		{dining.Ring(3), []string{dining.LR1, dining.GDP1}, []dining.Option{dining.WithFaults("crash-rejoin", 0.1, 0.5)}, true},
+		{dining.Ring(3), []string{dining.LR1, dining.GDP1}, []dining.Option{dining.WithFaults("crash-rejoin:0.1,0.5")}, true},
 	}
 	ctx := context.Background()
 	for _, c := range grid {
@@ -142,7 +142,7 @@ func TestZeroRateFaultSymmetryEquivalence(t *testing.T) {
 	for _, alg := range []string{dining.LR1, dining.GDP2, dining.NaiveLeftFirst} {
 		plain := mustEngine(t, dining.Ring(3), alg, dining.WithSymmetry(), dining.WithSeed(7))
 		zero := mustEngine(t, dining.Ring(3), alg, dining.WithSymmetry(), dining.WithSeed(7),
-			dining.WithFaults("crash-rejoin", 0))
+			dining.WithFaults("crash-rejoin:0"))
 		want, err := plain.CheckAll(ctx)
 		if err != nil {
 			t.Fatal(err)

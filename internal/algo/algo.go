@@ -25,6 +25,8 @@
 package algo
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/registry"
 	"repro/internal/sim"
@@ -41,18 +43,10 @@ func one(buf []sim.Outcome, label string, arg int64, apply func(*sim.World, grap
 // Options configures the tunable parameters of the paper's algorithms; the
 // baselines have none.
 type Options struct {
-	// LeftBias is the probability that random_choice(left, right) returns the
-	// left fork (LR1, LR2). Zero means the fair coin, 0.5. dining.New rejects
-	// NaN and every value outside [0, 1); New accepts them and flips the fair
-	// coin for every value outside (0, 1), NaN included.
-	LeftBias float64
 	// M is the upper bound of the random fork numbers drawn by GDP1/GDP2
 	// (the paper requires m >= k, the number of forks). Zero means "use the
 	// number of forks of the topology".
 	M int
-	// DisableCourtesy turns off the Cond(fork) test in GDP2, reducing it to
-	// GDP1 plus bookkeeping; used by ablation benchmarks. LR2 ignores it.
-	DisableCourtesy bool
 	// CourtesyOnBothForks extends the Cond(fork) test of LR2 and GDP2 to the
 	// second fork as well (the paper's Tables 2 and 4 check it only when
 	// taking the first fork). The model checker shows that with the
@@ -61,14 +55,6 @@ type Options struct {
 	// shared fork second; checking the condition on both forks removes that
 	// trap. See experiment E-T4 of the suite (dpbench -experiment E-T4).
 	CourtesyOnBothForks bool
-}
-
-// leftBias returns the configured or default probability of picking left.
-func (o Options) leftBias() float64 {
-	if !(o.LeftBias > 0 && o.LeftBias < 1) { // NaN fails both comparisons
-		return 0.5
-	}
-	return o.LeftBias
 }
 
 // nrRange returns the configured or default value of m for a topology,
@@ -116,17 +102,49 @@ func New(name string, opts Options) (sim.Program, error) {
 // Names returns the registered algorithm names in sorted order.
 func Names() []string { return reg.Names() }
 
+// builtins maps each algorithm of this package to its table's lines, nil
+// for a baseline. Canonical derives from them which options an algorithm
+// reads.
+var builtins = map[string][]line{}
+
+// Canonical returns the options the named algorithm reads on topo, every
+// other field zero, so that every spelling of one program has one form. A
+// table reads M only on a renumber line, and only where it raises the
+// number range above its default, the fork count; it reads
+// CourtesyOnBothForks only when it keeps request lists. A baseline reads no
+// option. An algorithm registered from outside this package keeps opts as
+// given.
+func Canonical(name string, opts Options, topo *graph.Topology) Options {
+	lines, ok := builtins[name]
+	if !ok {
+		return opts
+	}
+	var c Options
+	if slices.Contains(lines, renumber) && opts.nrRange(topo) != c.nrRange(topo) {
+		c.M = opts.M
+	}
+	if courteous(lines) {
+		c.CourtesyOnBothForks = opts.CourtesyOnBothForks
+	}
+	return c
+}
+
 func init() {
-	Register("LR1", func(o Options) sim.Program { return newTable("LR1", lr1, o) })
-	Register("LR2", func(o Options) sim.Program {
-		o.DisableCourtesy = false // GDP2's ablation switch
-		return newTable("LR2", lr2, o)
-	})
-	Register("GDP1", func(o Options) sim.Program { return newTable("GDP1", gdp1, o) })
-	Register("GDP2", func(o Options) sim.Program { return newTable("GDP2", gdp2, o) })
-	Register("ordered-forks", func(Options) sim.Program { return NewOrderedForks() })
-	Register("colored", func(Options) sim.Program { return NewColored() })
-	Register("naive-left-first", func(Options) sim.Program { return NewNaive() })
-	Register("central-monitor", func(Options) sim.Program { return NewCentralMonitor() })
-	Register("ticket-box", func(Options) sim.Program { return NewTicketBox() })
+	table := func(name string, lines []line) {
+		Register(name, func(o Options) sim.Program { return newTable(name, lines, o) })
+		builtins[name] = lines
+	}
+	baseline := func(name string, ctor func() sim.Program) {
+		Register(name, func(Options) sim.Program { return ctor() })
+		builtins[name] = nil
+	}
+	table("LR1", lr1)
+	table("LR2", lr2)
+	table("GDP1", gdp1)
+	table("GDP2", gdp2)
+	baseline("ordered-forks", func() sim.Program { return NewOrderedForks() })
+	baseline("colored", func() sim.Program { return NewColored() })
+	baseline("naive-left-first", func() sim.Program { return NewNaive() })
+	baseline("central-monitor", func() sim.Program { return NewCentralMonitor() })
+	baseline("ticket-box", func() sim.Program { return NewTicketBox() })
 }

@@ -53,12 +53,8 @@ func TestEventStreamGolden(t *testing.T) {
 		opts Options
 	}{
 		{"default", Options{}},
-		{"left-bias-0.9", Options{LeftBias: 0.9}},
-		{"left-bias-1", Options{LeftBias: 1}},
 		{"m-7", Options{M: 7}},
-		{"no-courtesy", Options{DisableCourtesy: true}},
 		{"courtesy-both", Options{CourtesyOnBothForks: true}},
-		{"courtesy-both+no-courtesy", Options{CourtesyOnBothForks: true, DisableCourtesy: true}},
 	}
 	topologies := []struct {
 		name string
@@ -131,6 +127,37 @@ func TestEventStreamGolden(t *testing.T) {
 		if !bytes.Equal(g, w) {
 			t.Errorf("event stream changed at line %d:\n got: %s\nwant: %s", i+1, g, w)
 			return
+		}
+	}
+}
+
+// TestCanonicalOptionsRunTheSameProgram pins that Canonical drops only
+// options the algorithm does not read: for every built-in algorithm, option
+// set, topology and scheduler, the run under the given options and the run
+// under their canonical form record the same event stream, step for step.
+func TestCanonicalOptionsRunTheSameProgram(t *testing.T) {
+	t.Parallel()
+	run := func(name string, opts Options, topo *graph.Topology, sname string) uint64 {
+		scheduler, err := sched.New(sname, sched.Config{RNG: prng.New(2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &eventHash{h: fnv.New64a()}
+		if _, err := sim.Run(topo, mustNew(t, name, opts), scheduler, prng.New(1), sim.RunOptions{MaxSteps: 2000, Recorder: rec}); err != nil {
+			t.Fatal(err)
+		}
+		return rec.h.Sum64()
+	}
+	for _, name := range Names() {
+		for _, topo := range []*graph.Topology{graph.Ring(3), graph.Theorem2Minimal(), graph.Figure1A()} {
+			for _, opts := range []Options{{M: 2}, {M: 3}, {M: 7}, {CourtesyOnBothForks: true}, {M: 7, CourtesyOnBothForks: true}} {
+				canon := Canonical(name, opts, topo)
+				for _, sname := range []string{"random", "adversary"} {
+					if got, want := run(name, canon, topo, sname), run(name, opts, topo, sname); got != want {
+						t.Errorf("%s on %s under %s: options %+v and their canonical form %+v run different programs", name, topo.Name(), sname, opts, canon)
+					}
+				}
+			}
 		}
 	}
 }

@@ -85,8 +85,7 @@ var gdp1 = []line{think, higherNR, takeFirst, renumber, trySecond, eat, release}
 // (The published Table 4 prints line 4 without the Cond(fork) conjunct, but
 // Section 5 introduces the request lists and guest books precisely so that
 // "the test Cond(fork) is defined in the same way as in Section 3.2"; we
-// therefore include the courtesy test on the first fork exactly as LR2 does.
-// Options.DisableCourtesy removes it for ablation.)
+// therefore include the courtesy test on the first fork exactly as LR2 does.)
 var gdp2 = []line{think, request, higherNR, takeFirst, renumber, trySecond, eat, unrequest, sign, release}
 
 // argCond in the Outcome.Arg of a takeFirst or trySecond line asks for the
@@ -106,24 +105,25 @@ type table struct {
 }
 
 // newTable returns the program running lines under opts. A table with
-// request lists is courteous: its takeFirst line tests Cond(fork) unless
-// DisableCourtesy is set, and its trySecond line too when
-// CourtesyOnBothForks is.
+// request lists is courteous: its takeFirst line tests Cond(fork), and its
+// trySecond line too when CourtesyOnBothForks is set.
 func newTable(name string, lines []line, opts Options) *table {
 	a := &table{name: name, lines: lines, opts: opts, takeLabel: "take first fork"}
-	if slices.Contains(lines, request) {
+	if courteous(lines) {
 		a.takeLabel = "take first fork (courteous)"
-		if !opts.DisableCourtesy {
-			a.takeArg = argCond
-			if opts.CourtesyOnBothForks {
-				a.tryArg = argCond
-			}
+		a.takeArg = argCond
+		if opts.CourtesyOnBothForks {
+			a.tryArg = argCond
 		}
 	}
 	choice := slices.IndexFunc(lines, func(l line) bool { return l == coin || l == higherNR })
 	a.tryArg |= int64(choice + 1)
 	return a
 }
+
+// courteous reports whether a table keeps request lists, and so tests
+// Cond(fork).
+func courteous(lines []line) bool { return slices.Contains(lines, request) }
 
 // Name implements sim.Program.
 func (a *table) Name() string { return a.name }
@@ -133,12 +133,10 @@ func (a *table) Name() string { return a.name }
 // forks).
 func (*table) Symmetric() bool { return true }
 
-// SideSymmetric implements sim.SideSymmetricProgram: a fair coin treats left
-// and right forks identically; a biased coin, and the higherNR line's
-// tie-break toward the right fork, do not.
-func (a *table) SideSymmetric() bool {
-	return slices.Contains(a.lines, coin) && a.opts.leftBias() == 0.5
-}
+// SideSymmetric implements sim.SideSymmetricProgram: the fair coin treats
+// left and right forks identically; the higherNR line's tie-break toward the
+// right fork does not.
+func (a *table) SideSymmetric() bool { return slices.Contains(a.lines, coin) }
 
 // Init implements sim.Program. The tables need no state beyond NewWorld's
 // defaults: every fork's nr starts at 0.
@@ -156,12 +154,9 @@ func (a *table) Outcomes(w *sim.World, p graph.PhilID, buf []sim.Outcome) []sim.
 	case request:
 		return one(buf, "insert requests", 0, applyRequest)
 	case coin:
-		// The paper's coin is fair, but its negative results do not depend
-		// on the bias.
-		pLeft := a.opts.leftBias()
 		return append(buf,
-			sim.Outcome{Prob: pLeft, Label: "commit left", Arg: int64(w.Topo.Left(p)), Apply: applyCommit},
-			sim.Outcome{Prob: 1 - pLeft, Label: "commit right", Arg: int64(w.Topo.Right(p)), Apply: applyCommit},
+			sim.Outcome{Prob: 0.5, Label: "commit left", Arg: int64(w.Topo.Left(p)), Apply: applyCommit},
+			sim.Outcome{Prob: 0.5, Label: "commit right", Arg: int64(w.Topo.Right(p)), Apply: applyCommit},
 		)
 	case higherNR:
 		return one(buf, "select higher-numbered fork", 0, applyHigherNR)

@@ -7,8 +7,9 @@ import "example.com/dp/internal/lib"
 // Unused is part of the library's surface, so the rule ignores it.
 func Unused() { lib.UsedByDining() }
 
-// Handle is part of the library's surface too.
-type Handle struct{}
+// Handle is part of the library's surface too, and so is its field, which
+// nothing sets.
+type Handle struct{ Limit int }
 
 // Release is a dining method nothing calls; the rule ignores it.
 func (Handle) Release() {}

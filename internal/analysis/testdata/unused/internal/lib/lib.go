@@ -4,8 +4,10 @@
 // perfbench module — other than its own declaration and methods. So must an
 // exported method of a type declared here, unless its name and signature
 // match a method of an interface that shipping code mentions or that the
-// standard library declares, and the type implements that interface. Uses
-// from tests and from test-helper packages do not count.
+// standard library declares, and the type implements that interface. An
+// exported field of a struct type declared here must be set by shipping
+// code, other than to a constant zero; embedded and tagged fields are exempt.
+// Uses from tests and from test-helper packages do not count.
 package lib
 
 // Unused is referenced by nothing.
@@ -56,7 +58,8 @@ func UsedByInternal() {}
 
 func UsedByDining() {}
 
-// Box and Map are used through instantiations (by cmd and examples).
+// Box and Map are used through instantiations (by cmd and examples); cmd
+// sets V through Box[int].
 type Box[T any] struct{ V T }
 
 func Map[T any](x T) T { return x }
@@ -130,8 +133,10 @@ type Wrapper struct{ Base }
 //dplint:ok unused the suppression path for a method
 func (Svc) Spare() {}
 
-// hidden is unexported, but its exported methods are in scope.
-type hidden struct{}
+// hidden is unexported, but its exported methods and fields are in scope.
+type hidden struct {
+	Level int // want `exported field hidden.Level is never set by non-test code`
+}
 
 // Dead is referenced by nothing.
 func (hidden) Dead() {} // want `exported method hidden.Dead has no non-test use`
@@ -143,3 +148,32 @@ func Extension() {}
 
 // unexported identifiers are out of scope.
 func helper() {}
+
+// Knobs carries the field cases; package other sets most of them.
+type Knobs struct {
+	Keyed     int  // a keyed literal element
+	Assigned  int  // an assignment
+	Counted   int  // an increment
+	Addressed int  // &k.Addressed
+	Locked    Gate // a pointer-receiver method call on k.Locked
+	Tagged    int  `json:"tagged"` // set by reflection, so exempt
+	Tested    int  // want `exported field Knobs.Tested is never set by non-test code`
+	Helped    int  // want `exported field Knobs.Helped is never set by non-test code`
+	Zeroed    bool // want `exported field Knobs.Zeroed is never set by non-test code`
+	Read      int  // want `exported field Knobs.Read is never set by non-test code`
+	Base           // embedded for promotion, so exempt
+
+	//dplint:ok unused the suppression path for a field
+	Instrument int
+
+	hidden int // unexported fields are out of scope
+}
+
+// Pair is set by a positional literal in package other.
+type Pair struct{ A, B int }
+
+// Gate has a pointer-receiver method.
+type Gate struct{ n int }
+
+// Close is called by package other on a Knobs field.
+func (g *Gate) Close() { g.n++ }

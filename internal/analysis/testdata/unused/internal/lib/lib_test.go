@@ -7,4 +7,5 @@ func TestOnlyTests(t *testing.T) {
 		t.Fatal("OnlyTests")
 	}
 	Svc{}.TestedOnly()
+	_ = Knobs{Tested: 1}
 }

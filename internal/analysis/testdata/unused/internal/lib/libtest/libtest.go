@@ -7,5 +7,6 @@ import "example.com/dp/internal/lib"
 // Helper is unused, and exempt.
 func Helper() int {
 	lib.Svc{}.HelperOnly()
+	_ = lib.Knobs{Helped: 1}
 	return lib.OnlyHelper()
 }

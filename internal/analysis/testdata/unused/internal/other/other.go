@@ -13,4 +13,12 @@ func init() {
 	_ = r.Run()
 	var sz lib.Sizer = &lib.Full{}
 	_, _ = sz, lib.Partial{}
+
+	k := lib.Knobs{Keyed: 1, Zeroed: false}
+	k.Assigned = 2
+	k.Counted++
+	k.Zeroed = false
+	p := &k.Addressed
+	k.Locked.Close()
+	_, _, _ = p, k.Read, lib.Pair{1, 2}
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"slices"
 	"strings"
@@ -23,7 +24,12 @@ import (
 // standard-library package of the module's import closure declares
 // (fmt.Stringer, error, types.Importer). A method that merely shares a name
 // and signature with an interface its type does not implement (a Len() int
-// on a type that is no sort.Interface) is not kept alive. The public dining
+// on a type that is no sort.Interface) is not kept alive. An exported field
+// of a struct type declared there must be set by non-test code to something
+// other than a constant zero or nil — by a composite-literal element, an
+// assignment or ++/--, &x.F, or a pointer-receiver method call on x.F —
+// because a field nothing sets is a knob nothing turns; embedded fields and
+// tagged fields (set by reflection) are exempt. The public dining
 // API (the library's surface) and test-helper packages (a last import-path
 // element ending in "test", or a testdata tree) are out of scope. Each pass reports
 // one layer of dead API: an identifier used only by another flagged one is
@@ -38,7 +44,7 @@ func NewUnused() *Analyzer {
 	uses := map[*Loader]*moduleUse{}
 	a := &Analyzer{
 		Name: "unused",
-		Doc:  "exported internal identifiers and methods are referenced by non-test code",
+		Doc:  "exported internal identifiers and methods are referenced, and exported struct fields set, by non-test code",
 	}
 	a.Run = func(pass *Pass) error {
 		l := pass.Pkg.loader
@@ -73,6 +79,15 @@ func NewUnused() *Analyzer {
 					pass.Reportf(m.Pos(), "exported method %s.%s has no non-test use outside its own declaration and matches no used interface; delete it, and give tests that need it an unexported helper", name, m.Name())
 				}
 			}
+			st, ok := named.Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := range st.NumFields() {
+				if f := st.Field(i); f.Exported() && !f.Embedded() && st.Tag(i) == "" && !u.set[f] {
+					pass.Reportf(f.Pos(), "exported field %s.%s is never set by non-test code; delete it and the code that reads it, or annotate a test instrument", name, f.Name())
+				}
+			}
 		}
 		return nil
 	}
@@ -80,10 +95,11 @@ func NewUnused() *Analyzer {
 }
 
 // moduleUse is what non-test, non-helper code of one module uses: the
-// package-level objects and methods it references, and the methods, by
-// name, of every interface that counts as used.
+// package-level objects and methods it references, the struct fields it
+// sets, and the methods, by name, of every interface that counts as used.
 type moduleUse struct {
 	objs   map[types.Object]bool
+	set    map[*types.Var]bool
 	ifaces map[string][]ifaceMethod
 	seen   map[*types.Interface]bool
 }
@@ -145,7 +161,7 @@ func moduleUses(l *Loader) (*moduleUse, error) {
 	if err != nil {
 		return nil, err
 	}
-	u := &moduleUse{objs: map[types.Object]bool{}, ifaces: map[string][]ifaceMethod{}, seen: map[*types.Interface]bool{}}
+	u := &moduleUse{objs: map[types.Object]bool{}, set: map[*types.Var]bool{}, ifaces: map[string][]ifaceMethod{}, seen: map[*types.Interface]bool{}}
 	u.addScopeInterfaces(types.Universe)
 	imported := map[*types.Package]bool{}
 	var addStd func(p *types.Package)
@@ -183,13 +199,14 @@ func moduleUses(l *Loader) (*moduleUse, error) {
 }
 
 // markUses records every package-level object and method referenced inside
-// node, except the owners whose declaration node is, and every interface
-// type an expression inside node has.
+// node, except the owners whose declaration node is, every struct field set
+// inside node, and every interface type an expression inside node has.
 func (u *moduleUse) markUses(pkg *Package, node ast.Node, owners []types.Object) {
 	ast.Inspect(node, func(n ast.Node) bool {
 		if e, ok := n.(ast.Expr); ok {
 			u.addInterface(pkg.Info.TypeOf(e))
 		}
+		u.markSets(pkg.Info, n)
 		id, ok := n.(*ast.Ident)
 		if !ok {
 			return true
@@ -208,6 +225,77 @@ func (u *moduleUse) markUses(pkg *Package, node ast.Node, owners []types.Object)
 		}
 		return true
 	})
+}
+
+// markSets records the struct fields node sets: a composite-literal
+// element, the target of an assignment or ++/--, the operand of &, or the
+// operand of a pointer-receiver method.
+func (u *moduleUse) markSets(info *types.Info, n ast.Node) {
+	switch n := n.(type) {
+	case *ast.CompositeLit:
+		t := info.TypeOf(n)
+		if p, ok := t.(*types.Pointer); ok { // the elided &T of a []*T element
+			t = p.Elem()
+		}
+		st, _ := t.Underlying().(*types.Struct)
+		for i, elt := range n.Elts {
+			if kv, ok := elt.(*ast.KeyValueExpr); ok {
+				if id, ok := kv.Key.(*ast.Ident); ok {
+					u.setBy(info, info.Uses[id], kv.Value)
+				}
+			} else if st != nil {
+				u.setBy(info, st.Field(i), elt)
+			}
+		}
+	case *ast.AssignStmt:
+		for i, lhs := range n.Lhs {
+			var value ast.Expr
+			if len(n.Lhs) == len(n.Rhs) {
+				value = n.Rhs[i]
+			}
+			u.setBy(info, fieldOf(info, lhs), value)
+		}
+	case *ast.IncDecStmt:
+		u.setBy(info, fieldOf(info, n.X), nil)
+	case *ast.UnaryExpr:
+		if n.Op == token.AND {
+			u.setBy(info, fieldOf(info, n.X), nil)
+		}
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[n]; ok && sel.Kind() == types.MethodVal {
+			_, ptrRecv := sel.Obj().(*types.Func).Signature().Recv().Type().(*types.Pointer)
+			_, ptrOperand := info.TypeOf(n.X).Underlying().(*types.Pointer)
+			if ptrRecv && !ptrOperand {
+				u.setBy(info, fieldOf(info, n.X), nil)
+			}
+		}
+	}
+}
+
+// setBy records obj, when it is a struct field, as set, unless value is a
+// constant zero or nil; a field of a generic type is recorded by its origin.
+func (u *moduleUse) setBy(info *types.Info, obj types.Object, value ast.Expr) {
+	v, ok := obj.(*types.Var)
+	if !ok || !v.IsField() || value != nil && isZero(info.Types[value]) {
+		return
+	}
+	u.set[v.Origin()] = true
+}
+
+// fieldOf returns the field a selector expression x.F denotes, or nil.
+func fieldOf(info *types.Info, e ast.Expr) types.Object {
+	if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+		if s, ok := info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+			return s.Obj()
+		}
+	}
+	return nil
+}
+
+// isZero reports whether an expression is nil or a constant zero value
+// (false, 0, "").
+func isZero(tv types.TypeAndValue) bool {
+	return tv.IsNil() || tv.Value != nil && slices.Contains([]string{"false", "0", `""`}, tv.Value.ExactString())
 }
 
 // funcOwners returns the objects a function declaration belongs to: the

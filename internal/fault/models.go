@@ -17,11 +17,11 @@ func init() {
 	})
 }
 
-// model implements the three built-in fault models. The crash family
-// (crash-rejoin, freeze) injects a crash branch on live philosophers and a
-// rejoin/self-loop branch on crashed ones; the lossy family injects a no-op
-// branch on hungry philosophers. freeze is crash-rejoin with rejoin pinned
-// to 0, which makes a crash absorbing.
+// model implements three of the four built-in fault models (delayedModel is
+// the fourth). The crash family (crash-rejoin, freeze) injects a crash
+// branch on live philosophers and a rejoin/self-loop branch on crashed ones;
+// the lossy family injects a no-op branch on hungry philosophers. freeze is
+// crash-rejoin with rejoin pinned to 0, which makes a crash absorbing.
 type model struct {
 	name   string
 	lossy  bool

@@ -165,16 +165,13 @@ const DefaultMaxGroupSize = 512
 // CanonOptions restricts the group an OrbitCanonicalizer quotients by.
 type CanonOptions struct {
 	// OrientationPreserving keeps only automorphisms mapping left forks to
-	// left forks. Required for programs that break the left/right coin
-	// symmetry (a biased LR coin, GDP's tie-break toward the right fork).
+	// left forks. Required for programs that are not invariant under the
+	// left/right swap (GDP's tie-break toward the right fork).
 	OrientationPreserving bool
 	// Stabilize keeps only automorphisms mapping the given philosopher set
 	// onto itself, so per-set labellings (a protected set) stay
 	// orbit-invariant.
 	Stabilize []PhilID
-	// MaxGroupSize caps the enumerated group size; 0 means
-	// DefaultMaxGroupSize.
-	MaxGroupSize int
 }
 
 // AutPerm is one enumerated group element in the flat table form the
@@ -211,13 +208,9 @@ func NewOrbitCanonicalizer(t *Topology, opts CanonOptions) (*OrbitCanonicalizer,
 			return nil, fmt.Errorf("graph: generator %d of %q: %w", i, t.Name(), err)
 		}
 	}
-	max := opts.MaxGroupSize
-	if max <= 0 {
-		max = DefaultMaxGroupSize
-	}
 	var group []Automorphism
 	for k := len(gens); ; k-- {
-		g, ok := closeGenerators(t, gens[:k], max)
+		g, ok := closeGenerators(t, gens[:k])
 		if ok {
 			group = g
 			break
@@ -233,8 +226,9 @@ func NewOrbitCanonicalizer(t *Topology, opts CanonOptions) (*OrbitCanonicalizer,
 }
 
 // closeGenerators returns the closure of gens under composition (always
-// containing the identity), or ok=false once the closure exceeds max.
-func closeGenerators(t *Topology, gens []Automorphism, max int) ([]Automorphism, bool) {
+// containing the identity), or ok=false once the closure exceeds
+// DefaultMaxGroupSize.
+func closeGenerators(t *Topology, gens []Automorphism) ([]Automorphism, bool) {
 	id := identityAutomorphism(t)
 	seen := map[string]bool{id.permKey(): true}
 	group := []Automorphism{id}
@@ -248,7 +242,7 @@ func closeGenerators(t *Topology, gens []Automorphism, max int) ([]Automorphism,
 			if seen[key] {
 				continue
 			}
-			if len(group) >= max {
+			if len(group) >= DefaultMaxGroupSize {
 				return nil, false
 			}
 			seen[key] = true

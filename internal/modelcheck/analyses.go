@@ -46,7 +46,7 @@ type analysisMemo struct {
 
 // shortestPath is memoPath's memoized result.
 type shortestPath struct {
-	choices []Choice
+	choices []graphalg.Choice
 	ok      bool
 }
 
@@ -129,8 +129,8 @@ func (ss *StateSpace) trapAgainst(mask uint64) Trap {
 		if mask != ss.protected {
 			bad = func(s int) bool { return ss.eating[s]&mask != 0 }
 		}
-		return trapFrom(m.pred().MaximalTrap(bad))
+		return m.pred().MaximalTrap(bad)
 	})
-	t.CoveredPhilosophers = slices.Clone(t.CoveredPhilosophers)
+	t.CoveredActions = slices.Clone(t.CoveredActions)
 	return t
 }

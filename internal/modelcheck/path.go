@@ -9,20 +9,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Choice is one move along a counterexample path: the adversary schedules
-// Phil and the probabilistic draw resolves to the outcome with index Outcome
-// (within the outcome set of Phil's action in the state the choice executes
-// in). A sequence of Choices is exactly the information needed to replay an
-// exploration path on a fresh world.
-type Choice struct {
-	// Phil is the scheduled philosopher.
-	Phil graph.PhilID
-	// Outcome is the index of the outcome taken.
-	Outcome int
-}
-
 // memoPath returns a shortest scheduler-choice path from the initial state to
-// target, and whether target is reachable. The breadth-first search lives in
+// target, and whether target is reachable: each choice's action is the
+// scheduled philosopher, and its outcome the index of the outcome taken, so
+// the path replays on a fresh world. The breadth-first search lives in
 // graphalg.PathTo: it visits actions in philosopher order and outcomes in
 // outcome order, so the path is deterministic — the same for every
 // exploration worker and shard count, since the dense state numbering itself
@@ -35,14 +25,7 @@ func (ss *StateSpace) memoPath(target int) shortestPath {
 	}
 	return ss.analyses().paths.get(target, func() shortestPath {
 		choices, ok := graphalg.PathTo(ss, target)
-		if !ok {
-			return shortestPath{}
-		}
-		path := make([]Choice, len(choices))
-		for i, c := range choices {
-			path[i] = Choice{Phil: graph.PhilID(c.Action), Outcome: c.Outcome}
-		}
-		return shortestPath{choices: path, ok: true}
+		return shortestPath{choices: choices, ok: ok}
 	})
 }
 
@@ -72,7 +55,7 @@ func (ss *StateSpace) CounterexampleTo(property string, target int) (*trace.Trac
 	} else {
 		steps = make([]trace.Step, len(path.choices))
 		for i, c := range path.choices {
-			steps[i] = trace.Step{Phil: int(c.Phil), Outcome: c.Outcome}
+			steps[i] = trace.Step{Phil: c.Action, Outcome: c.Outcome}
 		}
 	}
 	return trace.Build(ss.topo, ss.prog, property, steps)
@@ -87,17 +70,17 @@ func (ss *StateSpace) CounterexampleTo(property string, target int) (*trace.Trac
 // exists (the quotient step executed from the orbit's representative, and the
 // current concrete world is a group image of that representative), and the
 // first-match rule makes the lift deterministic.
-func (ss *StateSpace) liftChoices(choices []Choice) ([]trace.Step, error) {
+func (ss *StateSpace) liftChoices(choices []graphalg.Choice) ([]trace.Step, error) {
 	steps := make([]trace.Step, len(choices))
 	w := sim.NewWorld(ss.topo)
 	ss.prog.Init(w)
 	q := ss.initial
 	var buf []byte
 	for i, c := range choices {
-		succs := ss.Succs(q, int(c.Phil))
+		succs := ss.Succs(q, c.Action)
 		if c.Outcome < 0 || c.Outcome >= len(succs) {
 			return nil, fmt.Errorf("modelcheck: quotient path step %d schedules outcome %d of P%d in state %d, which has %d outcomes",
-				i, c.Outcome, c.Phil, q, len(succs))
+				i, c.Outcome, c.Action, q, len(succs))
 		}
 		next := int(succs[c.Outcome])
 		found := false

@@ -20,32 +20,10 @@ import (
 // with positive probability by staying in a fixed recurrent pattern — the
 // structure behind Theorems 3 and 4.
 //
-// Trap is the dining-flavoured form of graphalg.Trap: actions are named as
-// philosophers.
-type Trap struct {
-	// Exists reports whether a fully covered end component exists within the
-	// reachable safe region.
-	Exists bool
-	// Reachable reports whether some state of the trap is reachable from the
-	// initial state (with positive probability under some scheduling).
-	Reachable bool
-	// States is the number of states in the largest fully covered trap found.
-	States int
-	// SafeRegionStates is the number of reachable states in which the
-	// adversary has at least one move that surely avoids an immediate meal
-	// forever (the greatest safe region of the safety game).
-	SafeRegionStates int
-	// WitnessState is the minimum state index over every fully covered trap
-	// (indices are discovery order, so this is the shallowest trap state
-	// found), or -1 when no trap exists. It is the anchor for counterexample
-	// extraction (StateSpace.CounterexampleTo), which therefore lifts the
-	// shortest concrete witness path.
-	WitnessState int
-	// CoveredPhilosophers lists, for the largest candidate end component
-	// found, which philosophers have an allowed action somewhere inside it.
-	// When Exists is false this explains what was missing.
-	CoveredPhilosophers []graph.PhilID
-}
+// Trap is graphalg.Trap on the dining MDP, whose actions are the
+// philosophers: CoveredActions lists philosopher indices, and WitnessState
+// anchors StateSpace.CounterexampleTo.
+type Trap = graphalg.Trap
 
 // FindStarvationTrap analyses the explored state space for a starvation trap
 // against the protected set that was configured at exploration time. The
@@ -97,22 +75,4 @@ func philMask(n int, protected []graph.PhilID) uint64 {
 		}
 	}
 	return mask
-}
-
-// trapFrom converts a generic graphalg trap into the dining form.
-func trapFrom(t graphalg.Trap) Trap {
-	out := Trap{
-		Exists:           t.Exists,
-		Reachable:        t.Reachable,
-		States:           t.States,
-		SafeRegionStates: t.SafeRegionStates,
-		WitnessState:     t.WitnessState,
-	}
-	if len(t.CoveredActions) > 0 {
-		out.CoveredPhilosophers = make([]graph.PhilID, len(t.CoveredActions))
-		for i, a := range t.CoveredActions {
-			out.CoveredPhilosophers[i] = graph.PhilID(a)
-		}
-	}
-	return out
 }

@@ -57,7 +57,7 @@ func TestWorklistMatchesReferenceFixpoint(t *testing.T) {
 				t.Errorf("%s: DeadRegionStates = %v, reference %v", cell, got, want)
 			}
 			got := ss.FindStarvationTrap()
-			want := trapFrom(graphalgtest.MaximalTrap(ss, ss.Bad))
+			want := graphalgtest.MaximalTrap(ss, ss.Bad)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: trap diverged:\n got  %+v\n want %+v", cell, got, want)
 			}
@@ -109,7 +109,7 @@ func TestWorklistMatchesReferenceFixpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			mask := uint64(1) << uint(p)
-			want := trapFrom(graphalgtest.MaximalTrap(ss, func(s int) bool { return ss.eating[s]&mask != 0 }))
+			want := graphalgtest.MaximalTrap(ss, func(s int) bool { return ss.eating[s]&mask != 0 })
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s on %s, philosopher %d: trap diverged:\n got  %+v\n want %+v",
 					tc.alg, tc.topo.Name(), p, got, want)

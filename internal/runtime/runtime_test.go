@@ -328,9 +328,7 @@ func TestConcurrentRunsReplay(t *testing.T) {
 		cases = append(cases, runCase{topo, "GDP1", algo.Options{}, ""}, runCase{topo, "GDP2", algo.Options{}, ""})
 	}
 	cases = append(cases,
-		runCase{graph.Ring(5), "LR1", algo.Options{LeftBias: 0.9}, "left-bias"},
 		runCase{graph.Ring(5), "GDP2", algo.Options{CourtesyOnBothForks: true}, "courtesy-both"},
-		runCase{graph.Ring(5), "GDP2", algo.Options{DisableCourtesy: true}, "no-courtesy"},
 	)
 	faults := []string{"", "crash-rejoin", "freeze", "lossy-grants", "delayed-grants"}
 	for _, c := range cases {

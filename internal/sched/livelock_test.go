@@ -78,7 +78,7 @@ func TestGreedyLivelockMatchesReference(t *testing.T) {
 							}
 							l := &lockstep{t: t, ref: &referenceLivelock{Protected: protected}, got: NewGreedyLivelock(protected...)}
 							if wrapper == "stubborn" {
-								l.inner = &Stubborn{Advisor: l, InitialWindow: int64(n)}
+								l.inner = NewStubborn(l)
 							} else {
 								l.inner = NewBoundedFair(l, int64(2*n))
 							}

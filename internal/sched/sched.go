@@ -7,16 +7,16 @@
 // infinitely often). This package provides:
 //
 //   - neutral fair schedulers (round-robin, uniform random, sticky bursts,
-//     fixed priority) used for throughput and correctness experiments;
+//     hungry-first) used for throughput and correctness experiments;
 //   - a fairness monitor that observes any scheduler and reports the largest
 //     scheduling gap, so fairness is measured rather than assumed;
 //   - the adversary machinery of Section 3: Advisors that encode a malicious
-//     scheduling strategy, a Stubborn wrapper that turns any advisor into a
-//     fair scheduler by bounding how long it may ignore a philosopher and
-//     growing that bound each time it is forced (the paper's "level of
-//     stubbornness" construction), a greedy livelock advisor that defeats LR1
-//     and LR2 on the topologies of Theorems 1 and 2, and a scripted adversary
-//     for reproducing the exact walks of Figures 2 and 3.
+//     scheduling strategy; two wrappers that turn any advisor into a fair
+//     scheduler, BoundedFair (every philosopher scheduled within a fixed
+//     window) and Stubborn (a bound on how long it may ignore a philosopher
+//     that grows each time it is forced, the paper's "level of stubbornness"
+//     construction); and a greedy livelock advisor that defeats LR1 and LR2
+//     on the topologies of Theorems 1 and 2.
 package sched
 
 import (

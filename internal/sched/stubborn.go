@@ -28,25 +28,21 @@ type Advisor interface {
 type Stubborn struct {
 	// Advisor is the wrapped strategy.
 	Advisor Advisor
-	// InitialWindow is the initial bound on how many consecutive steps a
-	// philosopher may be ignored (minimum 1). Zero means DefaultWindow.
-	InitialWindow int64
-	// Growth is the factor by which the window grows after every forced
-	// scheduling; values <= 1 mean DefaultGrowth.
-	Growth float64
 
 	window    int64
 	lastSched []int64
 	step      int64
 }
 
-// DefaultWindow is the initial stubbornness bound used when none is given.
+// DefaultWindow is the initial bound on how many consecutive steps a
+// philosopher may be ignored.
 const DefaultWindow = 64
 
-// DefaultGrowth is the window growth factor used when none is given.
-const DefaultGrowth = 2.0
+// DefaultGrowth is the factor by which the window grows after every forced
+// scheduling.
+const DefaultGrowth = 2
 
-// NewStubborn wraps advisor in a Stubborn scheduler with default parameters.
+// NewStubborn wraps advisor in a Stubborn scheduler.
 func NewStubborn(advisor Advisor) *Stubborn {
 	return &Stubborn{Advisor: advisor}
 }
@@ -63,14 +59,7 @@ func (s *Stubborn) Next(w *sim.World) graph.PhilID {
 		// First step after construction or Reset (which truncates the table,
 		// keeping its capacity for reuse across pooled trials).
 		s.lastSched = resizeGaps(s.lastSched, n)
-		s.window = s.InitialWindow
-		if s.window <= 0 {
-			s.window = DefaultWindow
-		}
-	}
-	growth := s.Growth
-	if growth <= 1 {
-		growth = DefaultGrowth
+		s.window = DefaultWindow
 	}
 
 	// Fairness pressure: if some philosopher has waited at least the current
@@ -80,11 +69,7 @@ func (s *Stubborn) Next(w *sim.World) graph.PhilID {
 	var choice graph.PhilID
 	if forcedPhil != graph.NoPhil {
 		choice = forcedPhil
-		next := int64(float64(s.window) * growth)
-		if next <= s.window {
-			next = s.window + 1
-		}
-		s.window = next
+		s.window *= DefaultGrowth
 	} else {
 		choice = s.Advisor.Advise(w)
 		if int(choice) < 0 || int(choice) >= n {
@@ -96,9 +81,9 @@ func (s *Stubborn) Next(w *sim.World) graph.PhilID {
 	return choice
 }
 
-// Reset implements sim.ResettableScheduler: the next Next call re-derives
-// the window from the configuration exactly as a fresh instance would. The
-// gap table keeps its capacity.
+// Reset implements sim.ResettableScheduler: the next Next call restarts the
+// window at DefaultWindow exactly as a fresh instance would. The gap table
+// keeps its capacity.
 func (s *Stubborn) Reset() {
 	s.lastSched = s.lastSched[:0]
 	s.window = 0

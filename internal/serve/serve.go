@@ -120,6 +120,8 @@ type Options struct {
 	// Clock substitutes the wall clock for the response timing fields
 	// (nil = time.Now). The golden tests pin the wire format with a fixed
 	// clock; production servers leave it nil.
+	//
+	//dplint:ok unused test instrument: newTestServer's fixed clock makes elapsed_ms zero in the NDJSON goldens
 	Clock func() time.Time
 }
 

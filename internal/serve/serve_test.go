@@ -351,6 +351,32 @@ func TestCheckProtectedSpellingsShareOneEntry(t *testing.T) {
 	}
 }
 
+// TestCheckIgnoredAlgorithmOptionIsCacheHit pins that an option the
+// algorithm does not read is no part of the configuration: LR1 draws no fork
+// numbers, so a request with m = 7 is a cache hit of the plain one and
+// echoes no algorithm options.
+func TestCheckIgnoredAlgorithmOptionIsCacheHit(t *testing.T) {
+	t.Parallel()
+	s, ts := newTestServer(t, Options{})
+	for i, m := range []int{0, 7} {
+		req := Request{Topology: "ring", N: 3, Algorithm: dining.LR1, M: m, Props: []string{dining.DeadlockFreedom}}
+		code, events := post(t, ts, "/v1/check", req)
+		if code != http.StatusOK || len(events) == 0 {
+			t.Fatalf("m %d: status %d, %d events", m, code, len(events))
+		}
+		want := StatusMiss
+		if i > 0 {
+			want = StatusHit
+		}
+		if ev := events[0]; ev.Cache != want || ev.Config.AlgoOptions != nil {
+			t.Errorf("m %d: cache %q, echoed options %+v; want %q and none", m, ev.Cache, ev.Config.AlgoOptions, want)
+		}
+	}
+	if st := s.cache.Stats(); st.Explorations != 1 {
+		t.Errorf("explorations = %d, want 1", st.Explorations)
+	}
+}
+
 // TestBadRequests checks the validation path: every malformed request gets
 // a 400 with a single NDJSON error event carrying a request id.
 func TestBadRequests(t *testing.T) {

@@ -44,15 +44,6 @@ type RunOptions struct {
 	// StopAfterTotalEats stops the run once this many meals have completed
 	// (0 = no such stop).
 	StopAfterTotalEats int64
-	// StopWhenAllHaveEaten stops the run once every philosopher has eaten at
-	// least once.
-	StopWhenAllHaveEaten bool
-	// StopWhenPhilEats stops the run once the philosopher StopPhil has eaten.
-	// It is a separate flag so that the zero value of RunOptions does not
-	// accidentally watch philosopher 0.
-	StopWhenPhilEats bool
-	// StopPhil is the philosopher watched by StopWhenPhilEats.
-	StopPhil graph.PhilID
 	// Stop is polled every StopCheckInterval steps when non-nil; a true
 	// return ends the run with reason StopCancelled. It is how context
 	// cancellation reaches the step loop without threading a Context (and a
@@ -62,9 +53,13 @@ type RunOptions struct {
 	Recorder Recorder
 	// CheckInvariants makes the engine verify World.CheckInvariants after
 	// every step; intended for tests (it is O(n+k) per step).
+	//
+	//dplint:ok unused test instrument: algo's runFor, TestRunToyOnPathMakesProgress and TestRunUnderFaultsKeepsInvariants set it
 	CheckInvariants bool
 	// ValidateOutcomes makes the engine verify every outcome set before
 	// sampling; intended for tests.
+	//
+	//dplint:ok unused test instrument: algo's runFor, TestRunToyOnPathMakesProgress, TestRunUnderFaultsKeepsInvariants and TestEventStreamGolden set it
 	ValidateOutcomes bool
 }
 
@@ -79,10 +74,6 @@ const (
 	StopMaxSteps StopReason = "max-steps"
 	// StopTotalEats means the requested number of meals completed.
 	StopTotalEats StopReason = "total-eats"
-	// StopAllAte means every philosopher ate at least once.
-	StopAllAte StopReason = "all-ate"
-	// StopPhilAte means the watched philosopher ate.
-	StopPhilAte StopReason = "phil-ate"
 	// StopCancelled means RunOptions.Stop fired (typically a cancelled
 	// context).
 	StopCancelled StopReason = "cancelled"
@@ -235,15 +226,6 @@ func RunWorldInto(res *Result, w *World, prog Program, sched Scheduler, rng *prn
 			reason = StopTotalEats
 			break
 		}
-		if opts.StopWhenPhilEats && opts.StopPhil >= 0 &&
-			int(opts.StopPhil) < n && w.EatsBy[opts.StopPhil] > 0 {
-			reason = StopPhilAte
-			break
-		}
-		if opts.StopWhenAllHaveEaten && allPositive(w.EatsBy) {
-			reason = StopAllAte
-			break
-		}
 	}
 
 	res.obuf = obuf[:0]
@@ -300,13 +282,4 @@ func countStartedMeals(w *World) int64 {
 		}
 	}
 	return started
-}
-
-func allPositive(xs []int64) bool {
-	for _, x := range xs {
-		if x <= 0 {
-			return false
-		}
-	}
-	return true
 }
