@@ -328,6 +328,8 @@ func TestConcurrentRunsReplay(t *testing.T) {
 		cases = append(cases, runCase{topo, "GDP1", algo.Options{}, ""}, runCase{topo, "GDP2", algo.Options{}, ""})
 	}
 	cases = append(cases,
+		runCase{graph.Ring(5), "GDP1", algo.Options{M: 7}, "m-7"},
+		runCase{graph.Ring(5), "LR2", algo.Options{CourtesyOnBothForks: true}, "courtesy-both"},
 		runCase{graph.Ring(5), "GDP2", algo.Options{CourtesyOnBothForks: true}, "courtesy-both"},
 	)
 	faults := []string{"", "crash-rejoin", "freeze", "lossy-grants", "delayed-grants"}
