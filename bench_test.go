@@ -633,8 +633,9 @@ func BenchmarkSymmetry(b *testing.B) {
 // model-checked instance (Theorem 1 on GDP1, ~64k states) across the
 // (workers, shards) grid: the sequential single-shard baseline, the parallel
 // expansion funneled through one shard, and the fully sharded configuration
-// in which interning and row-writing are parallel per shard too. The dense
-// view of every explored space is identical; only wall-clock differs.
+// in which interning is parallel per shard too. The dense numbering and the
+// transition table of every explored space are identical; only wall-clock
+// differs.
 func BenchmarkParallelExplore(b *testing.B) {
 	prog, err := algo.New("GDP1", algo.Options{})
 	if err != nil {

@@ -83,41 +83,41 @@
 //
 //	sharded store  →  exploration  →  graphalg analyses  →  properties  →  faults  →  engine  →  serve / CLI
 //
-// At the bottom, internal/modelcheck stores the explored MDP in 2^k
+// At the bottom, internal/modelcheck deduplicates the explored states in 2^k
 // independently-owned shards (dining.WithShards, -shards; 0 = match the
-// worker count). Each shard holds its own intern table, key arena and flat
-// transition arrays; a state lives in the shard selected by the low bits of
+// worker count). Each shard holds its own intern table, key arena and map
+// to dense ids; a state lives in the shard selected by the low bits of
 // a seedless 64-bit hash of its canonical key, addressed by the packed id
 // shard<<25 | local. The intern table is flat and pointer-free — an
 // open-addressing array of hash tags and local ids over a chunked byte arena
 // of keys — and each successor key is hashed once, for the shard choice and
 // every probe. The level-synchronous parallel BFS writes every shard
-// from exactly one goroutine per phase — expansion and frontier assembly are
-// parallel over chunks, interning and row-writing are parallel over shards —
+// from exactly one goroutine per phase — expansion, frontier assembly and
+// row-writing are parallel over chunks, interning is parallel over shards —
 // so there are no locks and no sequential per-level merge; a state cap cuts
 // the final level where a search expanding one state at a time would stop,
-// and the kept prefix runs the same phases. On top of the shards sits the
-// dense view: states renumbered in breadth-first discovery order, which is
-// provably the same numbering for every (workers, shards) combination, so
-// state counts, verdicts, witnesses and counterexample traces never depend
-// on how the exploration was parallelized.
+// and the kept prefix runs the same phases. Every state also has a dense id:
+// its place in breadth-first discovery order, which is provably the same
+// numbering for every (workers, shards) combination, so state counts,
+// verdicts, witnesses and counterexample traces never depend on how the
+// exploration was parallelized. The transitions live in one CSR table in
+// dense order, each level's rows written once into an exactly sized block
+// and the blocks sealed into the table when the exploration ends.
 //
 // The analyses — reachability, deadlock detection, the safety game and
 // maximal-end-component computation behind the starvation-trap theorems,
 // SCCs, shortest counterexample paths — live in internal/graphalg behind a
-// read-only StateView interface (NumStates/NumActions/Succs/Probs/Bad), with
-// no dependency on the store layout. Between the view and the analyses sits
-// the predecessor-index/worklist layer: a graphalg.PredecessorIndex is the
-// CSR form of the explored graph in both directions (flat forward successor
-// rows, reverse (pred, action) edge occurrences, per-(state, action)
-// successor counts), built once in O(E) — in parallel over state chunks —
-// and cached on the StateSpace, so every property of one Engine.Check run
-// shares it. Over that index every fixpoint analysis is a worklist
-// algorithm: dead regions are a reverse BFS, the safety game is a
-// counter-decrement attractor (remove a state, decrement exactly its
-// predecessors' counters), the maximal-end-component loop re-checks only the
-// states whose edges were removed, and SCCs are an iterative Tarjan that
-// enumerates edges in place. Analyses draw their mutable state from a
+// read-only StateView interface (NumStates/NumActions/Succs/Probs/Rows/Bad),
+// with no dependency on the store layout. Between the view and the analyses
+// sits the predecessor-index/worklist layer: a graphalg.PredecessorIndex is
+// the CSR form of the explored graph in both directions (the view's forward
+// rows, read in place, and the reverse (pred, action) edge occurrences,
+// built once in O(E) — in parallel over state chunks), cached on the
+// StateSpace, so every property of one Engine.Check run shares it. Over that index every fixpoint analysis is a worklist
+// algorithm: dead regions are a reverse BFS, the safety game is an
+// attractor (remove a state, visit exactly its predecessors), the
+// maximal-end-component loop re-checks only the states whose edges were
+// removed, and SCCs are an iterative Tarjan that enumerates edges in place. Analyses draw their mutable state from a
 // scratch pool on the index, so they run concurrently with zero per-state
 // allocations: lockout-freedom fans one trap analysis per protected
 // philosopher across the engine's workers over the one shared index. The

@@ -12,14 +12,14 @@
 // # The predecessor index
 //
 // The analyses run over a PredecessorIndex: the CSR form of the view's
-// transition graph in both directions — flat forward successor rows, reverse
-// (predecessor, action) edge occurrences, per-(state, action) successor
-// counts — built once in O(E), in parallel over contiguous state chunks.
-// Over the index every fixpoint computation is a worklist algorithm instead
-// of a whole-state-space sweep: dead regions are a reverse BFS, the safety
-// game is a counter-decrement attractor, the maximal-end-component loop
-// re-checks only the states whose edges were removed, and SCCs are an
-// iterative Tarjan enumerating edges in place. The index is immutable and
+// transition graph in both directions. The forward rows are the view's own
+// (StateView.Rows), shared and never copied; the index adds the reverse
+// (predecessor, action) edge occurrences, built once in O(E), in parallel
+// over contiguous state chunks. Over the index every fixpoint computation is
+// a worklist algorithm instead of a whole-state-space sweep: dead regions
+// are a reverse BFS, the safety game is an attractor over per-action flags,
+// the maximal-end-component loop re-checks only the states whose edges were
+// removed, and SCCs are an iterative Tarjan enumerating edges in place. The index is immutable and
 // never mutated by an analysis; mutable per-call state comes from an
 // internal scratch pool, so independent analyses run concurrently over one
 // shared index with zero per-state heap allocations once the pool is warm —
@@ -43,7 +43,7 @@ package graphalg
 // (state, action) a set of successor states with probabilities.
 //
 // Implementations must be safe for concurrent readers, and the slices
-// returned by Succs and Probs must stay valid (and unmodified) for the
+// returned by Succs, Probs and Rows must stay valid (and unmodified) for the
 // lifetime of the view — the analyses alias them freely and never write
 // through them.
 type StateView interface {
@@ -59,6 +59,12 @@ type StateView interface {
 	// Probs returns the outcome probabilities of action a in state s, aligned
 	// with Succs. The slice must not be modified.
 	Probs(s, a int) []float64
+	// Rows returns every Succs list as one CSR table: the successors of
+	// action a in state s are succ[off[i]:off[i+1]] with i =
+	// s*NumActions()+a, so off has NumStates()*NumActions()+1 entries. A
+	// PredecessorIndex shares both slices instead of copying them; neither
+	// may be modified.
+	Rows() (off, succ []int32)
 	// Bad reports the default "bad" labelling of state s (for the dining
 	// MDP: a protected philosopher is eating). Analyses that test other
 	// labellings take an explicit predicate instead.

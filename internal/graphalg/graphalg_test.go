@@ -5,19 +5,23 @@ import (
 	"testing"
 )
 
-// mdp is a hand-built StateView fixture: succs[s][a] lists the successor
-// states of action a in state s, probs are spread uniformly.
+// mdp is a hand-built StateView fixture: its rows are built once from the
+// successor lists newMDP is given, and probs are spread uniformly.
 type mdp struct {
 	nActions int
 	initial  int
-	succs    [][][]int32
-	probs    [][][]float64
-	bad      []bool
-	expanded []bool
+	// off and succ are the CSR rows Rows returns: action a of state s has
+	// the successors succ[off[s*nActions+a]:off[s*nActions+a+1]].
+	off, succ []int32
+	probs     [][][]float64
+	bad       []bool
+	expanded  []bool
 }
 
+// newMDP builds the fixture whose action a in state s has the successors
+// succs[s][a].
 func newMDP(nActions int, succs [][][]int32) *mdp {
-	m := &mdp{nActions: nActions, succs: succs}
+	m := &mdp{nActions: nActions}
 	m.probs = make([][][]float64, len(succs))
 	m.bad = make([]bool, len(succs))
 	m.expanded = make([]bool, len(succs))
@@ -28,6 +32,8 @@ func newMDP(nActions int, succs [][][]int32) *mdp {
 		m.expanded[s] = true
 		m.probs[s] = make([][]float64, nActions)
 		for a := range succs[s] {
+			m.off = append(m.off, int32(len(m.succ)))
+			m.succ = append(m.succ, succs[s][a]...)
 			k := len(succs[s][a])
 			m.probs[s][a] = make([]float64, k)
 			for i := range m.probs[s][a] {
@@ -35,16 +41,21 @@ func newMDP(nActions int, succs [][][]int32) *mdp {
 			}
 		}
 	}
+	m.off = append(m.off, int32(len(m.succ)))
 	return m
 }
 
-func (m *mdp) NumStates() int           { return len(m.succs) }
-func (m *mdp) NumActions() int          { return m.nActions }
-func (m *mdp) Initial() int             { return m.initial }
-func (m *mdp) Succs(s, a int) []int32   { return m.succs[s][a] }
-func (m *mdp) Probs(s, a int) []float64 { return m.probs[s][a] }
-func (m *mdp) Bad(s int) bool           { return m.bad[s] }
-func (m *mdp) Expanded(s int) bool      { return m.expanded[s] }
+func (m *mdp) NumStates() int            { return len(m.probs) }
+func (m *mdp) NumActions() int           { return m.nActions }
+func (m *mdp) Initial() int              { return m.initial }
+func (m *mdp) Probs(s, a int) []float64  { return m.probs[s][a] }
+func (m *mdp) Bad(s int) bool            { return m.bad[s] }
+func (m *mdp) Expanded(s int) bool       { return m.expanded[s] }
+func (m *mdp) Rows() (off, succ []int32) { return m.off, m.succ }
+func (m *mdp) Succs(s, a int) []int32 {
+	i := s*m.nActions + a
+	return m.succ[m.off[i]:m.off[i+1]]
+}
 
 // fixture builds the shared five-state MDP:
 //
@@ -66,6 +77,27 @@ func fixture() *mdp {
 // index builds a fresh predecessor index over m, as the model checker does
 // once per explored space.
 func index(m *mdp) *PredecessorIndex { return NewPredecessorIndex(m, 1) }
+
+// TestPredecessorIndexSharesViewRows pins that the index reads the view's
+// forward rows in place: its forward arrays are the fixture's own, not a
+// copy.
+func TestPredecessorIndexSharesViewRows(t *testing.T) {
+	t.Parallel()
+	m := fixture()
+	off, succ := m.Rows()
+	for _, workers := range []int{1, 3} {
+		ix := NewPredecessorIndex(m, workers)
+		if &ix.foff[0] != &off[0] || len(ix.foff) != len(off) {
+			t.Errorf("workers %d: the index copied the offsets instead of sharing them", workers)
+		}
+		if &ix.fsucc[0] != &succ[0] || len(ix.fsucc) != len(succ) {
+			t.Errorf("workers %d: the index copied the successors instead of sharing them", workers)
+		}
+		if ix.NumEdges() != len(succ) {
+			t.Errorf("workers %d: NumEdges = %d, want %d", workers, ix.NumEdges(), len(succ))
+		}
+	}
+}
 
 func TestReachable(t *testing.T) {
 	t.Parallel()
@@ -170,12 +202,33 @@ func TestMaximalTrapPartialCoverage(t *testing.T) {
 	if trap.SafeRegionStates != 2 {
 		t.Errorf("SafeRegionStates = %d, want 2", trap.SafeRegionStates)
 	}
+
+	// Two equally covered components: {1} keeps only a1 and {2} only a0
+	// (their other action falls into the bad state 3), and state 0 leaves
+	// both. The coverage reported is that of the component with the smaller
+	// least state, {1}, although a depth-first search from state 0 closes
+	// {2} first.
+	m = newMDP(2, [][][]int32{
+		{{2}, {1}},
+		{{3}, {1}},
+		{{2}, {3}},
+		{{3}, {3}},
+	})
+	m.bad[3] = true
+	trap = index(m).MaximalTrap(m.Bad)
+	if trap.Exists || trap.SafeRegionStates != 3 {
+		t.Fatalf("want no trap over a safe region of 3 states: %+v", trap)
+	}
+	if !reflect.DeepEqual(trap.CoveredActions, []int{1}) {
+		t.Errorf("CoveredActions = %v, want [1], the coverage of the component {1}", trap.CoveredActions)
+	}
 }
 
 func TestStronglyConnected(t *testing.T) {
 	t.Parallel()
-	// 0 <-> 1 is one component; 2 (absorbing) another; 3, 4 are outside
-	// the set and must keep comp = -1.
+	// 0 <-> 1 is one component, labelled with its least state 0; 2
+	// (absorbing) another; 3, 4 are outside the set and must keep
+	// comp = -1.
 	m := fixture()
 	ix := index(m)
 	in := []bool{true, true, true, false, false}
@@ -186,14 +239,8 @@ func TestStronglyConnected(t *testing.T) {
 	comp := []int32{-1, -1, -1, -1, -1}
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
-	n := ix.tarjanSCC(sc, []int32{0, 1, 2}, in, act, comp)
-	if n != 2 {
-		t.Fatalf("component count = %d, want 2 (comp %v)", n, comp)
-	}
-	if comp[0] != comp[1] || comp[0] == comp[2] {
-		t.Errorf("components %v: want 0 and 1 together, 2 separate", comp)
-	}
-	if comp[3] != -1 || comp[4] != -1 {
-		t.Errorf("states outside the set must keep comp -1: %v", comp)
+	ix.tarjanSCC(sc, []int32{0, 1, 2}, in, act, comp)
+	if want := []int32{0, 0, 2, -1, -1}; !reflect.DeepEqual(comp, want) {
+		t.Errorf("components %v, want %v: 0 and 1 together under label 0, 2 alone, 3 and 4 untouched", comp, want)
 	}
 }

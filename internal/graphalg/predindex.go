@@ -1,8 +1,6 @@
 package graphalg
 
 import (
-	"fmt"
-	"math"
 	"runtime"
 	"sync"
 
@@ -10,23 +8,22 @@ import (
 )
 
 // PredecessorIndex is the CSR view of a StateView's transition graph in both
-// directions: for every state, its incoming (predecessor, action) edge
-// occurrences (the reverse CSR), the per-(state, action) successor counts,
-// and a flattened copy of the forward successor lists so the analyses read
-// plain arrays instead of chasing the view's storage through an interface.
-// It is built once in O(E) — in parallel over contiguous state chunks — and
+// directions: the view's own forward rows (StateView.Rows), shared rather
+// than copied, so the analyses read plain arrays instead of chasing the
+// view's storage through an interface, and for every state its incoming
+// (predecessor, action) edge occurrences (the reverse CSR). The reverse half
+// is built once in O(E) — in parallel over contiguous state chunks — and
 // shared by every worklist analysis, which is what turns the package's
 // fixpoint sweeps (O(N·E) worst case) into linear-time worklist algorithms:
 // backward reachability and dead regions become a reverse BFS, the safety
-// game becomes a counter-decrement attractor, and the maximal-end-component
-// loop re-checks only the states whose edges were removed.
+// game becomes an attractor over per-action flags, and the
+// maximal-end-component loop re-checks only the states whose edges were
+// removed.
 //
 // The index stores one entry per outcome occurrence in both directions: if
 // action a of state s lists state t twice in Succs(s, a), the forward row of
 // (s, a) has two t entries and t has two (s, a) reverse entries. That
-// multiset correspondence is what makes the safety-game counters exact (an
-// action is allowed if and only if its bad-outcome count is zero) and is
-// pinned by FuzzPredecessorIndex.
+// multiset correspondence is pinned by FuzzPredecessorIndex.
 //
 // An index is immutable after construction and safe for concurrent use: the
 // analyses draw their mutable state from an internal pool of scratch buffers,
@@ -38,10 +35,10 @@ type PredecessorIndex struct {
 	n        int
 	nActions int
 
-	// foff/fsucc are the forward CSR: the successor occurrences of action a
-	// in state s are fsucc[foff[s*nActions+a]:foff[s*nActions+a+1]], in
-	// outcome order — so the outcomes of all actions of one state are one
-	// contiguous range, and an action's outcome count is an offset difference.
+	// foff/fsucc are the forward CSR, the view's Rows: the successor
+	// occurrences of action a in state s are
+	// fsucc[foff[s*nActions+a]:foff[s*nActions+a+1]], in outcome order — so
+	// the outcomes of all actions of one state are one contiguous range.
 	foff  []int32
 	fsucc []int32
 	// roff/pred/pact are the reverse CSR: the incoming edge occurrences of
@@ -63,20 +60,23 @@ type PredecessorIndex struct {
 	pool sync.Pool // *scratch
 }
 
-// NewPredecessorIndex builds the index of v. The build is parallel over
-// contiguous state chunks (workers <= 0 means one per CPU, 1 builds inline);
-// the resulting index is identical for every worker count.
+// NewPredecessorIndex builds the index of v over v's own forward rows. The
+// reverse build is parallel over contiguous state chunks (workers <= 0 means
+// one per CPU, 1 builds inline); the resulting index is identical for every
+// worker count.
 func NewPredecessorIndex(v StateView, workers int) *PredecessorIndex {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	n := v.NumStates()
 	nActions := v.NumActions()
+	foff, fsucc := v.Rows()
 	ix := &PredecessorIndex{
 		v:        v,
 		n:        n,
 		nActions: nActions,
-		foff:     make([]int32, n*nActions+1),
+		foff:     foff,
+		fsucc:    fsucc,
 		roff:     make([]int32, n+1),
 	}
 	ix.pool.New = func() any { return &scratch{} }
@@ -93,66 +93,46 @@ func NewPredecessorIndex(v StateView, workers int) *PredecessorIndex {
 	const maxBuildChunks = 8
 	chunks := min(workers, maxBuildChunks, n)
 	chunkSize := (n + chunks - 1) / chunks
-	// Count phase: each chunk records the out-degrees of its (disjoint)
-	// foff rows and counts, into its own in-degree array, the edge
-	// occurrences its states emit.
+	// Count phase: each chunk counts, into its own in-degree array, the edge
+	// occurrences its states emit — one contiguous range of fsucc.
 	indeg := make([][]int32, chunks)
 	par.Trials(chunks, chunks, func(ci int) (struct{}, error) {
 		lo, hi := ci*chunkSize, min((ci+1)*chunkSize, n)
 		cnt := make([]int32, n)
-		for s := lo; s < hi; s++ {
-			base := s * nActions
-			for a := 0; a < nActions; a++ {
-				succs := v.Succs(s, a)
-				ix.foff[base+a+1] = int32(len(succs)) // prefix-summed below
-				for _, t := range succs {
-					cnt[t]++
-				}
-			}
+		for _, t := range fsucc[foff[lo*nActions]:foff[hi*nActions]] {
+			cnt[t]++
 		}
 		indeg[ci] = cnt
 		return struct{}{}, nil
 	})
 
-	// Prefix phase: foff and roff become the global offsets, and each
-	// chunk's count array is transformed in place into its reverse write
-	// cursors — bucket t's entries land in (chunk, source, action, outcome)
-	// order, which is the global forward enumeration order.
-	var edges int64
-	for i := 1; i < len(ix.foff); i++ {
-		edges += int64(ix.foff[i])
-		if edges > math.MaxInt32 {
-			// 2^31 edge occurrences would need >16 GiB for the index alone;
-			// no explorable instance gets here.
-			panic(fmt.Sprintf("graphalg: edge occurrences overflow the 32-bit index at state %d", i/nActions))
-		}
-		ix.foff[i] = int32(edges)
-	}
-	var cursor int64
+	// Prefix phase: roff becomes the global offsets, and each chunk's count
+	// array is transformed in place into its reverse write cursors — bucket
+	// t's entries land in (chunk, source, action, outcome) order, which is
+	// the global forward enumeration order. The offsets are int32 because
+	// the forward ones are: the view's rows bound the edge count.
+	var cursor int32
 	for t := 0; t < n; t++ {
-		ix.roff[t] = int32(cursor)
+		ix.roff[t] = cursor
 		for ci := 0; ci < chunks; ci++ {
 			c := indeg[ci][t]
-			indeg[ci][t] = int32(cursor)
-			cursor += int64(c)
+			indeg[ci][t] = cursor
+			cursor += c
 		}
 	}
-	ix.roff[n] = int32(cursor)
-	ix.fsucc = make([]int32, edges)
-	ix.pred = make([]int32, edges)
-	ix.pact = make([]int32, edges)
+	ix.roff[n] = cursor
+	ix.pred = make([]int32, cursor)
+	ix.pact = make([]int32, cursor)
 
-	// Fill phase: chunks write their own forward rows and push reverse
-	// entries through their private cursors — all slots disjoint.
+	// Fill phase: chunks push reverse entries through their private cursors
+	// — all slots disjoint.
 	par.Trials(chunks, chunks, func(ci int) (struct{}, error) {
 		lo, hi := ci*chunkSize, min((ci+1)*chunkSize, n)
 		cur := indeg[ci]
 		for s := lo; s < hi; s++ {
-			fw := ix.foff[s*nActions]
 			for a := 0; a < nActions; a++ {
-				for _, t := range v.Succs(s, a) {
-					ix.fsucc[fw] = t
-					fw++
+				o := s*nActions + a
+				for _, t := range fsucc[foff[o]:foff[o+1]] {
 					slot := cur[t]
 					cur[t]++
 					ix.pred[slot] = int32(s)
@@ -178,19 +158,18 @@ type scratch struct {
 	// mark is the generic visited / can-reach set.
 	mark []bool
 
-	// Safety game (counter-decrement attractor).
-	inS        []bool
-	badCnt     []int32 // per (state, action): outcomes currently outside S
-	allowedCnt []int32 // per state: actions with badCnt == 0
-
-	// Maximal end components.
-	inEC   []bool
-	act    []bool // per (state, action): action still retained
+	// Safety game and maximal end components: in marks the safe region and
+	// then the surviving end-component states, act the retained (state,
+	// action) pairs and actCnt the retained actions per state.
+	in     []bool
+	act    []bool
 	actCnt []int32
-	comp   []int32
-	work   []int32
-	next   []int32
-	dirty  []bool // per current-round component: needs re-checking
+	// comp labels each state's current component with its least state;
+	// dirty is indexed by label: the component needs re-checking.
+	comp  []int32
+	dirty []bool
+	work  []int32
+	next  []int32
 
 	// Iterative Tarjan.
 	tIndex  []int32
@@ -199,21 +178,21 @@ type scratch struct {
 	tStack  []int32
 	frames  []tframe
 
-	// Step 3 (component coverage).
+	// Step 3 (component coverage), one entry per final component.
 	compSize []int32
 	compMin  []int32
 	covered  []bool
 }
 
-// tframe is one suspended DFS call of the iterative Tarjan: the state, the
-// (action, outcome) enumeration cursor and the current action's successor
-// slice — edges are enumerated in place, so no per-visited-state successor
-// slice is ever materialized.
+// tframe is one suspended DFS call of the iterative Tarjan: the state, its
+// current action and the cursor and end of that action's outcomes in fsucc
+// — edges are enumerated in place, so no per-visited-state successor slice
+// is ever materialized.
 type tframe struct {
-	s    int32
-	a    int32
-	oi   int32
-	succ []int32
+	s   int32
+	a   int32
+	oi  int32
+	end int32
 }
 
 // getScratch pops a scratch from the pool.

@@ -32,22 +32,7 @@ func fuzzMDP(data []byte) *mdp {
 			succs[s][a] = outs
 		}
 	}
-	m := &mdp{nActions: nActions, succs: succs}
-	m.probs = make([][][]float64, n)
-	m.bad = make([]bool, n)
-	m.expanded = make([]bool, n)
-	for s := range succs {
-		m.expanded[s] = true
-		m.probs[s] = make([][]float64, nActions)
-		for a := range succs[s] {
-			k := len(succs[s][a])
-			m.probs[s][a] = make([]float64, k)
-			for i := range m.probs[s][a] {
-				m.probs[s][a][i] = 1 / float64(k)
-			}
-		}
-	}
-	return m
+	return newMDP(nActions, succs)
 }
 
 // edge identifies one edge occurrence for the bijection check.

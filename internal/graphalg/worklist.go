@@ -118,20 +118,23 @@ func (ix *PredecessorIndex) DeadRegionStates(goal func(s int) bool) []int {
 // coverage — are reformulated as worklist algorithms over the index:
 //
 //  1. Safety game: instead of sweeping all states to fixpoint, every
-//     (state, action) keeps a counter of outcomes currently outside the safe
-//     set and every state a counter of still-allowed actions. Removing a
-//     state decrements the counters of exactly its predecessors; a state
+//     (state, action) keeps a flag that is cleared by its first outcome
+//     outside the safe set, and every state a counter of still-allowed
+//     actions. Removing a state visits exactly its predecessors; a state
 //     whose last allowed action dies joins the worklist. The greatest safe
 //     region is unique, so the result is identical to the sweep's.
 //  2. End components: rounds of SCC decomposition over the retained graph,
 //     but each round after the first re-checks only the states of components
 //     in which an edge or state was removed — removals propagate to exactly
 //     the affected predecessors through the index, and untouched components
-//     are never revisited. The final decomposition (the maximal end
-//     components) is canonical, so convergence order is unobservable; a last
-//     full Tarjan pass renumbers it exactly as the reference's final
-//     iteration does.
+//     are never revisited. Every component is labelled with its least state,
+//     which no other component of any round shares, so one label array
+//     serves all rounds.
 //  3. Coverage: identical to the reference, over flat per-component tallies.
+//     The final components are the reference's, and so is their order: once
+//     no retained action leaves its component, a Tarjan pass in state order
+//     (the reference's last StronglyConnected call) numbers them by least
+//     state, so one scan in state order numbers them instead.
 func (ix *PredecessorIndex) MaximalTrap(bad func(s int) bool) Trap {
 	reach := ix.reachable()
 	sc := ix.getScratch()
@@ -140,20 +143,24 @@ func (ix *PredecessorIndex) MaximalTrap(bad func(s int) bool) Trap {
 	n, nActions := ix.n, ix.nActions
 	foff, fsucc := ix.foff, ix.fsucc
 
-	// Step 1: greatest safe region S and allowed actions, as a
-	// counter-decrement attractor seeded with every state outside the
-	// candidate set. States that were never expanded (possible only on
-	// truncated explorations) are excluded: their artificial self-loops must
-	// not be mistaken for safe behaviour.
-	sc.inS = resized(sc.inS, n)
-	sc.badCnt = resized(sc.badCnt, n*nActions)
-	sc.allowedCnt = resized(sc.allowedCnt, n)
-	inS, badCnt, allowedCnt := sc.inS, sc.badCnt, sc.allowedCnt
+	// Step 1: greatest safe region and allowed actions, as an attractor
+	// seeded with every state outside the candidate set. Only an action's
+	// first outcome outside the region matters, so one flag per action
+	// suffices. States that were never expanded (possible only on truncated
+	// explorations) are excluded: their artificial self-loops must not be
+	// mistaken for safe behaviour.
+	sc.in = resized(sc.in, n)
+	sc.act = sized(sc.act, n*nActions)
+	sc.actCnt = sized(sc.actCnt, n)
+	in, act, actCnt := sc.in, sc.act, sc.actCnt
+	for i := range act {
+		act[i] = true
+	}
 	queue := sc.queue[:0]
 	for s := 0; s < n; s++ {
-		allowedCnt[s] = int32(nActions)
+		actCnt[s] = int32(nActions)
 		if reach[s] && !bad(s) && v.Expanded(s) {
-			inS[s] = true
+			in[s] = true
 		} else {
 			queue = append(queue, int32(s))
 		}
@@ -161,20 +168,17 @@ func (ix *PredecessorIndex) MaximalTrap(bad func(s int) bool) Trap {
 	for len(queue) > 0 {
 		t := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		lo, hi := ix.roff[t], ix.roff[t+1]
-		for e := lo; e < hi; e++ {
+		for e := ix.roff[t]; e < ix.roff[t+1]; e++ {
 			p := ix.pred[e]
-			if !inS[p] {
+			pa := int(p)*nActions + int(ix.pact[e])
+			if !in[p] || !act[pa] {
 				continue
 			}
-			pa := int(p)*nActions + int(ix.pact[e])
-			badCnt[pa]++
-			if badCnt[pa] == 1 {
-				allowedCnt[p]--
-				if allowedCnt[p] == 0 {
-					inS[p] = false
-					queue = append(queue, p)
-				}
+			act[pa] = false
+			actCnt[p]--
+			if actCnt[p] == 0 {
+				in[p] = false
+				queue = append(queue, p)
 			}
 		}
 	}
@@ -182,7 +186,7 @@ func (ix *PredecessorIndex) MaximalTrap(bad func(s int) bool) Trap {
 
 	safeCount := 0
 	for s := 0; s < n; s++ {
-		if inS[s] {
+		if in[s] {
 			safeCount++
 		}
 	}
@@ -191,74 +195,53 @@ func (ix *PredecessorIndex) MaximalTrap(bad func(s int) bool) Trap {
 		return trap
 	}
 
-	// Step 2: maximal end components of (S, allowed). act and actCnt start
-	// from the safety game's counters; work lists the states whose component
-	// must be (re-)decomposed this round — everything in round one, then only
-	// the components dirtied by the previous round's removals.
-	sc.inEC = resized(sc.inEC, n)
-	sc.act = resized(sc.act, n*nActions)
-	sc.actCnt = resized(sc.actCnt, n)
-	// comp needs no clearing: it is only ever read for states of the current
-	// round's work list, all of which the round's Tarjan assigns first.
+	// Step 2: maximal end components of (in, act), continuing from the
+	// safety game's flags and counters. work lists the states whose
+	// component must be (re-)decomposed this round — the whole safe region
+	// in round one, then only the components dirtied by the previous round's
+	// removals. Rounds only shrink it, so work and next are sized once.
+	// comp and dirty need no clearing: round one labels every state of the
+	// safe region, a label is only read for states that are still in, and
+	// each round clears the dirty flags of its own labels.
 	sc.comp = sized(sc.comp, n)
-	inEC, act, actCnt, comp := sc.inEC, sc.act, sc.actCnt, sc.comp
-	work := sc.work[:0]
+	sc.dirty = sized(sc.dirty, n)
+	sc.work = sized(sc.work, safeCount)[:0]
+	sc.next = sized(sc.next, safeCount)[:0]
+	comp, dirty := sc.comp, sc.dirty
+	work := sc.work
 	for s := 0; s < n; s++ {
-		if !inS[s] {
-			continue
+		if in[s] {
+			work = append(work, int32(s))
 		}
-		inEC[s] = true
-		actCnt[s] = allowedCnt[s]
-		base := s * nActions
-		for a := 0; a < nActions; a++ {
-			act[base+a] = badCnt[base+a] == 0
-		}
-		work = append(work, int32(s))
 	}
-	sc.work = work
-
-	// ecCount tracks the surviving states; a round whose work list covers all
-	// of them (always the first, possibly later ones) is a global
-	// decomposition, and if nothing changes after one, its numbering is
-	// already the final decomposition's — the closing Tarjan pass is skipped.
-	ecCount := safeCount
-	compCount := -1
 	for len(work) > 0 {
-		globalRound := len(work) == ecCount
-		cnt := ix.tarjanSCC(sc, work, inEC, act, comp)
-		sc.dirty = resized(sc.dirty, int(cnt))
-		dirty := sc.dirty
+		ix.tarjanSCC(sc, work, in, act, comp)
+		for _, s := range work {
+			dirty[s] = false // every label of the round is a state of work
+		}
 		removeQ := sc.queue[:0]
 		anyDirty := false
 		// Re-check the decomposed states: drop actions whose outcomes left
 		// the component, and remove states left with no actions.
 		for _, s32 := range work {
 			s := int(s32)
-			if !inEC[s] {
-				continue
-			}
 			base := s * nActions
 			for a := 0; a < nActions; a++ {
 				if !act[base+a] {
 					continue
 				}
-				ok := true
 				for _, succ := range fsucc[foff[base+a]:foff[base+a+1]] {
-					if !inEC[succ] || comp[succ] != comp[s] {
-						ok = false
+					if !in[succ] || comp[succ] != comp[s] {
+						act[base+a] = false
+						actCnt[s]--
+						dirty[comp[s]] = true
+						anyDirty = true
 						break
 					}
 				}
-				if !ok {
-					act[base+a] = false
-					actCnt[s]--
-					dirty[comp[s]] = true
-					anyDirty = true
-				}
 			}
 			if actCnt[s] == 0 {
-				inEC[s] = false
-				ecCount--
+				in[s] = false
 				dirty[comp[s]] = true
 				anyDirty = true
 				removeQ = append(removeQ, s32)
@@ -271,11 +254,10 @@ func (ix *PredecessorIndex) MaximalTrap(bad func(s int) bool) Trap {
 		for len(removeQ) > 0 {
 			t := removeQ[len(removeQ)-1]
 			removeQ = removeQ[:len(removeQ)-1]
-			lo, hi := ix.roff[t], ix.roff[t+1]
-			for e := lo; e < hi; e++ {
+			for e := ix.roff[t]; e < ix.roff[t+1]; e++ {
 				p := ix.pred[e]
 				pa := int(p)*nActions + int(ix.pact[e])
-				if !inEC[p] || !act[pa] {
+				if !in[p] || !act[pa] {
 					continue
 				}
 				act[pa] = false
@@ -283,17 +265,13 @@ func (ix *PredecessorIndex) MaximalTrap(bad func(s int) bool) Trap {
 				dirty[comp[p]] = true
 				anyDirty = true
 				if actCnt[p] == 0 {
-					inEC[p] = false
-					ecCount--
+					in[p] = false
 					removeQ = append(removeQ, p)
 				}
 			}
 		}
 		sc.queue = removeQ[:0]
 		if !anyDirty {
-			if globalRound {
-				compCount = int(cnt)
-			}
 			break
 		}
 		// Next round: only the surviving states of dirtied components, in
@@ -301,7 +279,7 @@ func (ix *PredecessorIndex) MaximalTrap(bad func(s int) bool) Trap {
 		// that).
 		next := sc.next[:0]
 		for _, s := range work {
-			if inEC[s] && dirty[comp[s]] {
+			if in[s] && dirty[comp[s]] {
 				next = append(next, s)
 			}
 		}
@@ -309,50 +287,38 @@ func (ix *PredecessorIndex) MaximalTrap(bad func(s int) bool) Trap {
 		work = next
 	}
 
-	// Final decomposition of the stable subgraph, numbered from zero in full
-	// state order — exactly the reference's last StronglyConnected call, so
-	// step 3 visits components in the same deterministic order. When the
-	// loop's last round was already a stable global decomposition, its comp
-	// numbering is that decomposition and the pass is skipped.
-	if compCount < 0 {
-		work = sc.next[:0]
-		for s := 0; s < n; s++ {
-			if inEC[s] {
-				work = append(work, int32(s))
-			}
+	// Step 3: number the final components 0, 1, ... in order of their least
+	// states, in place — a state visited after its component's least state
+	// reads the number already written there — and tally each component's
+	// size, least state and action coverage.
+	compSize, compMin, covered := sc.compSize[:0], sc.compMin[:0], sc.covered[:0]
+	for s := 0; s < n; s++ {
+		if !in[s] {
+			continue
 		}
-		sc.next = work
-		compCount = int(ix.tarjanSCC(sc, work, inEC, act, comp))
-	}
-
-	// Step 3: per-component size, minimal state and action coverage, visited
-	// in component order (the reference visits components sorted by id, and
-	// Tarjan's completion numbering is already 0..compCount-1).
-	sc.compSize = resized(sc.compSize, compCount)
-	sc.compMin = resized(sc.compMin, compCount)
-	sc.covered = resized(sc.covered, compCount*nActions)
-	compSize, compMin, covered := sc.compSize, sc.compMin, sc.covered
-	for c := range compMin {
-		compMin[c] = -1
-	}
-	for _, s32 := range work {
-		s := int(s32)
-		c := int(comp[s])
+		c := comp[s]
+		if c == int32(s) {
+			c = int32(len(compSize))
+			compSize = append(compSize, 0)
+			compMin = append(compMin, int32(s))
+			covered = append(covered, make([]bool, nActions)...)
+		} else {
+			c = comp[c]
+		}
+		comp[s] = c
 		compSize[c]++
-		if compMin[c] == -1 {
-			compMin[c] = s32
-		}
 		base := s * nActions
 		for a := 0; a < nActions; a++ {
 			if act[base+a] {
-				covered[c*nActions+a] = true
+				covered[int(c)*nActions+a] = true
 			}
 		}
 	}
+	sc.compSize, sc.compMin, sc.covered = compSize, compMin, covered
 
 	bestCovered := 0
 	witness := int32(-1)
-	for c := 0; c < compCount; c++ {
+	for c := range compSize {
 		count := 0
 		for a := 0; a < nActions; a++ {
 			if covered[c*nActions+a] {
@@ -393,14 +359,13 @@ func (ix *PredecessorIndex) MaximalTrap(bad func(s int) bool) Trap {
 
 // tarjanSCC runs an iterative Tarjan over the states of roots (which must be
 // in increasing order), following the outcomes of retained actions
-// (act[s*nActions+a]) into states with in[succ] true, and writes component
-// ids comp[s] = 0..count-1 in completion order. It returns the number of
-// components found; states outside roots keep their comp values. Edges are
-// enumerated in place through the (action, outcome) cursor of each stack
-// frame — no per-visited-state successor slice is materialized — and every
-// stack lives in the scratch, so a warm call performs no per-state heap
-// allocations.
-func (ix *PredecessorIndex) tarjanSCC(sc *scratch, roots []int32, in, act []bool, comp []int32) int32 {
+// (act[s*nActions+a]) into states with in[succ] true, and labels each
+// component it finds with its least state: comp[s] is the least member of
+// s's component. States outside roots keep their comp values. Edges are
+// enumerated in place through the fsucc cursor of each stack frame — no
+// per-visited-state successor slice is materialized — and every stack lives
+// in the scratch, so a warm call performs no per-state heap allocations.
+func (ix *PredecessorIndex) tarjanSCC(sc *scratch, roots []int32, in, act []bool, comp []int32) {
 	nActions := ix.nActions
 	foff, fsucc := ix.foff, ix.fsucc
 	const unvisited = -1
@@ -419,7 +384,7 @@ func (ix *PredecessorIndex) tarjanSCC(sc *scratch, roots []int32, in, act []bool
 	}
 	stack := sc.tStack[:0]
 	frames := sc.frames[:0]
-	var nextIndex, compCount int32
+	var nextIndex int32
 
 	for _, root := range roots {
 		if !in[root] || index[root] != unvisited {
@@ -437,8 +402,8 @@ func (ix *PredecessorIndex) tarjanSCC(sc *scratch, roots []int32, in, act []bool
 			// Advance the edge cursor: outcomes of the current action first,
 			// then the next retained action.
 			for {
-				if fr.a >= 0 && int(fr.oi) < len(fr.succ) {
-					w := fr.succ[fr.oi]
+				if fr.oi < fr.end {
+					w := fsucc[fr.oi]
 					fr.oi++
 					if !in[w] {
 						continue
@@ -467,8 +432,7 @@ func (ix *PredecessorIndex) tarjanSCC(sc *scratch, roots []int32, in, act []bool
 					break
 				}
 				o := base + int(fr.a)
-				fr.succ = fsucc[foff[o]:foff[o+1]]
-				fr.oi = 0
+				fr.oi, fr.end = foff[o], foff[o+1]
 			}
 			if descended {
 				continue
@@ -484,19 +448,20 @@ func (ix *PredecessorIndex) tarjanSCC(sc *scratch, roots []int32, in, act []bool
 				}
 			}
 			if low[fs] == index[fs] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = compCount
-					if w == fs {
-						break
-					}
+				// The component is the stack from fs up.
+				i := len(stack) - 1
+				least := fs
+				for stack[i] != fs {
+					least = min(least, stack[i])
+					i--
 				}
-				compCount++
+				for _, w := range stack[i:] {
+					onStack[w] = false
+					comp[w] = least
+				}
+				stack = stack[:i]
 			}
 		}
 	}
 	sc.tStack, sc.frames = stack[:0], frames[:0]
-	return compCount
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/graph"
+	"repro/internal/graphalg"
 )
 
 // TestAnalysesAllocBudget asserts that every graphalg analysis performs zero
@@ -144,5 +145,60 @@ func TestExploreMemoryFollowsTheWork(t *testing.T) {
 	// per-requested-worker scratch measured over 1000x.
 	if manyBytes > 3*fewBytes {
 		t.Errorf("1e6 workers allocated %d bytes, over three times the %d of 2 workers", manyBytes, fewBytes)
+	}
+}
+
+// TestColdCheckBytes pins the bytes of a cold check's layers on
+// t1min/GDP1 (64,392 states) at workers 2, shards 2: the exploration per
+// state, building the predecessor index per edge, and a first MaximalTrap on
+// a fresh index per state (its scratch pool is empty, so it allocates every
+// working array). The index reads the space's transition table in place
+// and builds only the reverse rows, and the exploration writes that table
+// once at its exact size; the pins were 602 B/state, 18.9 B/edge and
+// 71.0 B/state when the index copied the forward rows and the explorer kept
+// per-shard rows grown by doubling.
+func TestColdCheckBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counting skipped in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation inflates allocation sizes")
+	}
+	prog, err := algo.New("GDP1", algo.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bytesOf := func(f func()) float64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	var ss *StateSpace
+	explore := bytesOf(func() {
+		ss, err = Explore(graph.Theorem1Minimal(), prog, Options{Workers: 2, Shards: 2})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ix *graphalg.PredecessorIndex
+	index := bytesOf(func() { ix = graphalg.NewPredecessorIndex(ss, 2) })
+	trap := bytesOf(func() { ix.MaximalTrap(ss.Bad) })
+	states, edges := float64(ss.NumStates()), float64(ix.NumEdges())
+	for _, pin := range []struct {
+		layer string
+		got   float64
+		limit float64
+		per   string
+	}{
+		{"exploration", explore / states, 540, "state"},
+		{"predecessor index", index / edges, 14, "edge"},
+		{"first MaximalTrap", trap / states, 58, "state"},
+	} {
+		t.Logf("%s: %.1f B/%s (limit %.0f)", pin.layer, pin.got, pin.per, pin.limit)
+		if pin.got > pin.limit {
+			t.Errorf("%s allocates %.1f B per %s, over the %.0f B limit", pin.layer, pin.got, pin.per, pin.limit)
+		}
 	}
 }

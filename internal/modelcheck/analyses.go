@@ -93,11 +93,12 @@ func (ss *StateSpace) analyses() *analysisMemo {
 	return ss.memo.Load()
 }
 
-// PredecessorIndex returns the reverse-CSR predecessor index of the explored
-// MDP, building it on first use (in parallel over state chunks, with the
+// PredecessorIndex returns the predecessor index of the explored MDP,
+// building it on first use (in parallel over state chunks, with the
 // exploration's worker count) and keeping it on the space: every analysis
-// of the space runs on this one index. The index is immutable and safe for
-// concurrent use.
+// of the space runs on this one index. The index reads the space's
+// transition table in place and adds only the reverse rows. It is immutable
+// and safe for concurrent use.
 func (ss *StateSpace) PredecessorIndex() *graphalg.PredecessorIndex {
 	return ss.analyses().pred()
 }

@@ -22,28 +22,32 @@
 // on the read-only graphalg.StateView interface, which StateSpace
 // implements; this package owns only the storage and the exploration.
 //
-// # Sharded storage
+// # Storage
 //
-// The explored MDP is stored in 2^k independently-owned shards (Options.
-// Shards). Each shard holds its own intern table (canonical key → local id),
-// key arena and flat trans/succs/probs arrays; a state belongs to the shard
-// selected by the low bits of a seedless 64-bit hash of its canonical key,
-// and its shard-internal address is the packed id shard<<localBits | local.
-// The intern table is flat and pointer-free: an open-addressing []uint64 of
-// hash tags and local ids over a chunked byte arena of keys (intern.go).
-// Each successor key is hashed exactly once; the hash picks the shard and
-// feeds every probe. During parallel exploration every shard is written by
-// exactly one goroutine, so interning and appending need no locks and no
-// single sequential merge.
+// States are deduplicated in 2^k independently-owned shards (Options.
+// Shards). Each shard holds its own intern table (canonical key → local id)
+// with its key arena, and the map from local ids to dense ids; a state
+// belongs to the shard selected by the low bits of a seedless 64-bit hash of
+// its canonical key, and its shard-internal address is the packed id
+// shard<<localBits | local. The intern table is flat and pointer-free: an
+// open-addressing []uint64 of hash tags and local ids over a chunked byte
+// arena of keys (intern.go). Each successor key is hashed exactly once; the
+// hash picks the shard and feeds every probe. During parallel exploration
+// every shard is written by exactly one goroutine, so interning needs no
+// locks and no single sequential merge.
 //
-// On top of the shards sits the dense view: states are also numbered
-// 0..NumStates-1 in exploration (breadth-first discovery) order, which is
-// the numbering every exported method and analysis uses. The dense order is
-// identical for every (workers, shards) combination — it equals the
-// sequential exploration's numbering — so verdicts, witnesses and
-// counterexample traces never depend on how the exploration was
-// parallelized; only the internal shard layout does, and the remap test in
-// golden_test.go pins the correspondence.
+// Every state also has a dense id: states are numbered 0..NumStates-1 in
+// exploration (breadth-first discovery) order, which is the numbering every
+// exported method and analysis uses. The dense order is identical for every
+// (workers, shards) combination — it equals the sequential exploration's
+// numbering — so verdicts, witnesses and counterexample traces never depend
+// on how the exploration was parallelized; only the internal shard layout
+// does, and the layout test in golden_test.go pins the correspondence.
+//
+// The transitions live in one table in dense order, stored as CSR rows: one
+// int32 offset per (state, philosopher) into flat succs (dense ids) and
+// probs arrays. graphalg.PredecessorIndex reads the offsets and successors
+// in place (StateSpace.Rows), so the explored graph is stored once.
 //
 // # Exploration order and parallelism
 //
@@ -61,22 +65,31 @@
 //  3. Gather: workers assign the new states their dense ids — the (chunk,
 //     first-encounter) order is exactly the order the sequential exploration
 //     discovers them in — record state labels, and build the next frontier.
-//  4. Rows: one goroutine per shard writes the transition rows of the level
-//     states it owns, in frontier order, resolving pending references
-//     through the intern results.
+//  4. Rows: one goroutine per chunk writes the transition rows of its
+//     states, resolving pending references through the intern results. A
+//     chunk's states are a contiguous dense range, so its rows are a
+//     contiguous range of the level's block: one exactly sized offset,
+//     successor and probability array per level.
+//
+// When the last level is done, Explore seals the blocks, in level order, and
+// one self-loop per philosopher for each state left unexpanded into the
+// space's table, allocated once at its exact size (an outcome count that
+// would overflow the int32 offsets is an error).
 //
 // The sequential path (workers = 1, shards = 1) is the same order executed
-// inline with no phases; it stops after the first state whose expansion
-// takes the state count past Options.MaxStates. A level that could pass the
-// cap is cut at that state before its intern phase: replaying the level's
-// pending keys in (chunk, first-encounter) order through a throwaway table
-// counts exactly the states the intern phase would create, the records are
-// truncated after the first frontier entry whose creations pass the cap, and
-// the kept prefix runs the four phases like any other level.
+// inline with no phases, appending its rows to the space's table directly;
+// it stops after the first state whose expansion takes the state count past
+// Options.MaxStates. A level that could pass the cap is cut at that state
+// before its intern phase: replaying the level's pending keys in (chunk,
+// first-encounter) order through a throwaway table counts exactly the states
+// the intern phase would create, the records are truncated after the first
+// frontier entry whose creations pass the cap, and the kept prefix runs the
+// four phases like any other level.
 package modelcheck
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -143,21 +156,7 @@ const (
 	MaxShards = 64
 )
 
-// transition is one (state, philosopher) action: a window into the owning
-// shard's succs/probs backing arrays. Storing offsets instead of per-action
-// slices keeps each shard's MDP fragment in three flat allocations instead
-// of ~2·NumPhils+1 small ones per state.
-type transition struct {
-	// off is the offset of the action's first outcome in succs/probs.
-	off int32
-	// n is the number of outcomes.
-	n int32
-}
-
-// shardStore is one independently-owned fragment of the explored MDP. All
-// per-state arrays are indexed by the shard-local index of the packed id;
-// succs holds dense state ids, so reading a transition row never needs a
-// cross-shard translation.
+// shardStore is one independently-owned fragment of the state store.
 type shardStore struct {
 	// table dedupes states by canonical key; a key's value is its
 	// shard-local index, and the table holds the key bytes. During a
@@ -167,19 +166,11 @@ type shardStore struct {
 	table internTable
 	// dense maps the shard-local index to the state's dense id.
 	dense []int32
-	// trans holds NumPhils consecutive transitions per state: the transition
-	// of philosopher a from local state l is trans[l*NumPhils+a].
-	trans []transition
-	// succs and probs are the flat backing arrays shared by every transition
-	// of this shard: succs[t.off+i] is the dense id of the state reached by
-	// outcome i and probs[t.off+i] its probability.
-	succs []int32
-	probs []float64
 }
 
-// StateSpace is the explored MDP: 2^k shard stores plus the dense
-// exploration-order view over them. It implements graphalg.StateView; all
-// exported state indices are dense ids.
+// StateSpace is the explored MDP: 2^k shard stores of the states plus the
+// transition table and state labels in dense (exploration) order. It
+// implements graphalg.StateView; all exported state indices are dense ids.
 type StateSpace struct {
 	topo *graph.Topology
 	prog sim.Program
@@ -190,9 +181,13 @@ type StateSpace struct {
 	shards []shardStore
 	// shardMask is len(shards)-1, the mask applied to the key hash.
 	shardMask uint32
-	// order maps dense ids to packed ids — the remap between the analysis
-	// view and the sharded storage.
-	order []int32
+	// off, succs and probs are the transition table: the outcomes of
+	// philosopher a's action from dense state s are succs[off[i]:off[i+1]]
+	// (dense ids) with probabilities probs[off[i]:off[i+1]], where
+	// i = s*NumPhils+a.
+	off   []int32
+	succs []int32
+	probs []float64
 	// bad[s] reports whether a protected philosopher is eating in dense
 	// state s.
 	bad []bool
@@ -225,8 +220,8 @@ type StateSpace struct {
 	// memo holds the predecessor index and every exhaustive analysis of this
 	// space, each computed at most once (see analyses.go). It is nil until
 	// the first analysis, so an exploration allocates nothing for it, and
-	// it is a single word because the struct must stay in the 240-byte size
-	// class the exploration allocation pins were measured with.
+	// it is a single word: the struct is 280 bytes, in the 288-byte size
+	// class, and the exploration allocation pins count it.
 	memo atomic.Pointer[analysisMemo]
 }
 
@@ -240,29 +235,25 @@ func (ss *StateSpace) NumActions() int { return ss.NumPhils }
 // Initial returns the dense index of the initial state.
 func (ss *StateSpace) Initial() int { return ss.initial }
 
-// locate resolves a dense id to its owning shard store and local index.
-func (ss *StateSpace) locate(s int) (*shardStore, int32) {
-	p := ss.order[s]
-	return &ss.shards[p>>localBits], p & localMask
-}
-
 // Succs returns the dense ids of the successor states of philosopher a's
-// action from dense state s. The returned slice aliases the owning shard's
-// backing array and must not be modified. It implements graphalg.StateView.
+// action from dense state s. The returned slice aliases the transition table
+// and must not be modified. It implements graphalg.StateView.
 func (ss *StateSpace) Succs(s, a int) []int32 {
-	st, l := ss.locate(s)
-	t := st.trans[int(l)*ss.NumPhils+a]
-	return st.succs[t.off : t.off+t.n]
+	i := s*ss.NumPhils + a
+	return ss.succs[ss.off[i]:ss.off[i+1]]
 }
 
 // Probs returns the outcome probabilities of philosopher a's action from
-// dense state s, aligned with Succs. The returned slice aliases the owning
-// shard's backing array and must not be modified.
+// dense state s, aligned with Succs. The returned slice aliases the
+// transition table and must not be modified.
 func (ss *StateSpace) Probs(s, a int) []float64 {
-	st, l := ss.locate(s)
-	t := st.trans[int(l)*ss.NumPhils+a]
-	return st.probs[t.off : t.off+t.n]
+	i := s*ss.NumPhils + a
+	return ss.probs[ss.off[i]:ss.off[i+1]]
 }
+
+// Rows returns the transition table's offsets and successors, which the
+// predecessor index reads in place. It implements graphalg.StateView.
+func (ss *StateSpace) Rows() (off, succ []int32) { return ss.off, ss.succs }
 
 // Bad reports whether a protected philosopher is eating in state s. It
 // implements graphalg.StateView.
@@ -298,14 +289,6 @@ func (ss *StateSpace) shardOfHash(h uint64) uint32 { return uint32(h) & ss.shard
 
 // shardOf returns the owning shard of a canonical key.
 func (ss *StateSpace) shardOf(key []byte) uint32 { return ss.shardOfHash(hashKey(key)) }
-
-// frontEntry is one state of the current BFS level: its world and its packed
-// id. The dense id is implicit — the level's states are dense-contiguous, so
-// the dense id of front[i] is levelStart+i.
-type frontEntry struct {
-	w      *sim.World
-	packed int32
-}
 
 // scratch is the reusable per-worker expansion state: key and outcome
 // buffers, a world free-list, and — for the level loop — the record of the
@@ -380,12 +363,31 @@ type explorer struct {
 	opts      Options
 	protected map[graph.PhilID]bool
 
-	// front holds the current BFS level in discovery order (sequentially: the
-	// whole queue, consumed in place); nextFront collects the next level
-	// in the gather phase. levelStart is the dense id of front[0].
-	front      []frontEntry
-	nextFront  []frontEntry
+	// front holds the worlds of the current BFS level in discovery order
+	// (sequentially: the whole queue, consumed in place); nextFront collects
+	// the next level in the gather phase. levelStart is the dense id of
+	// front[0]: the level's states are dense-contiguous, so front[i] is
+	// state levelStart+i.
+	front      []*sim.World
+	nextFront  []*sim.World
 	levelStart int
+
+	// blocks holds the level loop's rows, one block per expanded level, and
+	// outcomes their total outcome count; seal turns them into the space's
+	// table.
+	blocks   []rowBlock
+	outcomes int
+}
+
+// rowBlock is the transition rows of one BFS level's expanded states, a
+// contiguous dense range: off holds the table offset of each (state,
+// philosopher) of the range, counted from the first outcome of the first
+// level, and succs and probs the level's outcomes. Every array is allocated
+// at its exact size.
+type rowBlock struct {
+	off   []int32
+	succs []int32
+	probs []float64
 }
 
 // isProtected reports whether p's meals count as "bad".
@@ -420,26 +422,23 @@ func (e *explorer) stateFlags(w *sim.World) (bad, eat bool, mask uint64) {
 }
 
 // internState interns key, whose hashKey is h, into its shard. A new state
-// gets its dense-view entries, with labels from its world w, and added
-// reports it; either way the state's packed and dense ids are returned. It
-// serves the sequential loop and the initial state; the level loop splits
-// the same work between internShard and gatherChunk.
-func (e *explorer) internState(h uint64, key []byte, w *sim.World) (packed, dense int32, added bool, err error) {
+// gets its dense id and labels, from its world w, and added reports it;
+// either way the state's dense id is returned. It serves the sequential loop
+// and the initial state; the level loop splits the same work between
+// internShard and gatherChunk.
+func (e *explorer) internState(h uint64, key []byte, w *sim.World) (dense int32, added bool, err error) {
 	ss := e.ss
 	g := ss.shardOfHash(h)
 	st := &ss.shards[g]
 	local, added := st.table.intern(h, key)
 	if !added {
-		return int32(g)<<localBits | local, st.dense[local], false, nil
+		return st.dense[local], false, nil
 	}
 	if local > localMask {
-		return 0, 0, false, errShardOverflow(g)
+		return 0, false, errShardOverflow(g)
 	}
-	packed = int32(g)<<localBits | local
 	dense = int32(len(ss.bad))
 	st.dense = push(st.dense, dense)
-	st.trans = grown(st.trans, ss.NumPhils)
-	ss.order = push(ss.order, packed)
 	ss.expanded = push(ss.expanded, false)
 	bad, eat, mask := e.stateFlags(w)
 	ss.bad = push(ss.bad, bad)
@@ -447,7 +446,7 @@ func (e *explorer) internState(h uint64, key []byte, w *sim.World) (packed, dens
 	if ss.NumPhils <= maskablePhils {
 		ss.eating = push(ss.eating, mask)
 	}
-	return packed, dense, true, nil
+	return dense, true, nil
 }
 
 // errShardOverflow reports a shard that ran out of local ids.
@@ -524,37 +523,67 @@ func Explore(topo *graph.Topology, prog sim.Program, opts Options) (*StateSpace,
 
 	w0 := initial.CloneProtocol()
 	key0 := e.appendKey(w0, nil)
-	packed0, _, _, err := e.internState(hashKey(key0), key0, w0)
-	if err != nil {
+	if _, _, err := e.internState(hashKey(key0), key0, w0); err != nil {
 		return nil, err
 	}
 	ss.initial = 0
-	e.front = append(e.front, frontEntry{w: w0, packed: packed0})
+	e.front = append(e.front, w0)
 
+	var err error
 	if workers == 1 && shards == 1 {
 		err = e.exploreSequential()
 	} else {
 		err = e.exploreSharded(workers)
 	}
+	if err == nil {
+		err = e.seal()
+	}
 	if err != nil {
 		return nil, err
 	}
+	return ss, nil
+}
 
-	// States left unexpanded (zero-width transitions) get self-loops so that
-	// the analyses remain well defined on truncated spaces.
-	for s := 0; s < ss.NumStates(); s++ {
-		if ss.expanded[s] {
-			continue
+// seal completes the space's transition table. The level loop's blocks are
+// copied, in level order, into a table allocated once at its exact size
+// (the sequential loop has appended its rows to the table already); then
+// every state left unexpanded — the states after the last expanded one,
+// possible only on a truncated exploration — gets one self-loop per
+// philosopher, so that the analyses remain well defined, and off gets its
+// closing entry. It fails when the outcome count would overflow the int32
+// offsets.
+func (e *explorer) seal() error {
+	ss := e.ss
+	np := ss.NumPhils
+	rows, outs := len(ss.off), len(ss.succs)
+	for _, b := range e.blocks {
+		rows += len(b.off)
+		outs += len(b.succs)
+	}
+	loops := ss.NumStates()*np - rows
+	if total := outs + loops; total > math.MaxInt32 {
+		return fmt.Errorf("modelcheck: %d outcomes overflow the transition table's 32-bit offsets", total)
+	}
+	if len(e.blocks) > 0 {
+		ss.off = make([]int32, 0, rows+loops+1)
+		ss.succs = make([]int32, 0, outs+loops)
+		ss.probs = make([]float64, 0, outs+loops)
+		for _, b := range e.blocks {
+			ss.off = append(ss.off, b.off...)
+			ss.succs = append(ss.succs, b.succs...)
+			ss.probs = append(ss.probs, b.probs...)
 		}
-		st, l := ss.locate(s)
-		base := int(l) * ss.NumPhils
-		for a := 0; a < ss.NumPhils; a++ {
-			st.trans[base+a] = transition{off: int32(len(st.succs)), n: 1}
-			st.succs = push(st.succs, int32(s))
-			st.probs = push(st.probs, 1)
+		e.blocks = nil
+	}
+	for s := rows / np; s < ss.NumStates(); s++ {
+		for range np {
+			ss.off = push(ss.off, int32(len(ss.succs)))
+			ss.succs = push(ss.succs, int32(s))
+			ss.probs = push(ss.probs, 1)
 		}
 	}
-	return ss, nil
+	ss.off = push(ss.off, int32(len(ss.succs)))
+	return nil
 }
 
 // interruptCheckInterval is how often (in expanded states) Options.Interrupt
@@ -599,14 +628,13 @@ func sameOutcomes(a, b []sim.Outcome) bool {
 	return true
 }
 
-// exploreSequential runs the BFS inline on a single shard. front doubles as
-// the FIFO queue: new states are appended in id order, so the world of state
-// id sits at front[id] until the state is expanded. With one shard the
-// packed, local and dense ids of a state coincide, which is what makes this
-// path free of any translation work.
+// exploreSequential runs the BFS inline on a single shard, appending each
+// expanded state's rows to the space's table. front doubles as the FIFO
+// queue: new states are appended in id order, so the world of state id sits
+// at front[id] until the state is expanded, and the rows are written in
+// dense order.
 func (e *explorer) exploreSequential() error {
 	ss := e.ss
-	st := &ss.shards[0]
 	s := &scratch{}
 	for head := 0; head < len(e.front); head++ {
 		if e.opts.Interrupt != nil && head%interruptCheckInterval == 0 {
@@ -614,11 +642,9 @@ func (e *explorer) exploreSequential() error {
 				return err
 			}
 		}
-		w := e.front[head].w
-		e.front[head].w = nil
-		id := int32(head)
+		w := e.front[head]
+		e.front[head] = nil
 
-		base := int(id) * ss.NumPhils
 		for a := 0; a < ss.NumPhils; a++ {
 			pid := graph.PhilID(a)
 			// Outcomes must not mutate the world they are computed from, so
@@ -626,7 +652,9 @@ func (e *explorer) exploreSequential() error {
 			// is then applied to its own clone.
 			outcomes := ss.prog.Outcomes(w, pid, s.obuf[:0])
 			s.obuf = outcomes
-			off := int32(len(st.succs))
+			// An offset past the int32 range makes seal fail, so a
+			// truncated one is never read.
+			ss.off = push(ss.off, int32(len(ss.succs)))
 			for i := range outcomes {
 				succ, err := e.successor(s, w, pid, outcomes, i)
 				if err != nil {
@@ -634,21 +662,20 @@ func (e *explorer) exploreSequential() error {
 				}
 				// Probing a seen state allocates nothing; a new state's key
 				// is copied into the shard's arena.
-				packed, sid, added, err := e.internState(hashKey(s.keyBuf), s.keyBuf, succ)
+				sid, added, err := e.internState(hashKey(s.keyBuf), s.keyBuf, succ)
 				if err != nil {
 					return err
 				}
 				if added {
-					e.front = push(e.front, frontEntry{w: succ, packed: packed})
+					e.front = push(e.front, succ)
 				} else {
 					s.putFree(succ)
 				}
-				st.succs = push(st.succs, sid)
-				st.probs = push(st.probs, outcomes[i].Prob)
+				ss.succs = push(ss.succs, sid)
+				ss.probs = push(ss.probs, outcomes[i].Prob)
 			}
-			st.trans[base+a] = transition{off: off, n: int32(len(outcomes))}
 		}
-		ss.expanded[id] = true
+		ss.expanded[head] = true
 		s.putFree(w)
 		if ss.NumStates() > e.opts.MaxStates {
 			ss.Truncated = true
@@ -675,7 +702,7 @@ func (e *explorer) exploreSharded(workers int) error {
 	for g := range shardScr {
 		shardScr[g] = &shardScratch{}
 	}
-	var chunkLo, chunkBase []int
+	var chunkLo, chunkBase, chunkOut []int
 	var wg sync.WaitGroup
 
 	for len(e.front) > 0 {
@@ -699,9 +726,9 @@ func (e *explorer) exploreSharded(workers int) error {
 			chunkLo = append(chunkLo, lo)
 			active++
 			wg.Add(1)
-			go func(s *scratch, entries []frontEntry) {
+			go func(s *scratch, worlds []*sim.World) {
 				defer wg.Done()
-				e.expandChunk(s, entries)
+				e.expandChunk(s, worlds)
 			}(s, e.front[lo:hi])
 		}
 		wg.Wait()
@@ -751,7 +778,6 @@ func (e *explorer) exploreSharded(workers int) error {
 				totalCreated += int(sc.newPerChunk[ci])
 			}
 		}
-		ss.order = grown(ss.order, totalCreated)
 		ss.bad = grown(ss.bad, totalCreated)
 		ss.anyEating = grown(ss.anyEating, totalCreated)
 		ss.expanded = grown(ss.expanded, totalCreated)
@@ -771,19 +797,30 @@ func (e *explorer) exploreSharded(workers int) error {
 		}
 		wg.Wait()
 
-		// Phase 4: write transition rows, one goroutine per shard.
-		for g := range ss.shards {
+		// Phase 4: write the level's rows into one exactly sized block, one
+		// goroutine per chunk (disjoint ranges of the block).
+		rows, outs := 0, 0
+		chunkOut = chunkOut[:0]
+		for _, s := range scratches[:active] {
+			chunkOut = append(chunkOut, outs)
+			rows += len(s.counts)
+			outs += len(s.outs)
+		}
+		b := rowBlock{off: make([]int32, rows), succs: make([]int32, outs), probs: make([]float64, outs)}
+		for ci := 0; ci < active; ci++ {
 			wg.Add(1)
-			go func(g int) {
+			go func(s *scratch, lo, out int) {
 				defer wg.Done()
-				e.writeRows(uint32(g), scratches[:active], chunkLo)
-			}(g)
+				e.writeRows(s, &b, lo, out)
+			}(scratches[ci], chunkLo[ci], chunkOut[ci])
 		}
 		wg.Wait()
+		e.blocks = append(e.blocks, b)
+		e.outcomes += outs
 
 		if cut {
 			// The rest of the level stays unexpanded; its states and the
-			// ones the prefix discovered get the post-pass self-loops.
+			// ones the prefix discovered get the seal's self-loops.
 			ss.Truncated = true
 			return nil
 		}
@@ -835,21 +872,20 @@ func (e *explorer) cutLevel(scratches []*scratch, d0 int) (active int, cut bool)
 // expandChunk computes the record of one contiguous chunk of the current
 // level. It only reads shared state (the shard intern tables, the program,
 // the frontier worlds of its own chunk) and writes the worker-local scratch.
-func (e *explorer) expandChunk(s *scratch, entries []frontEntry) {
+func (e *explorer) expandChunk(s *scratch, worlds []*sim.World) {
 	ss := e.ss
 	s.local.reset(len(s.pend), func(v int) uint64 { return s.pend[v].hash })
 	s.counts = s.counts[:0]
 	s.outs = s.outs[:0]
 	s.pend = s.pend[:0]
 	s.err = nil
-	for k := range entries {
+	for k, w := range worlds {
 		if e.opts.Interrupt != nil && k%interruptCheckInterval == 0 {
 			if err := e.opts.Interrupt(); err != nil {
 				s.err = err
 				return
 			}
 		}
-		w := entries[k].w
 		for a := 0; a < ss.NumPhils; a++ {
 			pid := graph.PhilID(a)
 			outcomes := ss.prog.Outcomes(w, pid, s.obuf[:0])
@@ -908,7 +944,6 @@ func (e *explorer) internShard(g uint32, sc *shardScratch, scratches []*scratch)
 				return
 			}
 			st.dense = push(st.dense, -1) // assigned in the gather phase
-			st.trans = grown(st.trans, ss.NumPhils)
 			p.created = true
 			created++
 		}
@@ -936,57 +971,41 @@ func (e *explorer) gatherChunk(s *scratch, d0, base int) {
 		}
 		st := &ss.shards[p.packed>>localBits]
 		st.dense[p.packed&localMask] = int32(d)
-		ss.order[d] = p.packed
 		bad, eat, mask := e.stateFlags(w)
 		ss.bad[d] = bad
 		ss.anyEating[d] = eat
 		if ss.eating != nil {
 			ss.eating[d] = mask
 		}
-		nf[j] = frontEntry{w: w, packed: p.packed}
+		nf[j] = w
 		j++
 		d++
 	}
 }
 
-// writeRows replays every chunk's record in frontier order and appends the
-// transition rows of the level states owned by shard g into g's flat arrays,
-// resolving pending successor references through the intern results. Rows
-// land in deterministic (frontier, philosopher, outcome) order per shard.
-func (e *explorer) writeRows(g uint32, scratches []*scratch, chunkLo []int) {
+// writeRows writes the rows of chunk s into the level's block b: the chunk's
+// states start at frontier index lo and their outcomes at index out of the
+// block. Pending successor references resolve through the intern results.
+// Chunks write disjoint ranges of the block, so the phase is parallel.
+func (e *explorer) writeRows(s *scratch, b *rowBlock, lo, out int) {
 	ss := e.ss
-	st := &ss.shards[g]
-	for ci, s := range scratches {
-		oi, kk := 0, 0
-		nStates := len(s.counts) / ss.NumPhils
-		for k := 0; k < nStates; k++ {
-			fe := e.front[chunkLo[ci]+k]
-			if uint32(fe.packed)>>localBits != g {
-				// Skip the state's record: it belongs to another shard.
-				for a := 0; a < ss.NumPhils; a++ {
-					oi += int(s.counts[kk])
-					kk++
-				}
-				continue
-			}
-			base := int(fe.packed&localMask) * ss.NumPhils
-			for a := 0; a < ss.NumPhils; a++ {
-				cnt := s.counts[kk]
-				kk++
-				off := int32(len(st.succs))
-				for _, o := range s.outs[oi : oi+int(cnt)] {
-					sid := o.ref
-					if sid < 0 {
-						packed := s.pend[^sid].packed
-						sid = ss.shards[packed>>localBits].dense[packed&localMask]
-					}
-					st.succs = push(st.succs, sid)
-					st.probs = push(st.probs, o.prob)
-				}
-				oi += int(cnt)
-				st.trans[base+a] = transition{off: off, n: cnt}
-			}
-			ss.expanded[e.levelStart+chunkLo[ci]+k] = true
+	// An offset past the int32 range makes seal fail, so a truncated one is
+	// never read.
+	off := int32(e.outcomes + out)
+	for k, c := range s.counts {
+		b.off[lo*ss.NumPhils+k] = off
+		off += c
+	}
+	for i, o := range s.outs {
+		sid := o.ref
+		if sid < 0 {
+			packed := s.pend[^sid].packed
+			sid = ss.shards[packed>>localBits].dense[packed&localMask]
 		}
+		b.succs[out+i] = sid
+		b.probs[out+i] = o.prob
+	}
+	for k := range len(s.counts) / ss.NumPhils {
+		ss.expanded[e.levelStart+lo+k] = true
 	}
 }

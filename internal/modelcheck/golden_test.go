@@ -111,9 +111,10 @@ func numBadStates(ss *StateSpace) int {
 }
 
 // assertSameSpace compares two single-shard explorations field by field:
-// state numbering, transition tables, outcome probabilities, labels, masks
-// and keys must all be identical — the contract that makes the parallel
-// explorer at Shards: 1 a drop-in replacement for the sequential one.
+// state numbering, the transition table, outcome probabilities, labels,
+// masks and keys must all be identical — the contract that makes the
+// parallel explorer at Shards: 1 a drop-in replacement for the sequential
+// one.
 func assertSameSpace(t *testing.T, label string, a, b *StateSpace) {
 	t.Helper()
 	if len(a.shards) != 1 || len(b.shards) != 1 {
@@ -124,12 +125,11 @@ func assertSameSpace(t *testing.T, label string, a, b *StateSpace) {
 			label, a.NumStates(), b.NumStates(), a.initial, b.initial, a.Truncated, b.Truncated)
 	}
 	for name, pair := range map[string][2]any{
-		"trans":     {a.shards[0].trans, b.shards[0].trans},
-		"succs":     {a.shards[0].succs, b.shards[0].succs},
-		"probs":     {a.shards[0].probs, b.shards[0].probs},
+		"off":       {a.off, b.off},
+		"succs":     {a.succs, b.succs},
+		"probs":     {a.probs, b.probs},
 		"dense":     {a.shards[0].dense, b.shards[0].dense},
-		"keys":      {shardKeys(&a.shards[0]), shardKeys(&b.shards[0])},
-		"order":     {a.order, b.order},
+		"keys":      {denseKeys(a), denseKeys(b)},
 		"bad":       {a.bad, b.bad},
 		"anyEating": {a.anyEating, b.anyEating},
 		"eating":    {a.eating, b.eating},
@@ -141,19 +141,15 @@ func assertSameSpace(t *testing.T, label string, a, b *StateSpace) {
 	}
 }
 
-// keyOf returns the intern key of dense state s, read from its shard's
-// arena.
-func keyOf(ss *StateSpace, s int) string {
-	st, l := ss.locate(s)
-	return string(st.table.key(l))
-}
-
-// shardKeys reads every key of a shard through its arena, in local-index
-// order.
-func shardKeys(st *shardStore) []string {
-	keys := make([]string, len(st.dense))
-	for l := range keys {
-		keys[l] = string(st.table.key(int32(l)))
+// denseKeys returns the intern key of every state in dense order, read from
+// the shard arenas through the shards' local-to-dense maps.
+func denseKeys(ss *StateSpace) []string {
+	keys := make([]string, ss.NumStates())
+	for g := range ss.shards {
+		st := &ss.shards[g]
+		for l, d := range st.dense {
+			keys[d] = string(st.table.key(int32(l)))
+		}
 	}
 	return keys
 }
@@ -162,18 +158,19 @@ func shardKeys(st *shardStore) []string {
 // sequential space under the shard-id remap. The dense view — state
 // numbering, labels, transition rows, keys — must be identical outright
 // (dense ids are assigned in sequential discovery order for every worker and
-// shard count), and the shard layout must be a consistent bijection: every
-// state's key hashes to its owning shard, packed ids round-trip through the
-// order/dense maps, and the shard sizes add up.
+// shard count), and the shard layout must be a consistent bijection (see
+// assertShardLayout).
 func assertEquivalentSpace(t *testing.T, label string, seq, sh *StateSpace) {
 	t.Helper()
 	if seq.NumStates() != sh.NumStates() || seq.initial != sh.initial || seq.Truncated != sh.Truncated {
 		t.Fatalf("%s: shape differs: %d vs %d states, initial %d vs %d, truncated %v vs %v",
 			label, seq.NumStates(), sh.NumStates(), seq.initial, sh.initial, seq.Truncated, sh.Truncated)
 	}
+	assertShardLayout(t, label, sh)
+	seqKeys, shKeys := denseKeys(seq), denseKeys(sh)
 	n := seq.NumStates()
 	for s := 0; s < n; s++ {
-		if keyOf(seq, s) != keyOf(sh, s) {
+		if seqKeys[s] != shKeys[s] {
 			t.Fatalf("%s: state %d has different canonical keys — the dense numbering diverged", label, s)
 		}
 		if seq.bad[s] != sh.bad[s] || seq.anyEating[s] != sh.anyEating[s] || seq.expanded[s] != sh.expanded[s] {
@@ -192,34 +189,42 @@ func assertEquivalentSpace(t *testing.T, label string, seq, sh *StateSpace) {
 			}
 		}
 	}
-	assertShardLayout(t, label, sh)
 }
 
 // assertShardLayout checks that a space's shard layout is a consistent
-// bijection onto its dense view: every state's key hashes to its owning
-// shard, packed ids round-trip through the order/dense maps, and the shard
-// sizes add up to the state count.
+// bijection onto its dense numbering and that its transition table has one
+// row per (state, philosopher): every state's key hashes to its owning
+// shard, the shards' local-to-dense maps hit every dense id exactly once,
+// and every key is found again under its dense id.
 func assertShardLayout(t *testing.T, label string, sh *StateSpace) {
 	t.Helper()
 	n := sh.NumStates()
-	total := 0
+	if len(sh.off) != n*sh.NumPhils+1 || int(sh.off[len(sh.off)-1]) != len(sh.succs) || len(sh.probs) != len(sh.succs) {
+		t.Fatalf("%s: transition table has %d offsets (last %d), %d successors and %d probabilities for %d states of %d philosophers",
+			label, len(sh.off), sh.off[len(sh.off)-1], len(sh.succs), len(sh.probs), n, sh.NumPhils)
+	}
+	seen := make([]bool, n)
 	for g := range sh.shards {
 		st := &sh.shards[g]
-		total += len(st.dense)
 		for l, d := range st.dense {
-			packed := int32(g)<<localBits | int32(l)
-			if sh.order[d] != packed {
-				t.Fatalf("%s: order[%d] = %d, want packed id %d (shard %d, local %d)",
-					label, d, sh.order[d], packed, g, l)
+			if d < 0 || int(d) >= n || seen[d] {
+				t.Fatalf("%s: shard %d maps local %d to dense id %d, out of range or taken", label, g, l, d)
 			}
-			if key := st.table.key(int32(l)); sh.shardOf(key) != uint32(g) {
+			seen[d] = true
+			key := st.table.key(int32(l))
+			if sh.shardOf(key) != uint32(g) {
 				t.Fatalf("%s: state (shard %d, local %d) has a key hashing to shard %d",
 					label, g, l, sh.shardOf(key))
 			}
+			if got := sh.denseOf(key); got != d {
+				t.Fatalf("%s: the key of state %d is found as %d", label, d, got)
+			}
 		}
 	}
-	if total != n {
-		t.Fatalf("%s: shard sizes sum to %d, want %d", label, total, n)
+	for d, ok := range seen {
+		if !ok {
+			t.Fatalf("%s: no shard holds dense id %d", label, d)
+		}
 	}
 }
 

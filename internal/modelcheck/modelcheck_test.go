@@ -373,7 +373,7 @@ func TestPathToFindsReplayableCounterexamples(t *testing.T) {
 			t.Errorf("step %d missing its outcome label", i)
 		}
 	}
-	if cx.FinalKey != hex.EncodeToString([]byte(keyOf(ss, dead[0]))) {
+	if cx.FinalKey != hex.EncodeToString([]byte(denseKeys(ss)[dead[0]])) {
 		t.Errorf("trace final key %s does not match the target state's canonical key", cx.FinalKey)
 	}
 	w, err := trace.Replay(graph.Ring(3), prog, cx)

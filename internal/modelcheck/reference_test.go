@@ -104,8 +104,9 @@ func assertMatchesReference(t *testing.T, label string, ref *refSpace, maxStates
 		t.Fatalf("%s: %d states, truncated %v; the reference keeps %d, truncated %v",
 			label, ss.NumStates(), ss.Truncated, kept, truncated)
 	}
+	keys := denseKeys(ss)
 	for s := 0; s < kept; s++ {
-		if keyOf(ss, s) != ref.keys[s] {
+		if keys[s] != ref.keys[s] {
 			t.Fatalf("%s: state %d has another key than the reference's state %d", label, s, s)
 		}
 		if got := ss.denseOf([]byte(ref.keys[s])); got != int32(s) {

@@ -77,8 +77,9 @@ func TestSymmetryDeterministicAcrossWorkersAndShards(t *testing.T) {
 		if ss.NumStates() != ref.NumStates() {
 			t.Fatalf("workers=%d shards=%d: %d states, want %d", cfg[0], cfg[1], ss.NumStates(), ref.NumStates())
 		}
+		keys, refKeys := denseKeys(ss), denseKeys(ref)
 		for s := 0; s < ref.NumStates(); s++ {
-			if keyOf(ss, s) != keyOf(ref, s) {
+			if keys[s] != refKeys[s] {
 				t.Fatalf("workers=%d shards=%d: canonical key of state %d differs", cfg[0], cfg[1], s)
 			}
 		}
@@ -106,7 +107,7 @@ func TestSymmetryRepresentativeKeys(t *testing.T) {
 	}
 	w0 := sim.NewWorld(topo)
 	prog.Init(w0)
-	if got, want := keyOf(ss, ss.Initial()), string(w0.AppendCanonicalKey(canon, nil)); got != want {
+	if got, want := denseKeys(ss)[ss.Initial()], string(w0.AppendCanonicalKey(canon, nil)); got != want {
 		t.Errorf("initial canonical key mismatch")
 	}
 }
@@ -149,8 +150,9 @@ func TestSymmetryTrivialGroupMatchesPlain(t *testing.T) {
 	if quot.NumStates() != plain.NumStates() {
 		t.Fatalf("trivial quotient has %d states, plain %d", quot.NumStates(), plain.NumStates())
 	}
+	quotKeys, plainKeys := denseKeys(quot), denseKeys(plain)
 	for s := 0; s < plain.NumStates(); s++ {
-		if keyOf(quot, s) != keyOf(plain, s) {
+		if quotKeys[s] != plainKeys[s] {
 			t.Fatalf("trivial quotient key of state %d differs from plain", s)
 		}
 	}
@@ -184,8 +186,9 @@ func TestSymmetryTruncationDeterministic(t *testing.T) {
 			t.Fatalf("workers=%d shards=%d: truncated=%v states=%d, want truncated=true states=%d",
 				cfg[0], cfg[1], ss.Truncated, ss.NumStates(), ref.NumStates())
 		}
+		keys, refKeys := denseKeys(ss), denseKeys(ref)
 		for s := 0; s < ref.NumStates(); s++ {
-			if keyOf(ss, s) != keyOf(ref, s) {
+			if keys[s] != refKeys[s] {
 				t.Fatalf("workers=%d shards=%d: truncated key sequence diverges at state %d", cfg[0], cfg[1], s)
 			}
 		}

@@ -19,29 +19,34 @@ import (
 // Workers appears in the echo but not in the fingerprint: it is a resource
 // knob with bit-identical results for every value, so it never splits the
 // cache, but a reproducer still wants to know what the server ran with.
+//
+// M is the number range the algorithm reads, spelled as the request spells
+// it and omitted when the algorithm reads none (dining.Engine keeps only the
+// options an algorithm reads). No request field sets CourtesyOnBothForks,
+// so the echo does not carry it.
 type Config struct {
-	Fingerprint    string                   `json:"fingerprint"`
-	Topology       string                   `json:"topology"`
-	Phils          int                      `json:"phils"`
-	Forks          int                      `json:"forks"`
-	Algorithm      string                   `json:"algorithm"`
-	Scheduler      string                   `json:"scheduler"`
-	Seed           uint64                   `json:"seed"`
-	MaxSteps       int64                    `json:"max_steps,omitempty"`
-	MaxStates      int                      `json:"max_states,omitempty"`
-	Trials         int                      `json:"trials,omitempty"`
-	FairnessWindow int64                    `json:"fairness_window,omitempty"`
-	Protected      []dining.PhilID          `json:"protected,omitempty"`
-	Faults         string                   `json:"faults,omitempty"`
-	Symmetry       bool                     `json:"symmetry,omitempty"`
-	Shards         int                      `json:"shards,omitempty"`
-	Workers        int                      `json:"workers,omitempty"`
-	AlgoOptions    *dining.AlgorithmOptions `json:"algo_options,omitempty"`
+	Fingerprint    string          `json:"fingerprint"`
+	Topology       string          `json:"topology"`
+	Phils          int             `json:"phils"`
+	Forks          int             `json:"forks"`
+	Algorithm      string          `json:"algorithm"`
+	Scheduler      string          `json:"scheduler"`
+	Seed           uint64          `json:"seed"`
+	MaxSteps       int64           `json:"max_steps,omitempty"`
+	MaxStates      int             `json:"max_states,omitempty"`
+	Trials         int             `json:"trials,omitempty"`
+	FairnessWindow int64           `json:"fairness_window,omitempty"`
+	Protected      []dining.PhilID `json:"protected,omitempty"`
+	M              int             `json:"m,omitempty"`
+	Faults         string          `json:"faults,omitempty"`
+	Symmetry       bool            `json:"symmetry,omitempty"`
+	Shards         int             `json:"shards,omitempty"`
+	Workers        int             `json:"workers,omitempty"`
 }
 
 // EngineConfig derives the echo from an assembled engine.
 func EngineConfig(eng *dining.Engine) Config {
-	cfg := Config{
+	return Config{
 		Fingerprint:    eng.Fingerprint(),
 		Topology:       eng.Topology().Name(),
 		Phils:          eng.Topology().NumPhilosophers(),
@@ -54,13 +59,10 @@ func EngineConfig(eng *dining.Engine) Config {
 		Trials:         eng.TrialCount(),
 		FairnessWindow: eng.FairnessWindow(),
 		Protected:      eng.Protected(),
+		M:              eng.AlgorithmOptions().M,
 		Faults:         eng.Faults(),
 		Symmetry:       eng.Symmetry(),
 		Shards:         eng.Shards(),
 		Workers:        eng.Workers(),
 	}
-	if opts := eng.AlgorithmOptions(); opts != (dining.AlgorithmOptions{}) {
-		cfg.AlgoOptions = &opts
-	}
-	return cfg
 }

@@ -354,7 +354,8 @@ func TestCheckProtectedSpellingsShareOneEntry(t *testing.T) {
 // TestCheckIgnoredAlgorithmOptionIsCacheHit pins that an option the
 // algorithm does not read is no part of the configuration: LR1 draws no fork
 // numbers, so a request with m = 7 is a cache hit of the plain one and
-// echoes no algorithm options.
+// echoes no m. GDP1 on ring-3 reads m = 7 (above the three forks), and the
+// echo spells it as the request does.
 func TestCheckIgnoredAlgorithmOptionIsCacheHit(t *testing.T) {
 	t.Parallel()
 	s, ts := newTestServer(t, Options{})
@@ -368,12 +369,29 @@ func TestCheckIgnoredAlgorithmOptionIsCacheHit(t *testing.T) {
 		if i > 0 {
 			want = StatusHit
 		}
-		if ev := events[0]; ev.Cache != want || ev.Config.AlgoOptions != nil {
-			t.Errorf("m %d: cache %q, echoed options %+v; want %q and none", m, ev.Cache, ev.Config.AlgoOptions, want)
+		if ev := events[0]; ev.Cache != want || ev.Config.M != 0 {
+			t.Errorf("m %d: cache %q, echoed m %d; want %q and none", m, ev.Cache, ev.Config.M, want)
 		}
 	}
 	if st := s.cache.Stats(); st.Explorations != 1 {
 		t.Errorf("explorations = %d, want 1", st.Explorations)
+	}
+
+	raw, err := json.Marshal(Request{Topology: "ring", N: 3, Algorithm: dining.GDP1, M: 7, Props: []string{dining.DeadlockFreedom}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/check", "application/json", strings.NewReader(string(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	line, err := bufio.NewReader(resp.Body).ReadString('\n')
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GDP1 with m 7: status %d, first line %q, error %v", resp.StatusCode, line, err)
+	}
+	if !strings.Contains(line, `"m":7`) || strings.Contains(line, "algo_options") || strings.Contains(line, "Courtesy") {
+		t.Errorf("GDP1 with m 7 echoed %s; want \"m\":7 and no other algorithm option", line)
 	}
 }
 
