@@ -107,7 +107,7 @@
 // The analyses — reachability, deadlock detection, the safety game and
 // maximal-end-component computation behind the starvation-trap theorems,
 // SCCs, shortest counterexample paths — live in internal/graphalg behind a
-// read-only StateView interface (NumStates/NumActions/Succs/Probs/Rows/Bad),
+// read-only StateView interface (NumStates/NumActions/Rows/Probs/Bad),
 // with no dependency on the store layout. Between the view and the analyses
 // sits the predecessor-index/worklist layer: a graphalg.PredecessorIndex is
 // the CSR form of the explored graph in both directions (the view's forward

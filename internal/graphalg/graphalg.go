@@ -43,7 +43,7 @@ package graphalg
 // (state, action) a set of successor states with probabilities.
 //
 // Implementations must be safe for concurrent readers, and the slices
-// returned by Succs, Probs and Rows must stay valid (and unmodified) for the
+// returned by Probs and Rows must stay valid (and unmodified) for the
 // lifetime of the view — the analyses alias them freely and never write
 // through them.
 type StateView interface {
@@ -53,17 +53,14 @@ type StateView interface {
 	NumActions() int
 	// Initial returns the index of the initial state.
 	Initial() int
-	// Succs returns the successor states of action a in state s. The slice
-	// must not be modified.
-	Succs(s, a int) []int32
 	// Probs returns the outcome probabilities of action a in state s, aligned
-	// with Succs. The slice must not be modified.
+	// with its successors (Succs). The slice must not be modified.
 	Probs(s, a int) []float64
-	// Rows returns every Succs list as one CSR table: the successors of
-	// action a in state s are succ[off[i]:off[i+1]] with i =
-	// s*NumActions()+a, so off has NumStates()*NumActions()+1 entries. A
-	// PredecessorIndex shares both slices instead of copying them; neither
-	// may be modified.
+	// Rows returns the successor states of every (state, action) as one CSR
+	// table: the successors of action a in state s are succ[off[i]:off[i+1]]
+	// with i = s*NumActions()+a, so off has NumStates()*NumActions()+1
+	// entries. A PredecessorIndex shares both slices instead of copying
+	// them; neither may be modified.
 	Rows() (off, succ []int32)
 	// Bad reports the default "bad" labelling of state s (for the dining
 	// MDP: a protected philosopher is eating). Analyses that test other
@@ -74,6 +71,14 @@ type StateView interface {
 	// truncated explorations) carry artificial self-loops; the analyses
 	// exclude them so truncation can never fabricate a violation.
 	Expanded(s int) bool
+}
+
+// Succs returns the successor states of action a in state s, in outcome
+// order: one row of v.Rows(). The slice must not be modified.
+func Succs(v StateView, s, a int) []int32 {
+	off, succ := v.Rows()
+	i := s*v.NumActions() + a
+	return succ[off[i]:off[i+1]]
 }
 
 // Choice is one move along a scheduler-choice path: the adversary picks
@@ -102,6 +107,7 @@ func PathTo(v StateView, target int) ([]Choice, bool) {
 	}
 	n := v.NumStates()
 	nActions := v.NumActions()
+	off, rows := v.Rows()
 	prevState := make([]int32, n)
 	prevChoice := make([]Choice, n)
 	for i := range prevState {
@@ -113,8 +119,8 @@ func PathTo(v StateView, target int) ([]Choice, bool) {
 	for head := 0; head < len(queue); head++ {
 		s := queue[head]
 		for a := 0; a < nActions; a++ {
-			succs := v.Succs(int(s), a)
-			for oi, succ := range succs {
+			i := int(s)*nActions + a
+			for oi, succ := range rows[off[i]:off[i+1]] {
 				if prevState[succ] != -1 {
 					continue
 				}

@@ -52,10 +52,6 @@ func (m *mdp) Probs(s, a int) []float64  { return m.probs[s][a] }
 func (m *mdp) Bad(s int) bool            { return m.bad[s] }
 func (m *mdp) Expanded(s int) bool       { return m.expanded[s] }
 func (m *mdp) Rows() (off, succ []int32) { return m.off, m.succ }
-func (m *mdp) Succs(s, a int) []int32 {
-	i := s*m.nActions + a
-	return m.succ[m.off[i]:m.off[i+1]]
-}
 
 // fixture builds the shared five-state MDP:
 //
@@ -80,21 +76,32 @@ func index(m *mdp) *PredecessorIndex { return NewPredecessorIndex(m, 1) }
 
 // TestPredecessorIndexSharesViewRows pins that the index reads the view's
 // forward rows in place: its forward arrays are the fixture's own, not a
-// copy.
+// copy. The worker counts include ones whose rounded-up chunk size leaves
+// fewer non-empty chunks than workers (5 states at 4 workers, 10 at 8), and
+// every build's reverse half must equal the one-worker build's.
 func TestPredecessorIndexSharesViewRows(t *testing.T) {
 	t.Parallel()
-	m := fixture()
-	off, succ := m.Rows()
-	for _, workers := range []int{1, 3} {
-		ix := NewPredecessorIndex(m, workers)
-		if &ix.foff[0] != &off[0] || len(ix.foff) != len(off) {
-			t.Errorf("workers %d: the index copied the offsets instead of sharing them", workers)
-		}
-		if &ix.fsucc[0] != &succ[0] || len(ix.fsucc) != len(succ) {
-			t.Errorf("workers %d: the index copied the successors instead of sharing them", workers)
-		}
-		if ix.NumEdges() != len(succ) {
-			t.Errorf("workers %d: NumEdges = %d, want %d", workers, ix.NumEdges(), len(succ))
+	ring := make([][][]int32, 10)
+	for s := range ring {
+		ring[s] = [][]int32{{int32((s + 1) % 10)}, {int32(s), int32((s + 3) % 10)}}
+	}
+	for _, m := range []*mdp{fixture(), newMDP(2, ring)} {
+		off, succ := m.Rows()
+		want := NewPredecessorIndex(m, 1)
+		for _, workers := range []int{1, 2, 3, 4, 8} {
+			ix := NewPredecessorIndex(m, workers)
+			if &ix.foff[0] != &off[0] || len(ix.foff) != len(off) {
+				t.Errorf("%d states, workers %d: the index copied the offsets instead of sharing them", m.NumStates(), workers)
+			}
+			if &ix.fsucc[0] != &succ[0] || len(ix.fsucc) != len(succ) {
+				t.Errorf("%d states, workers %d: the index copied the successors instead of sharing them", m.NumStates(), workers)
+			}
+			if ix.NumEdges() != len(succ) {
+				t.Errorf("%d states, workers %d: NumEdges = %d, want %d", m.NumStates(), workers, ix.NumEdges(), len(succ))
+			}
+			if !reflect.DeepEqual(ix.roff, want.roff) || !reflect.DeepEqual(ix.pred, want.pred) || !reflect.DeepEqual(ix.pact, want.pact) {
+				t.Errorf("%d states, workers %d: the reverse index differs from the one-worker build", m.NumStates(), workers)
+			}
 		}
 	}
 }

@@ -26,7 +26,7 @@ func Reachable(v graphalg.StateView) []bool {
 		s := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for a := 0; a < nActions; a++ {
-			for _, succ := range v.Succs(s, a) {
+			for _, succ := range graphalg.Succs(v, s, a) {
 				if !seen[succ] {
 					seen[succ] = true
 					stack = append(stack, int(succ))
@@ -49,7 +49,7 @@ func DeadlockStates(v graphalg.StateView) []int {
 		}
 		stuck := true
 		for a := 0; a < nActions && stuck; a++ {
-			for _, succ := range v.Succs(s, a) {
+			for _, succ := range graphalg.Succs(v, s, a) {
 				if int(succ) != s {
 					stuck = false
 					break
@@ -83,7 +83,7 @@ func DeadRegionStates(v graphalg.StateView, goal func(s int) bool) []int {
 				continue
 			}
 			for a := 0; a < nActions && !canReach[s]; a++ {
-				for _, succ := range v.Succs(s, a) {
+				for _, succ := range graphalg.Succs(v, s, a) {
 					if canReach[succ] {
 						canReach[s] = true
 						changed = true
@@ -130,7 +130,7 @@ func MaximalTrap(v graphalg.StateView, bad func(s int) bool) graphalg.Trap {
 			anyAllowed := false
 			for a := 0; a < nActions; a++ {
 				ok := true
-				for _, succ := range v.Succs(s, a) {
+				for _, succ := range graphalg.Succs(v, s, a) {
 					if !inS[succ] {
 						ok = false
 						break
@@ -183,7 +183,7 @@ func MaximalTrap(v graphalg.StateView, bad func(s int) bool) graphalg.Trap {
 					continue
 				}
 				ok := true
-				for _, succ := range v.Succs(s, a) {
+				for _, succ := range graphalg.Succs(v, s, a) {
 					if !inEC[succ] || comp[succ] != comp[s] {
 						ok = false
 						break
@@ -292,7 +292,7 @@ func StronglyConnected(v graphalg.StateView, inSet []bool, act [][]bool, comp []
 			if !act[s][a] {
 				continue
 			}
-			for _, succ := range v.Succs(s, a) {
+			for _, succ := range graphalg.Succs(v, s, a) {
 				if inSet[succ] {
 					out = append(out, succ)
 				}

@@ -21,8 +21,8 @@ import (
 // removed.
 //
 // The index stores one entry per outcome occurrence in both directions: if
-// action a of state s lists state t twice in Succs(s, a), the forward row of
-// (s, a) has two t entries and t has two (s, a) reverse entries. That
+// action a of state s lists state t twice among its successors, the forward
+// row of (s, a) has two t entries and t has two (s, a) reverse entries. That
 // multiset correspondence is pinned by FuzzPredecessorIndex.
 //
 // An index is immutable after construction and safe for concurrent use: the
@@ -90,9 +90,13 @@ func NewPredecessorIndex(v StateView, workers int) *PredecessorIndex {
 	// layout is identical for every chunk count — buckets are filled in
 	// (chunk, source, action, outcome) order and chunks are contiguous
 	// ascending source ranges, so the order is the global forward one.
+	// Rounding the chunk size up can leave fewer non-empty chunks than
+	// asked for (5 states in 4 chunks of 2 fill only 3), so the count is
+	// recomputed from the size: every chunk then starts inside the range.
 	const maxBuildChunks = 8
-	chunks := min(workers, maxBuildChunks, n)
-	chunkSize := (n + chunks - 1) / chunks
+	asked := min(workers, maxBuildChunks)
+	chunkSize := (n + asked - 1) / asked
+	chunks := (n + chunkSize - 1) / chunkSize
 	// Count phase: each chunk counts, into its own in-degree array, the edge
 	// occurrences its states emit — one contiguous range of fsucc.
 	indeg := make([][]int32, chunks)

@@ -55,6 +55,9 @@ func FuzzPredecessorIndex(f *testing.F) {
 	f.Add([]byte{3, 2, 1, 0, 2, 1, 2})
 	f.Add([]byte{1, 1, 3, 0, 0, 0})
 	f.Add([]byte{5, 4, 2, 4, 4, 0, 1, 2, 3, 9, 9, 9, 2, 0, 0})
+	// Ten states: a build at 8 workers rounds its chunk size up to 2 and
+	// fills only 5 chunks.
+	f.Add([]byte{9, 1, 1, 3, 2, 7, 1, 4, 3, 5, 6, 9, 0, 1, 8, 2, 2, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m := fuzzMDP(data)
 		ix := NewPredecessorIndex(m, 1)
@@ -64,7 +67,7 @@ func FuzzPredecessorIndex(f *testing.F) {
 		edges := 0
 		for s := 0; s < m.NumStates(); s++ {
 			for a := 0; a < m.NumActions(); a++ {
-				succs := m.Succs(s, a)
+				succs := Succs(m, s, a)
 				if o := s*ix.nActions + a; int(ix.foff[o+1]-ix.foff[o]) != len(succs) {
 					t.Fatalf("(%d, %d) has %d forward slots, want %d", s, a, ix.foff[o+1]-ix.foff[o], len(succs))
 				}
@@ -105,12 +108,14 @@ func FuzzPredecessorIndex(f *testing.F) {
 		}
 
 		// A parallel build must produce the identical index.
-		ix3 := NewPredecessorIndex(m, 3)
-		for s := 0; s < m.NumStates(); s++ {
-			p1, a1 := predEdges(ix, s)
-			p3, a3 := predEdges(ix3, s)
-			if !reflect.DeepEqual(p1, p3) || !reflect.DeepEqual(a1, a3) {
-				t.Fatalf("state %d: parallel build diverged from sequential", s)
+		for _, workers := range []int{3, 8} {
+			ixw := NewPredecessorIndex(m, workers)
+			for s := 0; s < m.NumStates(); s++ {
+				p1, a1 := predEdges(ix, s)
+				pw, aw := predEdges(ixw, s)
+				if !reflect.DeepEqual(p1, pw) || !reflect.DeepEqual(a1, aw) {
+					t.Fatalf("state %d: the build at %d workers diverged from sequential", s, workers)
+				}
 			}
 		}
 	})

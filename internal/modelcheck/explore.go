@@ -235,17 +235,10 @@ func (ss *StateSpace) NumActions() int { return ss.NumPhils }
 // Initial returns the dense index of the initial state.
 func (ss *StateSpace) Initial() int { return ss.initial }
 
-// Succs returns the dense ids of the successor states of philosopher a's
-// action from dense state s. The returned slice aliases the transition table
-// and must not be modified. It implements graphalg.StateView.
-func (ss *StateSpace) Succs(s, a int) []int32 {
-	i := s*ss.NumPhils + a
-	return ss.succs[ss.off[i]:ss.off[i+1]]
-}
-
 // Probs returns the outcome probabilities of philosopher a's action from
-// dense state s, aligned with Succs. The returned slice aliases the
-// transition table and must not be modified.
+// dense state s, aligned with its successors (graphalg.Succs). The returned
+// slice aliases the transition table and must not be modified. It
+// implements graphalg.StateView.
 func (ss *StateSpace) Probs(s, a int) []float64 {
 	i := s*ss.NumPhils + a
 	return ss.probs[ss.off[i]:ss.off[i+1]]
@@ -687,7 +680,7 @@ func (e *explorer) exploreSequential() error {
 
 // exploreSharded runs the BFS level by level through the four phases
 // described in the package comment. Every phase is parallel — over chunks
-// (expand, gather) or over shards (intern, rows) — and every write target is
+// (expand, gather, rows) or over shards (intern) — and every write target is
 // owned by exactly one goroutine, so the only synchronization is the barrier
 // between phases. A level that could pass the state cap is first cut to the
 // prefix the sequential exploration expands (cutLevel); the prefix runs the

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/graph"
+	"repro/internal/graphalg"
 )
 
 // TestExplorationGolden pins the exact exploration results (state counts,
@@ -180,9 +181,9 @@ func assertEquivalentSpace(t *testing.T, label string, seq, sh *StateSpace) {
 			t.Fatalf("%s: state %d eating mask differs", label, s)
 		}
 		for a := 0; a < seq.NumPhils; a++ {
-			if !reflect.DeepEqual(seq.Succs(s, a), sh.Succs(s, a)) {
+			if !reflect.DeepEqual(graphalg.Succs(seq, s, a), graphalg.Succs(sh, s, a)) {
 				t.Fatalf("%s: successors of (state %d, phil %d) differ: %v vs %v",
-					label, s, a, seq.Succs(s, a), sh.Succs(s, a))
+					label, s, a, graphalg.Succs(seq, s, a), graphalg.Succs(sh, s, a))
 			}
 			if !reflect.DeepEqual(seq.Probs(s, a), sh.Probs(s, a)) {
 				t.Fatalf("%s: probabilities of (state %d, phil %d) differ", label, s, a)

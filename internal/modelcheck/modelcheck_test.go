@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/algo"
 	"repro/internal/graph"
+	"repro/internal/graphalg"
 	"repro/internal/graphalg/graphalgtest"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -145,7 +146,7 @@ func TestExploreOutcomeGuardIsLinear(t *testing.T) {
 		widest := 0
 		for s := range ss.NumStates() {
 			for a := range ss.NumPhils {
-				widest = max(widest, len(ss.Succs(s, a)))
+				widest = max(widest, len(graphalg.Succs(ss, s, a)))
 			}
 		}
 		if widest != 64 {

@@ -77,7 +77,7 @@ func (ss *StateSpace) liftChoices(choices []graphalg.Choice) ([]trace.Step, erro
 	q := ss.initial
 	var buf []byte
 	for i, c := range choices {
-		succs := ss.Succs(q, c.Action)
+		succs := graphalg.Succs(ss, q, c.Action)
 		if c.Outcome < 0 || c.Outcome >= len(succs) {
 			return nil, fmt.Errorf("modelcheck: quotient path step %d schedules outcome %d of P%d in state %d, which has %d outcomes",
 				i, c.Outcome, c.Action, q, len(succs))

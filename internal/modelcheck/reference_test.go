@@ -8,6 +8,7 @@ import (
 	"repro/internal/algo"
 	"repro/internal/fault"
 	"repro/internal/graph"
+	"repro/internal/graphalg"
 	"repro/internal/sim"
 )
 
@@ -124,8 +125,8 @@ func assertMatchesReference(t *testing.T, label string, ref *refSpace, maxStates
 			if expanded {
 				want = ref.rows[s][a]
 			}
-			got := make([]refEdge, len(ss.Succs(s, a)))
-			for i, succ := range ss.Succs(s, a) {
+			got := make([]refEdge, len(graphalg.Succs(ss, s, a)))
+			for i, succ := range graphalg.Succs(ss, s, a) {
 				got[i] = refEdge{succ: succ, prob: ss.Probs(s, a)[i]}
 			}
 			if !reflect.DeepEqual(got, want) {
