@@ -96,7 +96,8 @@
 // row-writing are parallel over chunks, interning is parallel over shards —
 // so there are no locks and no sequential per-level merge; a state cap cuts
 // the final level where a search expanding one state at a time would stop,
-// and the kept prefix runs the same phases. Every state also has a dense id:
+// and the kept prefix runs the same phases. The loop is the same at every
+// worker count: a phase over one chunk or one shard runs inline. Every state also has a dense id:
 // its place in breadth-first discovery order, which is provably the same
 // numbering for every (workers, shards) combination, so state counts,
 // verdicts, witnesses and counterexample traces never depend on how the
@@ -107,7 +108,8 @@
 // The analyses — reachability, deadlock detection, the safety game and
 // maximal-end-component computation behind the starvation-trap theorems,
 // SCCs, shortest counterexample paths — live in internal/graphalg behind a
-// read-only StateView interface (NumStates/NumActions/Rows/Probs/Bad),
+// read-only StateView interface (NumStates/NumActions/Rows/Bad; the rows
+// hold successors only, since every analysis is qualitative),
 // with no dependency on the store layout. Between the view and the analyses
 // sits the predecessor-index/worklist layer: a graphalg.PredecessorIndex is
 // the CSR form of the explored graph in both directions (the view's forward

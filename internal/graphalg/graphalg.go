@@ -40,12 +40,13 @@ package graphalg
 
 // StateView is the read-only interface the analyses operate on: a finite MDP
 // with NumStates states, NumActions actions per state, and for each
-// (state, action) a set of successor states with probabilities.
+// (state, action) the list of its outcomes' successor states. The outcome
+// probabilities are left out: every analysis here is qualitative, so a
+// verdict depends only on which successors an action can reach.
 //
 // Implementations must be safe for concurrent readers, and the slices
-// returned by Probs and Rows must stay valid (and unmodified) for the
-// lifetime of the view — the analyses alias them freely and never write
-// through them.
+// returned by Rows must stay valid (and unmodified) for the lifetime of the
+// view — the analyses alias them freely and never write through them.
 type StateView interface {
 	// NumStates returns the number of states; states are indexed 0..NumStates-1.
 	NumStates() int
@@ -53,9 +54,6 @@ type StateView interface {
 	NumActions() int
 	// Initial returns the index of the initial state.
 	Initial() int
-	// Probs returns the outcome probabilities of action a in state s, aligned
-	// with its successors (Succs). The slice must not be modified.
-	Probs(s, a int) []float64
 	// Rows returns the successor states of every (state, action) as one CSR
 	// table: the successors of action a in state s are succ[off[i]:off[i+1]]
 	// with i = s*NumActions()+a, so off has NumStates()*NumActions()+1

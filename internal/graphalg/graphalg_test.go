@@ -6,14 +6,13 @@ import (
 )
 
 // mdp is a hand-built StateView fixture: its rows are built once from the
-// successor lists newMDP is given, and probs are spread uniformly.
+// successor lists newMDP is given.
 type mdp struct {
 	nActions int
 	initial  int
 	// off and succ are the CSR rows Rows returns: action a of state s has
 	// the successors succ[off[s*nActions+a]:off[s*nActions+a+1]].
 	off, succ []int32
-	probs     [][][]float64
 	bad       []bool
 	expanded  []bool
 }
@@ -22,7 +21,6 @@ type mdp struct {
 // succs[s][a].
 func newMDP(nActions int, succs [][][]int32) *mdp {
 	m := &mdp{nActions: nActions}
-	m.probs = make([][][]float64, len(succs))
 	m.bad = make([]bool, len(succs))
 	m.expanded = make([]bool, len(succs))
 	for s := range succs {
@@ -30,25 +28,18 @@ func newMDP(nActions int, succs [][][]int32) *mdp {
 			panic("fixture: wrong action count")
 		}
 		m.expanded[s] = true
-		m.probs[s] = make([][]float64, nActions)
 		for a := range succs[s] {
 			m.off = append(m.off, int32(len(m.succ)))
 			m.succ = append(m.succ, succs[s][a]...)
-			k := len(succs[s][a])
-			m.probs[s][a] = make([]float64, k)
-			for i := range m.probs[s][a] {
-				m.probs[s][a][i] = 1 / float64(k)
-			}
 		}
 	}
 	m.off = append(m.off, int32(len(m.succ)))
 	return m
 }
 
-func (m *mdp) NumStates() int            { return len(m.probs) }
+func (m *mdp) NumStates() int            { return len(m.bad) }
 func (m *mdp) NumActions() int           { return m.nActions }
 func (m *mdp) Initial() int              { return m.initial }
-func (m *mdp) Probs(s, a int) []float64  { return m.probs[s][a] }
 func (m *mdp) Bad(s int) bool            { return m.bad[s] }
 func (m *mdp) Expanded(s int) bool       { return m.expanded[s] }
 func (m *mdp) Rows() (off, succ []int32) { return m.off, m.succ }

@@ -67,13 +67,15 @@ func TestAnalysesAllocBudget(t *testing.T) {
 }
 
 // TestExploreAllocsPerState is the allocation-regression guard for
-// exploration. On the sequential (workers=1, shards=1) path, the intern
-// store (key bytes in a chunked arena, no per-state key copy) and the
+// exploration. The intern store (key bytes in a chunked arena, no per-state
+// key copy), the pending keys of a chunk sharing one reused buffer and the
 // frontier world free-list (revisit clones and expanded frontier worlds
 // recycle their backing slices) brought Explore from ~6 allocations per
-// state down to under 2; the sharded rows pin the parallel path, whose
-// pending keys share one reused buffer per chunk instead of a string each.
-// A refactor that reintroduces per-state copies shows up immediately.
+// state down to under 2. The one-worker rows run every phase inline over
+// one chunk and one shard, so they pay one chunk record, one local intern
+// table and one row block per BFS level on their small instances; the
+// two-worker rows pin the goroutine phases on larger ones. A refactor that
+// reintroduces per-state copies shows up immediately.
 func TestExploreAllocsPerState(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting skipped in -short mode")
@@ -154,9 +156,11 @@ func TestExploreMemoryFollowsTheWork(t *testing.T) {
 // a fresh index per state (its scratch pool is empty, so it allocates every
 // working array). The index reads the space's transition table in place
 // and builds only the reverse rows, and the exploration writes that table
-// once at its exact size; the pins were 602 B/state, 18.9 B/edge and
-// 71.0 B/state when the index copied the forward rows and the explorer kept
-// per-shard rows grown by doubling.
+// once at its exact size, successors only; the pins were 602 B/state,
+// 18.9 B/edge and 71.0 B/state when the index copied the forward rows and
+// the explorer kept per-shard rows grown by doubling, and exploration was
+// 470 B/state while the table and the chunk records also held every
+// outcome's probability.
 func TestColdCheckBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting skipped in -short mode")
@@ -192,7 +196,7 @@ func TestColdCheckBytes(t *testing.T) {
 		limit float64
 		per   string
 	}{
-		{"exploration", explore / states, 540, "state"},
+		{"exploration", explore / states, 420, "state"},
 		{"predecessor index", index / edges, 14, "edge"},
 		{"first MaximalTrap", trap / states, 58, "state"},
 	} {

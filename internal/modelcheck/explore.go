@@ -39,52 +39,59 @@
 // Every state also has a dense id: states are numbered 0..NumStates-1 in
 // exploration (breadth-first discovery) order, which is the numbering every
 // exported method and analysis uses. The dense order is identical for every
-// (workers, shards) combination — it equals the sequential exploration's
-// numbering — so verdicts, witnesses and counterexample traces never depend
-// on how the exploration was parallelized; only the internal shard layout
-// does, and the layout test in golden_test.go pins the correspondence.
+// (workers, shards) combination — it equals the numbering of a search that
+// expands one state at a time — so verdicts, witnesses and counterexample
+// traces never depend on how the exploration was parallelized; only the
+// internal shard layout does, and the layout test in golden_test.go pins the
+// correspondence.
 //
 // The transitions live in one table in dense order, stored as CSR rows: one
-// int32 offset per (state, philosopher) into flat succs (dense ids) and
-// probs arrays. graphalg.PredecessorIndex reads the offsets and successors
-// in place (StateSpace.Rows), so the explored graph is stored once.
+// int32 offset per (state, philosopher) into a flat array of successor dense
+// ids. graphalg.PredecessorIndex reads both in place (StateSpace.Rows), so
+// the explored graph is stored once. The table holds no probabilities: every
+// analysis is qualitative, and a counterexample step takes its probability
+// from the outcome its replay applies.
 //
 // # Exploration order and parallelism
 //
-// Explore is a level-synchronous breadth-first search. Each BFS level runs
-// four phases:
+// Explore is a level-synchronous breadth-first search, the only loop at
+// every (workers, shards) setting. Each BFS level runs four phases:
 //
 //  1. Expand: workers expand disjoint contiguous chunks of the level against
 //     the read-only shard intern tables and record, per chunk, the outcome
-//     probabilities and successor references (dense ids for known states,
-//     pending indices for locally new ones).
+//     count of each action and one successor reference per outcome (a dense
+//     id for a known state, a pending index for a locally new one).
 //  2. Intern: one goroutine per shard replays every chunk's pending keys in
 //     (chunk, first-encounter) order and interns the ones hashing to its
 //     shard, assigning packed ids — disjoint shards, no lock, no global
 //     merge.
 //  3. Gather: workers assign the new states their dense ids — the (chunk,
-//     first-encounter) order is exactly the order the sequential exploration
-//     discovers them in — record state labels, and build the next frontier.
+//     first-encounter) order is exactly the breadth-first discovery order —
+//     record state labels, and build the next frontier.
 //  4. Rows: one goroutine per chunk writes the transition rows of its
 //     states, resolving pending references through the intern results. A
 //     chunk's states are a contiguous dense range, so its rows are a
-//     contiguous range of the level's block: one exactly sized offset,
-//     successor and probability array per level.
+//     contiguous range of the level's block: one exactly sized offset and
+//     successor array per level.
+//
+// A phase over a single chunk or shard runs inline on the calling goroutine,
+// so an exploration at Workers: 1 and one shard starts no goroutine.
 //
 // When the last level is done, Explore seals the blocks, in level order, and
 // one self-loop per philosopher for each state left unexpanded into the
 // space's table, allocated once at its exact size (an outcome count that
 // would overflow the int32 offsets is an error).
 //
-// The sequential path (workers = 1, shards = 1) is the same order executed
-// inline with no phases, appending its rows to the space's table directly;
-// it stops after the first state whose expansion takes the state count past
-// Options.MaxStates. A level that could pass the cap is cut at that state
-// before its intern phase: replaying the level's pending keys in (chunk,
-// first-encounter) order through a throwaway table counts exactly the states
-// the intern phase would create, the records are truncated after the first
-// frontier entry whose creations pass the cap, and the kept prefix runs the
-// four phases like any other level.
+// A capped exploration stops after the first state, in dense order, whose
+// expansion takes the state count past Options.MaxStates. A chunk stops
+// expanding after the frontier entry at which its own pendings first
+// outnumber the room the cap leaves the level: they are distinct new states,
+// so the level is cut at or before that entry. A level that could pass the
+// cap is then cut before its intern phase: replaying the level's pending
+// keys in (chunk, first-encounter) order through a throwaway table counts
+// exactly the states the intern phase would create, the records are
+// truncated after the first frontier entry whose creations pass the cap, and
+// the kept prefix runs the four phases like any other level.
 package modelcheck
 
 import (
@@ -111,9 +118,8 @@ type Options struct {
 	// non-nil return aborts Explore with that error. It is how context
 	// cancellation reaches the exploration loop.
 	Interrupt func() error
-	// Workers bounds the exploration goroutines (0 = one per CPU,
-	// 1 = sequential). The explored space is identical for every value; only
-	// wall-clock changes.
+	// Workers bounds the exploration goroutines (0 = one per CPU). The
+	// explored space is identical for every value; only wall-clock changes.
 	Workers int
 	// Shards is the number of independently-owned state stores (rounded up
 	// to a power of two, capped at MaxShards; 0 = match the resolved worker
@@ -181,13 +187,11 @@ type StateSpace struct {
 	shards []shardStore
 	// shardMask is len(shards)-1, the mask applied to the key hash.
 	shardMask uint32
-	// off, succs and probs are the transition table: the outcomes of
-	// philosopher a's action from dense state s are succs[off[i]:off[i+1]]
-	// (dense ids) with probabilities probs[off[i]:off[i+1]], where
-	// i = s*NumPhils+a.
+	// off and succs are the transition table: the outcomes of philosopher
+	// a's action from dense state s lead to the dense states
+	// succs[off[i]:off[i+1]], in outcome order, where i = s*NumPhils+a.
 	off   []int32
 	succs []int32
-	probs []float64
 	// bad[s] reports whether a protected philosopher is eating in dense
 	// state s.
 	bad []bool
@@ -220,8 +224,8 @@ type StateSpace struct {
 	// memo holds the predecessor index and every exhaustive analysis of this
 	// space, each computed at most once (see analyses.go). It is nil until
 	// the first analysis, so an exploration allocates nothing for it, and
-	// it is a single word: the struct is 280 bytes, in the 288-byte size
-	// class, and the exploration allocation pins count it.
+	// it is a single word: the struct is 256 bytes, filling the 256-byte
+	// size class, and the exploration allocation pins count it.
 	memo atomic.Pointer[analysisMemo]
 }
 
@@ -234,15 +238,6 @@ func (ss *StateSpace) NumActions() int { return ss.NumPhils }
 
 // Initial returns the dense index of the initial state.
 func (ss *StateSpace) Initial() int { return ss.initial }
-
-// Probs returns the outcome probabilities of philosopher a's action from
-// dense state s, aligned with its successors (graphalg.Succs). The returned
-// slice aliases the transition table and must not be modified. It
-// implements graphalg.StateView.
-func (ss *StateSpace) Probs(s, a int) []float64 {
-	i := s*ss.NumPhils + a
-	return ss.probs[ss.off[i]:ss.off[i+1]]
-}
 
 // Rows returns the transition table's offsets and successors, which the
 // predecessor index reads in place. It implements graphalg.StateView.
@@ -283,9 +278,9 @@ func (ss *StateSpace) shardOfHash(h uint64) uint32 { return uint32(h) & ss.shard
 // shardOf returns the owning shard of a canonical key.
 func (ss *StateSpace) shardOf(key []byte) uint32 { return ss.shardOfHash(hashKey(key)) }
 
-// scratch is the reusable per-worker expansion state: key and outcome
-// buffers, a world free-list, and — for the level loop — the record of the
-// worker's chunk awaiting the per-shard phases.
+// scratch is the reusable per-chunk expansion state: key and outcome
+// buffers, a world free-list, and the record of the chunk awaiting the
+// per-shard phases.
 type scratch struct {
 	keyBuf     []byte
 	obuf, sbuf []sim.Outcome
@@ -296,22 +291,17 @@ type scratch struct {
 
 	// The chunk record. counts holds one entry per (state, action), its
 	// number of outcomes; outs one per outcome, in (state, action, outcome)
-	// order; pend the locally new successor states in first-encounter order.
-	// local interns the pending keys (key -> pending index, this level only)
-	// in one reused arena and resets in time proportional to the level, from
-	// the hashes pend keeps. A cut truncates the three slices.
+	// order: its successor ref, a dense state id when >= 0, else pending
+	// entry ^ref of the same chunk; pend the locally new successor states in
+	// first-encounter order. local interns the pending keys (key -> pending
+	// index, this level only) in one reused arena and resets in time
+	// proportional to the level, from the hashes pend keeps. A cut truncates
+	// the three slices.
 	counts []int32
-	outs   []outRef
+	outs   []int32
 	pend   []pending
 	local  internTable
 	err    error
-}
-
-// outRef is one recorded outcome: its probability and its successor, a dense
-// state id when ref >= 0, else pending entry ^ref of the same chunk.
-type outRef struct {
-	prob float64
-	ref  int32
 }
 
 // pending is a successor state new to the shard tables when its chunk was
@@ -352,22 +342,33 @@ type explorer struct {
 	// opts is the caller's Options with every knob normalized in place —
 	// MaxStates resolved against the default, Symmetry trivial-group
 	// requests cleared to nil — so the explorer carries no duplicate
-	// resolved fields and keeps its pre-symmetry allocation size class.
+	// resolved fields.
 	opts      Options
 	protected map[graph.PhilID]bool
 
-	// front holds the worlds of the current BFS level in discovery order
-	// (sequentially: the whole queue, consumed in place); nextFront collects
-	// the next level in the gather phase. levelStart is the dense id of
-	// front[0]: the level's states are dense-contiguous, so front[i] is
-	// state levelStart+i.
+	// front holds the worlds of the current BFS level in discovery order;
+	// nextFront collects the next level in the gather phase. levelStart is
+	// the dense id of front[0]: the level's states are dense-contiguous, so
+	// front[i] is state levelStart+i.
 	front      []*sim.World
 	nextFront  []*sim.World
 	levelStart int
 
-	// blocks holds the level loop's rows, one block per expanded level, and
-	// outcomes their total outcome count; seal turns them into the space's
-	// table.
+	// The current level's bookkeeping, which the phase functions read: known
+	// is the state count before the level; chunk ci covers the frontier
+	// entries from ci*chunk, active chunks run, and scratches[ci] holds
+	// chunk ci's record; chunkBase[ci] is the first dense id of chunk ci's
+	// new states counted from known, and chunkOut[ci] the index of its first
+	// outcome in block, the level's rows.
+	known, chunk, active int
+	scratches            []*scratch
+	shardScr             []shardScratch
+	chunkBase, chunkOut  []int
+	block                rowBlock
+	wg                   sync.WaitGroup
+
+	// blocks holds the rows, one block per expanded level, and outcomes
+	// their total outcome count; seal turns them into the space's table.
 	blocks   []rowBlock
 	outcomes int
 }
@@ -375,12 +376,11 @@ type explorer struct {
 // rowBlock is the transition rows of one BFS level's expanded states, a
 // contiguous dense range: off holds the table offset of each (state,
 // philosopher) of the range, counted from the first outcome of the first
-// level, and succs and probs the level's outcomes. Every array is allocated
-// at its exact size.
+// level, and succs the level's outcomes. Both arrays are allocated at their
+// exact size.
 type rowBlock struct {
 	off   []int32
 	succs []int32
-	probs []float64
 }
 
 // isProtected reports whether p's meals count as "bad".
@@ -398,48 +398,36 @@ func (e *explorer) appendKey(w *sim.World, buf []byte) []byte {
 	return w.AppendKey(buf)
 }
 
-// stateFlags computes the per-state labels recorded at intern time.
-func (e *explorer) stateFlags(w *sim.World) (bad, eat bool, mask uint64) {
-	for p := range w.Phils {
-		if w.Phils[p].Phase == sim.Eating {
-			eat = true
-			if p < maskablePhils {
-				mask |= 1 << uint(p)
-			}
-			if e.isProtected(graph.PhilID(p)) {
-				bad = true
-			}
-		}
+// growStates extends the per-state labels by n new, unexpanded states.
+func (e *explorer) growStates(n int) {
+	ss := e.ss
+	ss.bad = grown(ss.bad, n)
+	ss.anyEating = grown(ss.anyEating, n)
+	ss.expanded = grown(ss.expanded, n)
+	if ss.NumPhils <= maskablePhils {
+		ss.eating = grown(ss.eating, n)
 	}
-	return bad, eat, mask
 }
 
-// internState interns key, whose hashKey is h, into its shard. A new state
-// gets its dense id and labels, from its world w, and added reports it;
-// either way the state's dense id is returned. It serves the sequential loop
-// and the initial state; the level loop splits the same work between
-// internShard and gatherChunk.
-func (e *explorer) internState(h uint64, key []byte, w *sim.World) (dense int32, added bool, err error) {
+// label records the labels of the new dense state d, whose world is w.
+func (e *explorer) label(d int, w *sim.World) {
 	ss := e.ss
-	g := ss.shardOfHash(h)
-	st := &ss.shards[g]
-	local, added := st.table.intern(h, key)
-	if !added {
-		return st.dense[local], false, nil
+	var mask uint64
+	for p := range w.Phils {
+		if w.Phils[p].Phase != sim.Eating {
+			continue
+		}
+		ss.anyEating[d] = true
+		if p < maskablePhils {
+			mask |= 1 << uint(p)
+		}
+		if e.isProtected(graph.PhilID(p)) {
+			ss.bad[d] = true
+		}
 	}
-	if local > localMask {
-		return 0, false, errShardOverflow(g)
+	if ss.eating != nil {
+		ss.eating[d] = mask
 	}
-	dense = int32(len(ss.bad))
-	st.dense = push(st.dense, dense)
-	ss.expanded = push(ss.expanded, false)
-	bad, eat, mask := e.stateFlags(w)
-	ss.bad = push(ss.bad, bad)
-	ss.anyEating = push(ss.anyEating, eat)
-	if ss.NumPhils <= maskablePhils {
-		ss.eating = push(ss.eating, mask)
-	}
-	return dense, true, nil
 }
 
 // errShardOverflow reports a shard that ran out of local ids.
@@ -514,68 +502,57 @@ func Explore(topo *graph.Topology, prog sim.Program, opts Options) (*StateSpace,
 	initial := sim.NewWorld(topo)
 	prog.Init(initial)
 
+	// The initial state is dense id 0, the whole first level.
 	w0 := initial.CloneProtocol()
 	key0 := e.appendKey(w0, nil)
-	if _, _, err := e.internState(hashKey(key0), key0, w0); err != nil {
-		return nil, err
-	}
-	ss.initial = 0
+	h0 := hashKey(key0)
+	st := &ss.shards[ss.shardOfHash(h0)]
+	st.table.intern(h0, key0)
+	st.dense = append(st.dense, 0)
+	e.growStates(1)
+	e.label(0, w0)
 	e.front = append(e.front, w0)
 
-	var err error
-	if workers == 1 && shards == 1 {
-		err = e.exploreSequential()
-	} else {
-		err = e.exploreSharded(workers)
+	if err := e.explore(workers); err != nil {
+		return nil, err
 	}
-	if err == nil {
-		err = e.seal()
-	}
-	if err != nil {
+	if err := e.seal(); err != nil {
 		return nil, err
 	}
 	return ss, nil
 }
 
-// seal completes the space's transition table. The level loop's blocks are
-// copied, in level order, into a table allocated once at its exact size
-// (the sequential loop has appended its rows to the table already); then
-// every state left unexpanded — the states after the last expanded one,
-// possible only on a truncated exploration — gets one self-loop per
-// philosopher, so that the analyses remain well defined, and off gets its
-// closing entry. It fails when the outcome count would overflow the int32
-// offsets.
+// seal completes the space's transition table: the blocks are copied, in
+// level order, into a table allocated once at its exact size; then every
+// state left unexpanded — the states after the last expanded one, possible
+// only on a truncated exploration — gets one self-loop per philosopher, so
+// that the analyses remain well defined, and off gets its closing entry. It
+// fails when the outcome count would overflow the int32 offsets.
 func (e *explorer) seal() error {
 	ss := e.ss
 	np := ss.NumPhils
-	rows, outs := len(ss.off), len(ss.succs)
+	rows := 0
 	for _, b := range e.blocks {
 		rows += len(b.off)
-		outs += len(b.succs)
 	}
 	loops := ss.NumStates()*np - rows
-	if total := outs + loops; total > math.MaxInt32 {
+	if total := e.outcomes + loops; total > math.MaxInt32 {
 		return fmt.Errorf("modelcheck: %d outcomes overflow the transition table's 32-bit offsets", total)
 	}
-	if len(e.blocks) > 0 {
-		ss.off = make([]int32, 0, rows+loops+1)
-		ss.succs = make([]int32, 0, outs+loops)
-		ss.probs = make([]float64, 0, outs+loops)
-		for _, b := range e.blocks {
-			ss.off = append(ss.off, b.off...)
-			ss.succs = append(ss.succs, b.succs...)
-			ss.probs = append(ss.probs, b.probs...)
-		}
-		e.blocks = nil
+	ss.off = make([]int32, 0, rows+loops+1)
+	ss.succs = make([]int32, 0, e.outcomes+loops)
+	for _, b := range e.blocks {
+		ss.off = append(ss.off, b.off...)
+		ss.succs = append(ss.succs, b.succs...)
 	}
+	e.blocks = nil
 	for s := rows / np; s < ss.NumStates(); s++ {
 		for range np {
-			ss.off = push(ss.off, int32(len(ss.succs)))
-			ss.succs = push(ss.succs, int32(s))
-			ss.probs = push(ss.probs, 1)
+			ss.off = append(ss.off, int32(len(ss.succs)))
+			ss.succs = append(ss.succs, int32(s))
 		}
 	}
-	ss.off = push(ss.off, int32(len(ss.succs)))
+	ss.off = append(ss.off, int32(len(ss.succs)))
 	return nil
 }
 
@@ -621,83 +598,16 @@ func sameOutcomes(a, b []sim.Outcome) bool {
 	return true
 }
 
-// exploreSequential runs the BFS inline on a single shard, appending each
-// expanded state's rows to the space's table. front doubles as the FIFO
-// queue: new states are appended in id order, so the world of state id sits
-// at front[id] until the state is expanded, and the rows are written in
-// dense order.
-func (e *explorer) exploreSequential() error {
+// explore runs the BFS level by level through the four phases described in
+// the package comment. Every phase runs over chunks (expand, gather, rows)
+// or over shards (intern), and every write target is owned by exactly one
+// unit, so the only synchronization is the barrier between phases. A level
+// that could pass the state cap is first cut to the prefix a search
+// expanding one state at a time would expand (cutLevel); the prefix runs
+// the same four phases, and the exploration ends with it.
+func (e *explorer) explore(workers int) error {
 	ss := e.ss
-	s := &scratch{}
-	for head := 0; head < len(e.front); head++ {
-		if e.opts.Interrupt != nil && head%interruptCheckInterval == 0 {
-			if err := e.opts.Interrupt(); err != nil {
-				return err
-			}
-		}
-		w := e.front[head]
-		e.front[head] = nil
-
-		for a := 0; a < ss.NumPhils; a++ {
-			pid := graph.PhilID(a)
-			// Outcomes must not mutate the world they are computed from, so
-			// the shared frontier world can be probed directly; each outcome
-			// is then applied to its own clone.
-			outcomes := ss.prog.Outcomes(w, pid, s.obuf[:0])
-			s.obuf = outcomes
-			// An offset past the int32 range makes seal fail, so a
-			// truncated one is never read.
-			ss.off = push(ss.off, int32(len(ss.succs)))
-			for i := range outcomes {
-				succ, err := e.successor(s, w, pid, outcomes, i)
-				if err != nil {
-					return err
-				}
-				// Probing a seen state allocates nothing; a new state's key
-				// is copied into the shard's arena.
-				sid, added, err := e.internState(hashKey(s.keyBuf), s.keyBuf, succ)
-				if err != nil {
-					return err
-				}
-				if added {
-					e.front = push(e.front, succ)
-				} else {
-					s.putFree(succ)
-				}
-				ss.succs = push(ss.succs, sid)
-				ss.probs = push(ss.probs, outcomes[i].Prob)
-			}
-		}
-		ss.expanded[head] = true
-		s.putFree(w)
-		if ss.NumStates() > e.opts.MaxStates {
-			ss.Truncated = true
-			return nil
-		}
-	}
-	return nil
-}
-
-// exploreSharded runs the BFS level by level through the four phases
-// described in the package comment. Every phase is parallel — over chunks
-// (expand, gather, rows) or over shards (intern) — and every write target is
-// owned by exactly one goroutine, so the only synchronization is the barrier
-// between phases. A level that could pass the state cap is first cut to the
-// prefix the sequential exploration expands (cutLevel); the prefix runs the
-// same four phases, and the exploration ends with it.
-func (e *explorer) exploreSharded(workers int) error {
-	ss := e.ss
-	// A level runs min(workers, level size) chunks; scratches are created
-	// as levels first need them, so the per-worker memory follows the work,
-	// not the requested worker count.
-	var scratches []*scratch
-	shardScr := make([]*shardScratch, len(ss.shards))
-	for g := range shardScr {
-		shardScr[g] = &shardScratch{}
-	}
-	var chunkLo, chunkBase, chunkOut []int
-	var wg sync.WaitGroup
-
+	e.shardScr = make([]shardScratch, len(ss.shards))
 	for len(e.front) > 0 {
 		if e.opts.Interrupt != nil {
 			if err := e.opts.Interrupt(); err != nil {
@@ -705,29 +615,21 @@ func (e *explorer) exploreSharded(workers int) error {
 			}
 		}
 
-		// Phase 1: expand disjoint chunks of the level in parallel.
+		// Phase 1: expand disjoint chunks of the level. A level runs
+		// min(workers, level size) chunks; scratches are created as levels
+		// first need them, so the per-chunk memory follows the work, not the
+		// requested worker count.
 		n := len(e.front)
-		chunk := (n + workers - 1) / workers
-		active := 0
-		chunkLo = chunkLo[:0]
-		for lo := 0; lo < n; lo += chunk {
-			hi := min(lo+chunk, n)
-			if active == len(scratches) {
-				scratches = append(scratches, &scratch{})
-			}
-			s := scratches[active]
-			chunkLo = append(chunkLo, lo)
-			active++
-			wg.Add(1)
-			go func(s *scratch, worlds []*sim.World) {
-				defer wg.Done()
-				e.expandChunk(s, worlds)
-			}(s, e.front[lo:hi])
+		e.known = ss.NumStates()
+		e.chunk = (n + workers - 1) / workers
+		e.active = (n + e.chunk - 1) / e.chunk
+		for len(e.scratches) < e.active {
+			e.scratches = append(e.scratches, &scratch{})
 		}
-		wg.Wait()
+		e.phase(e.active, (*explorer).expandChunk)
 		// The first error in chunk order keeps error reporting deterministic
 		// (each chunk's contents are deterministic, so so is its error).
-		for _, s := range scratches[:active] {
+		for _, s := range e.scratches[:e.active] {
 			if s.err != nil {
 				return s.err
 			}
@@ -736,79 +638,52 @@ func (e *explorer) exploreSharded(workers int) error {
 		// The pending total over-counts cross-chunk duplicates, so a level
 		// it puts past the cap may still fit; cutLevel decides exactly.
 		totalPending := 0
-		for _, s := range scratches[:active] {
+		for _, s := range e.scratches[:e.active] {
 			totalPending += len(s.pend)
 		}
-		d0 := ss.NumStates()
 		cut := false
-		if d0+totalPending > e.opts.MaxStates {
-			active, cut = e.cutLevel(scratches[:active], d0)
+		if e.known+totalPending > e.opts.MaxStates {
+			e.active, cut = e.cutLevel()
 		}
 
-		// Phase 2: intern pending states, one goroutine per shard.
-		for g := range ss.shards {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				e.internShard(uint32(g), shardScr[g], scratches[:active])
-			}(g)
-		}
-		wg.Wait()
-		for _, sc := range shardScr {
+		// Phase 2: intern pending states, one unit per shard.
+		e.phase(len(ss.shards), (*explorer).internShard)
+		for _, sc := range e.shardScr {
 			if sc.err != nil {
 				return sc.err
 			}
 		}
 
 		// Dense-id bases: chunk ci's creations become dense ids
-		// d0+chunkBase[ci].. in pending order — the global first-encounter
-		// order, which is exactly the sequential discovery order.
-		chunkBase = chunkBase[:0]
+		// known+chunkBase[ci].. in pending order — the global first-encounter
+		// order, which is exactly the breadth-first discovery order.
+		e.chunkBase = e.chunkBase[:0]
 		totalCreated := 0
-		for ci := 0; ci < active; ci++ {
-			chunkBase = append(chunkBase, totalCreated)
-			for _, sc := range shardScr {
+		for ci := range e.active {
+			e.chunkBase = append(e.chunkBase, totalCreated)
+			for _, sc := range e.shardScr {
 				totalCreated += int(sc.newPerChunk[ci])
 			}
 		}
-		ss.bad = grown(ss.bad, totalCreated)
-		ss.anyEating = grown(ss.anyEating, totalCreated)
-		ss.expanded = grown(ss.expanded, totalCreated)
-		if ss.NumPhils <= maskablePhils {
-			ss.eating = grown(ss.eating, totalCreated)
-		}
+		e.growStates(totalCreated)
 		e.nextFront = grown(e.nextFront[:0], totalCreated)
 
 		// Phase 3: assign dense ids, record labels and build the next
-		// frontier, one goroutine per chunk (disjoint dense-id ranges).
-		for ci := 0; ci < active; ci++ {
-			wg.Add(1)
-			go func(s *scratch, base int) {
-				defer wg.Done()
-				e.gatherChunk(s, d0, base)
-			}(scratches[ci], chunkBase[ci])
-		}
-		wg.Wait()
+		// frontier, one unit per chunk (disjoint dense-id ranges).
+		e.phase(e.active, (*explorer).gatherChunk)
 
 		// Phase 4: write the level's rows into one exactly sized block, one
-		// goroutine per chunk (disjoint ranges of the block).
+		// unit per chunk (disjoint ranges of the block).
 		rows, outs := 0, 0
-		chunkOut = chunkOut[:0]
-		for _, s := range scratches[:active] {
-			chunkOut = append(chunkOut, outs)
+		e.chunkOut = e.chunkOut[:0]
+		for _, s := range e.scratches[:e.active] {
+			e.chunkOut = append(e.chunkOut, outs)
 			rows += len(s.counts)
 			outs += len(s.outs)
 		}
-		b := rowBlock{off: make([]int32, rows), succs: make([]int32, outs), probs: make([]float64, outs)}
-		for ci := 0; ci < active; ci++ {
-			wg.Add(1)
-			go func(s *scratch, lo, out int) {
-				defer wg.Done()
-				e.writeRows(s, &b, lo, out)
-			}(scratches[ci], chunkLo[ci], chunkOut[ci])
-		}
-		wg.Wait()
-		e.blocks = append(e.blocks, b)
+		e.block = rowBlock{off: make([]int32, rows), succs: make([]int32, outs)}
+		e.phase(e.active, (*explorer).writeRows)
+		e.blocks = append(e.blocks, e.block)
 		e.outcomes += outs
 
 		if cut {
@@ -818,30 +693,47 @@ func (e *explorer) exploreSharded(workers int) error {
 			return nil
 		}
 		e.front, e.nextFront = e.nextFront, e.front[:0]
-		e.levelStart = d0
+		e.levelStart = e.known
 	}
 	return nil
 }
 
+// phase runs f for the units 0..n-1 of one phase of the level, the chunks or
+// the shards, and returns when all are done: inline when there is one unit,
+// else on one goroutine each.
+func (e *explorer) phase(n int, f func(e *explorer, unit int)) {
+	if n == 1 {
+		f(e, 0)
+		return
+	}
+	e.wg.Add(n)
+	for i := range n {
+		go func() {
+			defer e.wg.Done()
+			f(e, i)
+		}()
+	}
+	e.wg.Wait()
+}
+
 // cutLevel truncates the level's chunk records after the frontier entry at
-// which the sequential exploration stops (see the package comment), given
-// the d0 states known before the level, and drops every later chunk. A
-// pending counts when the throwaway table first sees its key, exactly when
-// the intern phase would create it. It returns the number of chunks kept and
-// whether the level was cut; a level whose creations stay within the cap is
-// left whole.
-func (e *explorer) cutLevel(scratches []*scratch, d0 int) (active int, cut bool) {
+// which a search expanding one state at a time stops (see the package
+// comment), and drops every later chunk. A pending counts when the throwaway
+// table first sees its key, exactly when the intern phase would create it.
+// It returns the number of chunks kept and whether the level was cut; a
+// level whose creations stay within the cap is left whole.
+func (e *explorer) cutLevel() (active int, cut bool) {
 	np := e.ss.NumPhils
 	var seen internTable
-	count := d0
-	for ci, s := range scratches {
+	count := e.known
+	for ci, s := range e.scratches[:e.active] {
 		oi, pi := 0, 0
 		for k := 0; k < len(s.counts)/np; k++ {
 			for _, c := range s.counts[k*np : (k+1)*np] {
-				for _, o := range s.outs[oi : oi+int(c)] {
+				for _, ref := range s.outs[oi : oi+int(c)] {
 					// Pendings are numbered in first-encounter order, so
 					// pending pi is first met by the outcome naming it next.
-					if o.ref != ^int32(pi) {
+					if ref != ^int32(pi) {
 						continue
 					}
 					if _, added := seen.intern(s.pend[pi].hash, s.local.key(int32(pi))); added {
@@ -859,14 +751,21 @@ func (e *explorer) cutLevel(scratches []*scratch, d0 int) (active int, cut bool)
 			}
 		}
 	}
-	return len(scratches), false
+	return e.active, false
 }
 
-// expandChunk computes the record of one contiguous chunk of the current
-// level. It only reads shared state (the shard intern tables, the program,
-// the frontier worlds of its own chunk) and writes the worker-local scratch.
-func (e *explorer) expandChunk(s *scratch, worlds []*sim.World) {
+// expandChunk computes the record of chunk ci of the current level. It only
+// reads shared state (the shard intern tables, the program, the frontier
+// worlds of its own chunk) and writes the chunk's scratch. It stops after
+// the entry at which the chunk's pendings outnumber the states the cap
+// leaves the level: they are distinct new states, so cutLevel cuts the level
+// at or before that entry, and no later entry would be kept.
+func (e *explorer) expandChunk(ci int) {
 	ss := e.ss
+	s := e.scratches[ci]
+	lo := ci * e.chunk
+	worlds := e.front[lo:min(lo+e.chunk, len(e.front))]
+	room := e.opts.MaxStates - e.known
 	s.local.reset(len(s.pend), func(v int) uint64 { return s.pend[v].hash })
 	s.counts = s.counts[:0]
 	s.outs = s.outs[:0]
@@ -881,6 +780,9 @@ func (e *explorer) expandChunk(s *scratch, worlds []*sim.World) {
 		}
 		for a := 0; a < ss.NumPhils; a++ {
 			pid := graph.PhilID(a)
+			// Outcomes must not mutate the world they are computed from, so
+			// the frontier world can be probed directly; each outcome is
+			// then applied to its own clone.
 			outcomes := ss.prog.Outcomes(w, pid, s.obuf[:0])
 			s.obuf = outcomes
 			s.counts = push(s.counts, int32(len(outcomes)))
@@ -903,28 +805,32 @@ func (e *explorer) expandChunk(s *scratch, worlds []*sim.World) {
 					ref = ^li
 					s.pend = push(s.pend, pending{world: succ, hash: h})
 				}
-				s.outs = push(s.outs, outRef{prob: outcomes[i].Prob, ref: ref})
+				s.outs = push(s.outs, ref)
 			}
 		}
 		s.putFree(w) // the frontier world is fully expanded
+		if len(s.pend) > room {
+			return
+		}
 	}
 }
 
 // internShard interns, into shard g, every pending state hashing to g, in
-// (chunk, first-encounter) order — the restriction of the sequential
+// (chunk, first-encounter) order — the restriction of the breadth-first
 // discovery order to this shard, so shard-local numbering is deterministic
 // for every worker count. Dense ids are left to the gather phase; every
 // pending entry owned by g receives its state's packed id.
-func (e *explorer) internShard(g uint32, sc *shardScratch, scratches []*scratch) {
+func (e *explorer) internShard(g int) {
 	ss := e.ss
 	st := &ss.shards[g]
-	sc.newPerChunk = grown(sc.newPerChunk[:0], len(scratches))
+	sc := &e.shardScr[g]
+	sc.newPerChunk = grown(sc.newPerChunk[:0], e.active)
 	sc.err = nil
-	for ci, s := range scratches {
+	for ci, s := range e.scratches[:e.active] {
 		created := int32(0)
 		for li := range s.pend {
 			p := &s.pend[li]
-			if ss.shardOfHash(p.hash) != g {
+			if ss.shardOfHash(p.hash) != uint32(g) {
 				continue
 			}
 			local, added := st.table.intern(p.hash, s.local.key(int32(li)))
@@ -933,7 +839,7 @@ func (e *explorer) internShard(g uint32, sc *shardScratch, scratches []*scratch)
 				continue
 			}
 			if local > localMask {
-				sc.err = errShardOverflow(g)
+				sc.err = errShardOverflow(uint32(g))
 				return
 			}
 			st.dense = push(st.dense, -1) // assigned in the gather phase
@@ -944,15 +850,16 @@ func (e *explorer) internShard(g uint32, sc *shardScratch, scratches []*scratch)
 	}
 }
 
-// gatherChunk walks one chunk's pendings in first-encounter order and, for
+// gatherChunk walks chunk ci's pendings in first-encounter order and, for
 // each entry that created its state, assigns the next dense id, records the
 // state labels and frontier entry, and completes the shard's local→dense
 // map. Entries that lost the intern race to an earlier chunk recycle their
 // worlds. Chunks write disjoint dense-id ranges, so the phase is parallel.
-func (e *explorer) gatherChunk(s *scratch, d0, base int) {
+func (e *explorer) gatherChunk(ci int) {
 	ss := e.ss
-	d := d0 + base
-	nf := e.nextFront[base:]
+	s := e.scratches[ci]
+	d := e.known + e.chunkBase[ci]
+	nf := e.nextFront[e.chunkBase[ci]:]
 	j := 0
 	for li := range s.pend {
 		p := &s.pend[li]
@@ -964,39 +871,34 @@ func (e *explorer) gatherChunk(s *scratch, d0, base int) {
 		}
 		st := &ss.shards[p.packed>>localBits]
 		st.dense[p.packed&localMask] = int32(d)
-		bad, eat, mask := e.stateFlags(w)
-		ss.bad[d] = bad
-		ss.anyEating[d] = eat
-		if ss.eating != nil {
-			ss.eating[d] = mask
-		}
+		e.label(d, w)
 		nf[j] = w
 		j++
 		d++
 	}
 }
 
-// writeRows writes the rows of chunk s into the level's block b: the chunk's
-// states start at frontier index lo and their outcomes at index out of the
-// block. Pending successor references resolve through the intern results.
-// Chunks write disjoint ranges of the block, so the phase is parallel.
-func (e *explorer) writeRows(s *scratch, b *rowBlock, lo, out int) {
+// writeRows writes the rows of chunk ci into the level's block: the chunk's
+// states start at its first frontier entry and its outcomes at chunkOut[ci].
+// Pending successor references resolve through the intern results. Chunks
+// write disjoint ranges of the block, so the phase is parallel.
+func (e *explorer) writeRows(ci int) {
 	ss := e.ss
+	s := e.scratches[ci]
+	lo, out := ci*e.chunk, e.chunkOut[ci]
 	// An offset past the int32 range makes seal fail, so a truncated one is
 	// never read.
 	off := int32(e.outcomes + out)
 	for k, c := range s.counts {
-		b.off[lo*ss.NumPhils+k] = off
+		e.block.off[lo*ss.NumPhils+k] = off
 		off += c
 	}
-	for i, o := range s.outs {
-		sid := o.ref
+	for i, sid := range s.outs {
 		if sid < 0 {
 			packed := s.pend[^sid].packed
 			sid = ss.shards[packed>>localBits].dense[packed&localMask]
 		}
-		b.succs[out+i] = sid
-		b.probs[out+i] = o.prob
+		e.block.succs[out+i] = sid
 	}
 	for k := range len(s.counts) / ss.NumPhils {
 		ss.expanded[e.levelStart+lo+k] = true

@@ -112,10 +112,8 @@ func numBadStates(ss *StateSpace) int {
 }
 
 // assertSameSpace compares two single-shard explorations field by field:
-// state numbering, the transition table, outcome probabilities, labels,
-// masks and keys must all be identical — the contract that makes the
-// parallel explorer at Shards: 1 a drop-in replacement for the sequential
-// one.
+// state numbering, the transition table, labels, masks and keys must all be
+// identical, whatever the worker count.
 func assertSameSpace(t *testing.T, label string, a, b *StateSpace) {
 	t.Helper()
 	if len(a.shards) != 1 || len(b.shards) != 1 {
@@ -128,7 +126,6 @@ func assertSameSpace(t *testing.T, label string, a, b *StateSpace) {
 	for name, pair := range map[string][2]any{
 		"off":       {a.off, b.off},
 		"succs":     {a.succs, b.succs},
-		"probs":     {a.probs, b.probs},
 		"dense":     {a.shards[0].dense, b.shards[0].dense},
 		"keys":      {denseKeys(a), denseKeys(b)},
 		"bad":       {a.bad, b.bad},
@@ -156,10 +153,10 @@ func denseKeys(ss *StateSpace) []string {
 }
 
 // assertEquivalentSpace verifies that a sharded exploration is the
-// sequential space under the shard-id remap. The dense view — state
+// one-shard space seq under the shard-id remap. The dense view — state
 // numbering, labels, transition rows, keys — must be identical outright
-// (dense ids are assigned in sequential discovery order for every worker and
-// shard count), and the shard layout must be a consistent bijection (see
+// (dense ids are assigned in breadth-first discovery order for every worker
+// and shard count), and the shard layout must be a consistent bijection (see
 // assertShardLayout).
 func assertEquivalentSpace(t *testing.T, label string, seq, sh *StateSpace) {
 	t.Helper()
@@ -185,24 +182,25 @@ func assertEquivalentSpace(t *testing.T, label string, seq, sh *StateSpace) {
 				t.Fatalf("%s: successors of (state %d, phil %d) differ: %v vs %v",
 					label, s, a, graphalg.Succs(seq, s, a), graphalg.Succs(sh, s, a))
 			}
-			if !reflect.DeepEqual(seq.Probs(s, a), sh.Probs(s, a)) {
-				t.Fatalf("%s: probabilities of (state %d, phil %d) differ", label, s, a)
-			}
 		}
 	}
 }
 
 // assertShardLayout checks that a space's shard layout is a consistent
 // bijection onto its dense numbering and that its transition table has one
-// row per (state, philosopher): every state's key hashes to its owning
-// shard, the shards' local-to-dense maps hit every dense id exactly once,
-// and every key is found again under its dense id.
+// row per (state, philosopher) and no spare capacity: every state's key
+// hashes to its owning shard, the shards' local-to-dense maps hit every
+// dense id exactly once, and every key is found again under its dense id.
 func assertShardLayout(t *testing.T, label string, sh *StateSpace) {
 	t.Helper()
 	n := sh.NumStates()
-	if len(sh.off) != n*sh.NumPhils+1 || int(sh.off[len(sh.off)-1]) != len(sh.succs) || len(sh.probs) != len(sh.succs) {
-		t.Fatalf("%s: transition table has %d offsets (last %d), %d successors and %d probabilities for %d states of %d philosophers",
-			label, len(sh.off), sh.off[len(sh.off)-1], len(sh.succs), len(sh.probs), n, sh.NumPhils)
+	if len(sh.off) != n*sh.NumPhils+1 || int(sh.off[len(sh.off)-1]) != len(sh.succs) {
+		t.Fatalf("%s: transition table has %d offsets (last %d) and %d successors for %d states of %d philosophers",
+			label, len(sh.off), sh.off[len(sh.off)-1], len(sh.succs), n, sh.NumPhils)
+	}
+	if cap(sh.off) != len(sh.off) || cap(sh.succs) != len(sh.succs) {
+		t.Fatalf("%s: transition table keeps capacity %d for %d offsets and %d for %d successors, want its exact size",
+			label, cap(sh.off), len(sh.off), cap(sh.succs), len(sh.succs))
 	}
 	seen := make([]bool, n)
 	for g := range sh.shards {
@@ -231,10 +229,12 @@ func assertShardLayout(t *testing.T, label string, sh *StateSpace) {
 
 // TestExplorationParallelMatchesSequential pins the strongest form of the
 // determinism contract on a single shard: for every worker count the
-// explored space is byte-identical to the sequential exploration — same
-// state numbering, same flat transition arrays, same keys. It covers every
-// algorithm family (free choice, request lists + guest books, nr draws,
-// globals) and a truncated exploration, whose stop point must also agree.
+// explored space is byte-identical to the one-worker exploration, whose
+// phases all run inline — same state numbering, same flat transition
+// arrays, same keys. It covers every algorithm family (free choice, request
+// lists + guest books, nr draws, globals) and a truncated exploration, whose
+// stop point must also agree. The one-worker space is itself checked against
+// an independent search in TestExplorationMatchesReference.
 func TestExplorationParallelMatchesSequential(t *testing.T) {
 	t.Parallel()
 	for _, alg := range []string{"LR1", "LR2", "GDP1", "GDP2", "naive-left-first", "central-monitor"} {
@@ -275,10 +275,11 @@ func TestExplorationParallelMatchesSequential(t *testing.T) {
 
 // TestExplorationShardedEquivalentToSequential pins the sharded-store
 // contract: for every (workers, shards) combination the explored space is
-// the sequential space under the shard-id remap — identical dense view
-// (numbering, rows, labels, keys) plus a consistent shard layout. The grid
-// covers every algorithm family; a truncated run must stop at the exact
-// sequential stop point too.
+// the one-worker, one-shard space under the shard-id remap — identical dense
+// view (numbering, rows, labels, keys) plus a consistent shard layout. The
+// grid covers every algorithm family; a truncated run must stop at the
+// one-worker stop point too. TestExplorationMatchesReference checks the
+// same families against a search that shares no code with the explorer.
 func TestExplorationShardedEquivalentToSequential(t *testing.T) {
 	t.Parallel()
 	for _, alg := range []string{"LR1", "LR2", "GDP1", "GDP2", "naive-left-first", "central-monitor"} {
@@ -308,7 +309,7 @@ func TestExplorationShardedEquivalentToSequential(t *testing.T) {
 	}
 
 	// Truncated runs: the sharded exploration must stop at the exact state
-	// the sequential exploration stops at, for every (workers, shards) pair.
+	// the one-worker exploration stops at, for every (workers, shards) pair.
 	prog, err := algo.New("LR1", algo.Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -101,8 +101,8 @@ func (p *flakyProgram) Outcomes(_ *sim.World, _ graph.PhilID, buf []sim.Outcome)
 }
 
 // TestExploreRejectsUnstableOutcomeSets trips the explorer's guard on
-// outcome sets that change between equal worlds, on the sequential loop and
-// in the level loop's expandChunk, which share it through successor.
+// outcome sets that change between equal worlds, in expandChunk run inline
+// at one worker and on goroutines at two.
 func TestExploreRejectsUnstableOutcomeSets(t *testing.T) {
 	t.Parallel()
 	for _, opts := range []Options{{Workers: 1, Shards: 1}, {Workers: 2}} {
@@ -132,9 +132,17 @@ func (p *countingProgram) Outcomes(w *sim.World, pid graph.PhilID, buf []sim.Out
 // TestExploreOutcomeGuardIsLinear pins the cost of the guard against
 // unstable outcome sets: an action is asked for its outcome set by the
 // parent and by the clone of its first outcome, however many outcomes it
-// has, so no (state, philosopher) sees more than two Outcomes calls on
-// either loop. GDP2 with m = 64 draws from 64 outcomes, where a guard that
+// has, so no (state, philosopher) sees more than two Outcomes calls at any
+// worker count. GDP2 with m = 64 draws from 64 outcomes, where a guard that
 // re-asked every clone would make 65 calls.
+//
+// It also pins the work of a capped exploration: at one worker it expands
+// exactly the states it keeps expanded, two Outcomes calls per (state,
+// philosopher), and at two workers each chunk stops at the room the cap
+// leaves its level, so the states expanded and thrown away by the cut cost
+// at most as many calls again. Under a cap of 300 the one-worker run
+// expands 54 states (324 calls); expanding the whole last level at two
+// workers made 1,470.
 func TestExploreOutcomeGuardIsLinear(t *testing.T) {
 	t.Parallel()
 	for _, opts := range []Options{{Workers: 1, Shards: 1, MaxStates: 3000}, {Workers: 2, MaxStates: 3000}} {
@@ -156,6 +164,31 @@ func TestExploreOutcomeGuardIsLinear(t *testing.T) {
 			if n > 2 {
 				t.Fatalf("workers %d: P%d asked %d times for one outcome set, want at most 2", opts.Workers, key[len(key)-1], n)
 			}
+		}
+	}
+
+	for _, workers := range []int{1, 2} {
+		prog := &countingProgram{Program: mustProg(t, "GDP2", algo.Options{M: 64}), calls: map[string]int{}}
+		ss, err := Explore(graph.Ring(3), prog, Options{Workers: workers, MaxStates: 300})
+		if err != nil {
+			t.Fatal(err)
+		}
+		expanded, calls := 0, 0
+		for _, ok := range ss.expanded {
+			if ok {
+				expanded++
+			}
+		}
+		for _, n := range prog.calls {
+			calls += n
+		}
+		kept := 2 * ss.NumPhils * expanded
+		t.Logf("workers %d, cap 300: %d states, %d expanded, %d Outcomes calls", workers, ss.NumStates(), expanded, calls)
+		if workers == 1 && calls != kept {
+			t.Errorf("workers 1: %d Outcomes calls for %d expanded states, want exactly %d", calls, expanded, kept)
+		}
+		if calls > 2*kept {
+			t.Errorf("workers %d: %d Outcomes calls for %d expanded states, want at most %d", workers, calls, expanded, 2*kept)
 		}
 	}
 }

@@ -12,21 +12,15 @@ import (
 	"repro/internal/sim"
 )
 
-// refEdge is one outcome of a reference transition: the successor's id and
-// the outcome's probability.
-type refEdge struct {
-	succ int32
-	prob float64
-}
-
 // refSpace is a complete exploration by the reference explorer: a
 // breadth-first search over a Go map keyed by the intern key strings that
 // expands one state at a time and shares no code with the store.
 type refSpace struct {
 	keys []string
 	bad  []bool
-	// rows[s][a] lists the outcomes of philosopher a's action from state s.
-	rows [][][]refEdge
+	// rows[s][a] lists the successors of philosopher a's action from state
+	// s, in outcome order.
+	rows [][][]int32
 	// after[s] is the number of states discovered once state s is expanded.
 	after []int
 }
@@ -65,14 +59,14 @@ func exploreReference(topo *graph.Topology, prog sim.Program, canon *graph.Orbit
 	visit(w0)
 	for s := 0; s < len(queue); s++ {
 		w := queue[s]
-		row := make([][]refEdge, topo.NumPhilosophers())
+		row := make([][]int32, topo.NumPhilosophers())
 		for a := range row {
 			pid := graph.PhilID(a)
-			for i, o := range prog.Outcomes(w, pid, nil) {
+			for i := range prog.Outcomes(w, pid, nil) {
 				succ := w.Clone()
 				prog.Outcomes(succ, pid, nil)[i].Do(succ, pid)
 				succ.Step++
-				row[a] = append(row[a], refEdge{succ: visit(succ), prob: o.Prob})
+				row[a] = append(row[a], visit(succ))
 			}
 		}
 		ref.rows = append(ref.rows, row)
@@ -121,15 +115,11 @@ func assertMatchesReference(t *testing.T, label string, ref *refSpace, maxStates
 			t.Fatalf("%s: state %d expanded = %v, want %v", label, s, ss.expanded[s], expanded)
 		}
 		for a := 0; a < ss.NumPhils; a++ {
-			want := []refEdge{{succ: int32(s), prob: 1}}
+			want := []int32{int32(s)}
 			if expanded {
 				want = ref.rows[s][a]
 			}
-			got := make([]refEdge, len(graphalg.Succs(ss, s, a)))
-			for i, succ := range graphalg.Succs(ss, s, a) {
-				got[i] = refEdge{succ: succ, prob: ss.Probs(s, a)[i]}
-			}
-			if !reflect.DeepEqual(got, want) {
+			if got := graphalg.Succs(ss, s, a); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s: row (state %d, phil %d) = %v, reference %v", label, s, a, got, want)
 			}
 		}
@@ -141,9 +131,14 @@ func assertMatchesReference(t *testing.T, label string, ref *refSpace, maxStates
 // the reference explorer for every state cap from 1 to one past the state
 // count: a capped exploration must hold exactly the reference's prefix up to
 // the first state whose expansion passes the cap, at every (workers, shards)
-// configuration — the sequential loop, and the level loop whose final level
-// is cut in parallel. Under -short only theta/LR1 runs every cap; the other
-// instances keep the small caps and a stride.
+// configuration, from one worker and one shard, where every phase runs
+// inline, to eight shards. It is the independent oracle for every algorithm
+// family: free choice (LR1), nr draws (GDP1, GDP2), request lists and guest
+// books (LR2, GDP2), a deadlocking baseline (naive-left-first) and globals
+// (central-monitor). Under -short only theta/LR1 runs every cap; theta/GDP1
+// and the fault and symmetry instances keep the small caps and a stride. The
+// four instances marked firstCaps run only the caps 1-40 and uncapped, in
+// both modes.
 func TestExplorationMatchesReference(t *testing.T) {
 	t.Parallel()
 	lr1 := mustProg(t, "LR1", algo.Options{})
@@ -153,16 +148,21 @@ func TestExplorationMatchesReference(t *testing.T) {
 	}
 	theta, ring3, ring4 := graph.Theorem2Minimal(), graph.Ring(3), graph.Ring(4)
 	for _, in := range []struct {
-		name     string
-		topo     *graph.Topology
-		prog     sim.Program
-		symmetry bool
-		everyCap bool // under -short too
+		name      string
+		topo      *graph.Topology
+		prog      sim.Program
+		symmetry  bool
+		everyCap  bool // under -short too
+		firstCaps bool // only caps 1-40 and uncapped
 	}{
-		{"theta/LR1", theta, lr1, false, true},
-		{"theta/GDP1", theta, mustProg(t, "GDP1", algo.Options{}), false, false},
-		{"ring-3/LR1/crash-rejoin", ring3, crash.Wrap(ring3, lr1), false, false},
-		{"ring-4/LR1/symmetry", ring4, lr1, true, false},
+		{"theta/LR1", theta, lr1, false, true, false},
+		{"theta/GDP1", theta, mustProg(t, "GDP1", algo.Options{}), false, false, false},
+		{"ring-3/LR1/crash-rejoin", ring3, crash.Wrap(ring3, lr1), false, false, false},
+		{"ring-4/LR1/symmetry", ring4, lr1, true, false, false},
+		{"theta/LR2", theta, mustProg(t, "LR2", algo.Options{}), false, false, true},
+		{"theta/GDP2", theta, mustProg(t, "GDP2", algo.Options{}), false, false, true},
+		{"ring-3/naive-left-first", ring3, mustProg(t, "naive-left-first", algo.Options{}), false, false, true},
+		{"ring-3/central-monitor", ring3, mustProg(t, "central-monitor", algo.Options{}), false, false, true},
 	} {
 		t.Run(in.name, func(t *testing.T) {
 			t.Parallel()
@@ -177,7 +177,7 @@ func TestExplorationMatchesReference(t *testing.T) {
 				stride = 61
 			}
 			for maxStates := 1; maxStates <= n+1; maxStates++ {
-				if maxStates > 40 && maxStates < n && maxStates%stride != 0 {
+				if maxStates > 40 && maxStates < n && (in.firstCaps || maxStates%stride != 0) {
 					continue
 				}
 				for _, cfg := range [][2]int{{1, 1}, {2, 1}, {1, 2}, {2, 2}, {3, 4}, {5, 8}} {
